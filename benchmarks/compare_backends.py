@@ -39,22 +39,11 @@ def best_of(repeat, run):
 
 
 def time_traversal(traverse_fn, circuit, repeat):
-    packed = pack_circuit(circuit)
-    h = circuit.branching_count
-    amp = np.zeros(h + 1, dtype=np.complex128)
-    frames = (
-        np.zeros(h + 1, dtype=np.int64),
-        np.zeros(h + 1, dtype=np.int64),
-        np.zeros(h + 1, dtype=np.float64),
-        np.zeros(h + 1, dtype=np.float64),
-        np.zeros(h + 1, dtype=np.int8),
-    )
+    plan = pack_circuit(circuit)
+    amp = np.zeros(plan.h + 1, dtype=np.complex128)
 
     def run():
-        counters = traverse_fn(
-            packed.hq, packed.cmask, packed.fac1, packed.flip1, packed.fac0,
-            packed.flip0, 0, 0, True, -1.0, amp, *frames,
-        )
+        counters = traverse_fn(plan, 0, 0, True, -1.0, amp)
         return complex(amp[0]), counters
 
     return best_of(repeat, run)

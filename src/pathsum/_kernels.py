@@ -4,15 +4,21 @@ Every non-branching gate reduces to one conditional micro-operation on a
 basis-state mask: if ``(state & cmask) == cmask`` multiply the path phase by
 ``fac1`` and xor ``flip1`` into the state, otherwise use ``fac0``/``flip0``.
 H is kept separate because it is the only gate that branches.
+``pack_circuit`` compiles a circuit into these arrays plus its H count and
+one op per gate specialised for the frontier walk; the engine keeps the
+result on the circuit, so each circuit is packed once.
 
-The depth-first traversal and the state-vector loops below each have a
-single Python source, compiled with numba when it is installed.  Without
-numba, ``traverse`` is the numpy frontier walk instead, which runs whole
-batches of paths per gate and gives the same amplitude and counters bit for
-bit.  Set ``PATHSUM_DISABLE_NUMBA=1`` before import to run the depth-first
-source as plain interpreted Python.  Every variant stays importable
-(``traverse_py``, ``traverse_frontier``, ``sv_hadamard_py`` and friends) so
-they can be compared in one process.
+Every walk has one signature, ``traverse(plan, start, end, prune,
+deadline, amp)``.  The depth-first traversal and the state-vector loops
+below each have a single Python source, compiled with numba when it is
+installed; the depth-first source runs inside a thin wrapper, the only
+place its stack frames are allocated.  Without numba, ``traverse`` is the
+numpy frontier walk instead, which runs whole batches of paths per gate and
+gives the same amplitude and counters bit for bit.  Set
+``PATHSUM_DISABLE_NUMBA=1`` before import to run the depth-first source as
+plain interpreted Python.  ``KERNEL`` names the walk ``traverse`` is.  Every
+variant stays importable (``traverse_py``, ``traverse_frontier``,
+``sv_hadamard_py`` and friends) so they can be compared in one process.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, GateKind
+from .circuit import Circuit, CircuitError, Gate, GateKind
 from .gates import INV_SQRT2, phase_factor
 
 
@@ -58,10 +64,12 @@ else:
 
 @dataclass(frozen=True)
 class PackedCircuit:
-    """Array form of a circuit, one row per gate.
+    """A circuit compiled for the kernels: array form plus one frontier op per gate.
 
     ``hq[i]`` is the operand qubit when gate i is an H, else -1 and the gate
-    is the micro-operation described by the remaining arrays.
+    is the micro-operation described by the remaining arrays.  ``h`` is the
+    number of H gates.  ``ops[i]`` is the same gate specialised for the
+    frontier walk: a tuple whose first item is one of the ``_OP_*`` codes.
     """
 
     num_qubits: int
@@ -71,6 +79,41 @@ class PackedCircuit:
     flip1: np.ndarray  # int64, xor mask when the condition holds
     fac0: np.ndarray  # complex128, factor otherwise
     flip0: np.ndarray  # int64, xor mask otherwise
+    h: int
+    ops: tuple
+
+
+# Frontier ops.  Every non-H row is classified by what it can change, so a
+# gate runs only the array operations it needs:
+#   (_OP_H, q, 1 << q)            branch on qubit q
+#   (_OP_SKIP,)                   identity: no state change, factor 1
+#   (_OP_FLIP, x)                 state ^= x on every path, factor 1
+#   (_OP_CFLIP, c, x)             state ^= x where (state & c) == c, factor 1
+#   (_OP_CPHASE, c, f)            factor f where (state & c) == c
+#   (_OP_GENERAL, c, f1, x1, f0, x0)  any other row
+# A factor f is (f.real, [[-f.imag], [f.imag]]), or None when it is 1.
+_OP_H, _OP_SKIP, _OP_FLIP, _OP_CFLIP, _OP_CPHASE, _OP_GENERAL = range(6)
+
+
+def _factor(f: complex):
+    if f == 1.0:
+        return None
+    return f.real, np.array([[-f.imag], [f.imag]])
+
+
+def _gate_op(q, c, f1, x1, f0, x0) -> tuple:
+    """The frontier op of one packed row."""
+    if q >= 0:
+        return (_OP_H, q, 1 << q)
+    # With no mask every path takes the (f1, x1) side.
+    phase_free = f1 == 1.0 and (c == 0 or f0 == 1.0)
+    if phase_free and (c == 0 or x1 == x0):
+        return (_OP_FLIP, x1) if x1 else (_OP_SKIP,)
+    if phase_free and x0 == 0:
+        return (_OP_CFLIP, c, x1)
+    if c and x1 == x0 == 0 and f0 == 1.0:
+        return (_OP_CPHASE, c, _factor(f1))
+    return (_OP_GENERAL, c, _factor(f1), x1, _factor(f0), x0)
 
 
 def pack_circuit(circuit: Circuit) -> PackedCircuit:
@@ -120,7 +163,10 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
             flip1[i] = 1 << qs[2]
         else:
             raise CircuitError(f"unhandled gate kind {kind!r}")
-    return PackedCircuit(circuit.num_qubits, hq, cmask, fac1, flip1, fac0, flip0)
+    ops = tuple(map(_gate_op, hq.tolist(), cmask.tolist(), fac1.tolist(),
+                    flip1.tolist(), fac0.tolist(), flip0.tolist()))
+    h = sum(1 for op in ops if op[0] == _OP_H)
+    return PackedCircuit(circuit.num_qubits, hq, cmask, fac1, flip1, fac0, flip0, h, ops)
 
 
 def _traverse_impl(
@@ -145,10 +191,10 @@ def _traverse_impl(
 
     ``amp`` has one slot per branching depth plus slot 0 for the result;
     the ``frame_*`` arrays are the explicit stack, one frame per pending
-    branching gate.  The caller allocates everything: this function performs
-    no allocation, so its working set is exactly the O(n + h) arrays passed
-    in.  Returns (calls, edges, prunes, max_depth, timed_out); the result is
-    left in ``amp[0]``.
+    branching gate.  The caller (the ``_depth_first`` wrapper) allocates
+    everything: this function performs no allocation, so its working set is
+    exactly the O(n + h) arrays passed in.  Returns (calls, edges, prunes,
+    max_depth, timed_out); the result is left in ``amp[0]``.
     """
     length = hq.shape[0]
     state = start
@@ -255,25 +301,20 @@ def _traverse_impl(
 # frontier walk needs O(n + h * FRONTIER_CAP) memory, independent of 2**n.
 FRONTIER_CAP = 1024
 
-
-def _popcount(x):
-    """Per-element popcount of a non-negative int64 array (SWAR, as above)."""
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    # The multiply wraps, but the top byte it leaves is the popcount (< 63).
-    return (x * 0x0101010101010101) >> 56
+# Phase sign of an H's second child, by the old value of the H's bit.
+_SIGNS = np.array([1.0, -1.0])
 
 
-def _interleave(first, second):
-    """[first[0], second[0], first[1], second[1], ...]"""
-    out = np.empty(2 * first.size, dtype=first.dtype)
-    out[0::2] = first
-    out[1::2] = second
-    return out
+def _times(P, f):
+    """Paths ``P = [re; im]`` times the factor ``f`` (never 1), as the DFS does.
+
+    Row 0 is ``re*fr + im*(-fi)``, exactly the DFS's ``re*fr - im*fi``;
+    row 1 is ``im*fr + re*fi``, its ``re*fi + im*fr`` with the sum commuted.
+    """
+    return P * f[0] + P[::-1] * f[1]
 
 
-def _fold_batch(idx, re, im, levels):
+def _fold_batch(idx, P, levels):
     """Sum finished leaves up ``levels`` branching levels to one value.
 
     ``idx`` holds each leaf's branch bits below the batch root, ascending.
@@ -287,86 +328,73 @@ def _fold_batch(idx, re, im, levels):
         parent = idx >> 1
         starts = np.flatnonzero(np.concatenate(([True], parent[1:] != parent[:-1])))
         idx = parent[starts]
-        re = 0.0 + np.add.reduceat(re, starts)
-        im = 0.0 + np.add.reduceat(im, starts)
+        P = 0.0 + np.add.reduceat(P, starts, axis=1)
         levels -= 1
     if levels > 0:
         # A lone value only has its zero sign normalised by further levels.
-        return complex(0.0 + re[0], 0.0 + im[0])
-    return complex(re[0], im[0])
+        return complex(0.0 + P[0, 0], 0.0 + P[1, 0])
+    return complex(P[0, 0], P[1, 0])
 
 
-def _frontier_impl(
-    hq,
-    cmask,
-    fac1,
-    flip1,
-    fac0,
-    flip0,
-    start,
-    end,
-    prune,
-    deadline,
-    amp,
-    frame_gate,
-    frame_state,
-    frame_re,
-    frame_im,
-    frame_branch,
-):
-    """Batched numpy walk of the computation tree; same contract as the DFS.
+def _frontier_impl(plan, start, end, prune, deadline, amp):
+    """Batched numpy walk of the computation tree; same results as the DFS.
 
     A batch is every live path below one tree node (its root) at one gate,
-    in depth-first leaf order: int64 states and branch bits, float64 phase
-    parts.  Each gate is a few array operations on the whole batch, and at
-    an H the two children of a path are placed next to each other.  Before
-    an H would double a batch past FRONTIER_CAP paths, the batch is split at
-    its root: the later half waits on a stack and the walk goes on with the
-    earlier one.  A finished batch is folded to its root's value, which is
-    added into ``amp[depth - 1]``, the accumulator of the root's parent, as
-    the DFS does.  Amplitude and counters equal the DFS's bit for bit.  The
-    ``frame_*`` arrays are unused: the batches are allocated here.
+    in depth-first leaf order: int64 states and branch bits, and a (2, k)
+    float64 array ``P`` of phase real and imaginary parts.  Each gate runs
+    its op from ``plan.ops``, a few array operations on the whole batch;
+    at an H the two children of a path are placed next to each other.
+    Before an H would double a batch past FRONTIER_CAP paths, the batch is
+    split at its root: the later half waits on a stack and the walk goes on
+    with the earlier one.  A finished batch is folded to its root's value,
+    which is added into ``amp[depth - 1]``, the accumulator of the root's
+    parent, as the DFS does.  Amplitude and counters (returned as the DFS
+    returns them) equal the DFS's bit for bit.
     """
     cap = FRONTIER_CAP
-    length = hq.shape[0]
-    hq_list = hq.tolist()
-    cmask_list = cmask.tolist()
-    flip1_list = flip1.tolist()
-    flip0_list = flip0.tolist()
-    fac1_list = fac1.tolist()
-    fac0_list = fac0.tolist()
-    h = sum(1 for q in hq_list if q >= 0)
+    ops = plan.ops
+    length = len(ops)
+    h = plan.h
     calls = 0
     edges = 0
     prunes = 0
     max_depth = 0
-    # A batch: (gate position, depth, root depth, states, re, im, branch
+    # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
     batch = (
         0, 0, 0,
         np.array([start], dtype=np.int64),
-        np.ones(1, dtype=np.float64),
-        np.zeros(1, dtype=np.float64),
+        np.array([[1.0], [0.0]]),
         np.zeros(1, dtype=np.int64),
     )
     pending = []
     while True:
-        pos, depth, root, state, re, im, idx = batch
+        pos, depth, root, state, P, idx = batch
         while pos < length and state.size:
             if deadline > 0.0 and time.perf_counter() > deadline:
                 return calls, edges, prunes, max_depth, True
             # States have at most 62 bits set, so no cut is possible while
             # 63 or more gates remain.
             if prune and length - pos < 63:
-                alive = _popcount(state ^ end) <= length - pos
+                alive = np.bitwise_count(state ^ end) <= length - pos
                 cut = state.size - int(np.count_nonzero(alive))
                 if cut:
                     prunes += cut
-                    state, re, im, idx = state[alive], re[alive], im[alive], idx[alive]
+                    state, P, idx = state[alive], P[:, alive], idx[alive]
                     if not state.size:
                         break
-            q = hq_list[pos]
-            if q >= 0:
+            op = ops[pos]
+            kind = op[0]
+            if kind == _OP_CPHASE:
+                c = op[1]
+                P = np.where((state & c) == c, _times(P, op[2]), P)
+            elif kind == _OP_CFLIP:
+                c = op[1]
+                state = state ^ ((state & c) == c) * op[2]
+            elif kind == _OP_FLIP:
+                state = state ^ op[1]
+            elif kind == _OP_H:
+                q = op[1]
                 # Split at the root until the doubled batch fits (a lone
                 # path always fits) and the branch bits fit in int64.
                 while (2 * state.size > cap or depth - root >= 62) and depth > root:
@@ -377,54 +405,41 @@ def _frontier_impl(
                     if k == 0:
                         idx = idx - half
                     elif k < state.size:
-                        pending.append((pos, depth, root, state[k:], re[k:], im[k:], idx[k:] - half))
-                        state, re, im, idx = state[:k], re[:k], im[:k], idx[:k]
+                        pending.append((pos, depth, root, state[k:], P[:, k:], idx[k:] - half))
+                        state, P, idx = state[:k], P[:, :k], idx[:k]
                 size = state.size
-                bit = 1 << q
-                re0 = re * INV_SQRT2
-                im0 = im * INV_SQRT2
-                sign = 1.0 - 2.0 * ((state >> q) & 1)
-                state = _interleave(state & ~bit, state | bit)
-                re = _interleave(re0, re0 * sign)
-                im = _interleave(im0, im0 * sign)
-                idx = _interleave(idx << 1, (idx << 1) | 1)
+                P = np.repeat(P * INV_SQRT2, 2, axis=1)
+                P[:, 1::2] *= _SIGNS[(state >> q) & 1]
+                state = np.repeat(state & ~op[2], 2)
+                state[1::2] |= op[2]
+                idx = np.repeat(idx << 1, 2)
+                idx[1::2] |= 1
                 depth += 1
                 calls += 2 * size
                 edges += 2 * size
                 if depth > max_depth:
                     max_depth = depth
-            else:
-                c = cmask_list[pos]
-                f1 = fac1_list[pos]
-                f0 = fac0_list[pos]
-                x1 = flip1_list[pos]
-                x0 = flip0_list[pos]
-                # No mask: every path takes the (fac1, flip1) side.
+                pos += 1
+                continue
+            elif kind == _OP_GENERAL:
+                _, c, f1, x1, f0, x0 = op
                 hot = None if c == 0 else (state & c) == c
                 if x1 or x0:
                     state = state ^ (x1 if hot is None or x1 == x0 else np.where(hot, x1, x0))
                 # Like the DFS, multiply only by factors other than 1.
-                if hot is None or f0 == 1.0:
-                    if f1 != 1.0:
-                        new_re = re * f1.real - im * f1.imag
-                        new_im = re * f1.imag + im * f1.real
-                        if hot is not None:
-                            new_re = np.where(hot, new_re, re)
-                            new_im = np.where(hot, new_im, im)
-                        re, im = new_re, new_im
-                elif f1 == 1.0:
-                    re, im = (np.where(hot, re, re * f0.real - im * f0.imag),
-                              np.where(hot, im, re * f0.imag + im * f0.real))
+                if hot is None or f0 is None:
+                    if f1 is not None:
+                        P = _times(P, f1) if hot is None else np.where(hot, _times(P, f1), P)
+                elif f1 is None:
+                    P = np.where(hot, P, _times(P, f0))
                 else:
-                    fr = np.where(hot, f1.real, f0.real)
-                    fi = np.where(hot, f1.imag, f0.imag)
-                    re, im = re * fr - im * fi, re * fi + im * fr
-                edges += state.size
+                    P = _times(P, (np.where(hot, f1[0], f0[0]), np.where(hot, f1[1], f0[1])))
+            edges += state.size
             pos += 1
         value = None
         if state.size:
             hit = state == end
-            value = _fold_batch(idx[hit], re[hit], im[hit], h - root)
+            value = _fold_batch(idx[hit], P[:, hit], h - root)
         # Add the root's value to its parent, closing every parent whose
         # later child is not still waiting on the stack.
         while root > 0:
@@ -439,6 +454,25 @@ def _frontier_impl(
         if not pending:
             return calls, edges, prunes, max_depth, False
         batch = pending.pop()
+
+
+def _depth_first(walk):
+    """``walk`` (a DFS over the packed arrays) called with the frontier's
+    signature; the DFS stack frames are allocated here, per query."""
+
+    def traverse_depth_first(plan, start, end, prune, deadline, amp):
+        size = plan.h + 1
+        return walk(
+            plan.hq, plan.cmask, plan.fac1, plan.flip1, plan.fac0, plan.flip0,
+            start, end, prune, deadline, amp,
+            np.zeros(size, dtype=np.int64),
+            np.zeros(size, dtype=np.int64),
+            np.zeros(size, dtype=np.float64),
+            np.zeros(size, dtype=np.float64),
+            np.zeros(size, dtype=np.int8),
+        )
+
+    return traverse_depth_first
 
 
 def _sv_hadamard_impl(psi, q):
@@ -462,17 +496,24 @@ def _sv_microop_impl(psi, out, cmask, f1, flip1, f0, flip0):
             out[i ^ flip0] = psi[i] * f0
 
 
-traverse_py = _traverse_impl
+traverse_py = _depth_first(_traverse_impl)
 traverse_frontier = _frontier_impl
 sv_hadamard_py = _sv_hadamard_impl
 sv_microop_py = _sv_microop_impl
 
+# Which walk ``traverse`` is: "dfs-numba", "dfs-interpreted" or "frontier".
 if NUMBA_ENABLED:
-    traverse = njit(cache=True)(_traverse_impl)
+    KERNEL = "dfs-numba"
+    traverse = _depth_first(njit(cache=True)(_traverse_impl))
     sv_hadamard = njit(cache=True)(_sv_hadamard_impl)
     sv_microop = njit(cache=True)(_sv_microop_impl)
 else:
-    traverse = _traverse_impl if _numba_disabled() else _frontier_impl
+    if _numba_disabled():
+        KERNEL = "dfs-interpreted"
+        traverse = traverse_py
+    else:
+        KERNEL = "frontier"
+        traverse = traverse_frontier
     sv_hadamard = _sv_hadamard_impl
     sv_microop = _sv_microop_impl
 
@@ -481,19 +522,8 @@ def warm_up():
     """Trigger compilation of the compiled kernels outside any timed region."""
     # One H gate, queried |0> -> |0>, with pruning on so every code path
     # (including the popcount and clock helpers) gets compiled here.
-    hq = np.zeros(1, dtype=np.int64)
-    zeros = np.zeros(1, dtype=np.int64)
-    ones = np.ones(1, dtype=np.complex128)
-    amp = np.zeros(2, dtype=np.complex128)
-    traverse(
-        hq, zeros, ones, zeros, ones, zeros, 0, 0, True, -1.0,
-        amp,
-        np.zeros(2, dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        np.zeros(2, dtype=np.float64),
-        np.zeros(2, dtype=np.float64),
-        np.zeros(2, dtype=np.int8),
-    )
+    plan = pack_circuit(Circuit(1, (Gate(GateKind.H, (0,)),)))
+    traverse(plan, 0, 0, True, -1.0, np.zeros(2, dtype=np.complex128))
     psi = np.zeros(2, dtype=np.complex128)
     psi[0] = 1.0
     sv_hadamard(psi, 0)

@@ -48,8 +48,9 @@ CSV_COLUMNS = [
 MEMORY_NOTE = (
     "peak_mem_bytes: per-run high-water mark of allocator-tracked memory "
     "(tracemalloc), measured from the start of each query; interpreter and "
-    "JIT baseline memory is excluded.  Tracing is active during the timed "
-    "region for both methods."
+    "JIT baseline memory is excluded.  It comes from a second, traced run "
+    "of the same query after the timed one, so tracing never runs inside "
+    "the timed region; it is 0 where the timed run timed out or failed."
 )
 
 
@@ -116,8 +117,21 @@ class BenchRecord:
         return not self.note
 
 
+def _query(circuit, query, method: str, cap_s: float, prune: bool):
+    """One query: (amplitude, recursion calls, prunes); None counters for the state vector."""
+    if method == "pathsum":
+        options = EngineOptions(prune=prune, deadline_s=cap_s)
+        amplitude, stats = path_sum_amplitude(circuit, query, options)
+        return amplitude, stats.recursion_calls, stats.prunes
+    return statevector_amplitude(circuit, query, deadline_s=cap_s), None, None
+
+
 def _run_one(circuit, method: str, cap_s: float, prune: bool) -> BenchRecord:
-    """Time a single all-zeros query; the returned record lacks identity fields."""
+    """Time a single all-zeros query; the returned record lacks identity fields.
+
+    The query is timed untraced; a finished query then runs once more
+    under tracemalloc for its peak memory.
+    """
     width = circuit.num_qubits
     query = AmplitudeQuery(BasisState.zeros(width), BasisState.zeros(width))
     amplitude = None
@@ -125,24 +139,25 @@ def _run_one(circuit, method: str, cap_s: float, prune: bool) -> BenchRecord:
     prune_count = None
     timed_out = False
     note = ""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
+    peak = 0
     began = time.perf_counter()
     try:
-        if method == "pathsum":
-            options = EngineOptions(prune=prune, deadline_s=cap_s)
-            amplitude, stats = path_sum_amplitude(circuit, query, options)
-            calls = stats.recursion_calls
-            prune_count = stats.prunes
-        else:
-            amplitude = statevector_amplitude(circuit, query, deadline_s=cap_s)
+        amplitude, calls, prune_count = _query(circuit, query, method, cap_s, prune)
     except QueryTimeout:
         timed_out = True
     except Exception as exc:  # recorded, not raised: sweeps must finish
         note = f"error: {exc}"
     wall = time.perf_counter() - began
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    if not (timed_out or note):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            _query(circuit, query, method, cap_s, prune)
+        except QueryTimeout:  # tracing slowed it past the cap; the peak so far stands
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
     return BenchRecord(
         family="",
         n=0,

@@ -9,10 +9,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
+from .bench import FAMILIES, BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
 from .circuit import AmplitudeQuery, BasisState, CircuitError
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
-from .generators import gen_hsp_standard, gen_layered_hadamard, gen_layered_qft
 from .statevector import StateVectorLimitError, statevector_amplitude
 from .textio import parse_basis_state, parse_circuit, serialize_circuit
 
@@ -62,20 +61,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_GENERATORS = {
-    "h-layer": gen_layered_hadamard,
-    "qft-layer": gen_layered_qft,
-    "hsp": gen_hsp_standard,
-}
-
-
 def _cmd_generate(args) -> int:
     if args.a_size is not None and args.family != "hsp":
         raise _UsageError("--a-size only applies to the hsp family")
+    generate = FAMILIES[args.family][0]
     if args.family == "hsp":
-        circuit = gen_hsp_standard(args.n, args.seed, args.a_size)
+        circuit = generate(args.n, args.seed, args.a_size)
     else:
-        circuit = _GENERATORS[args.family](args.n, args.seed)
+        circuit = generate(args.n, args.seed)
     text = serialize_circuit(circuit)
     if args.out is not None:
         Path(args.out).write_text(text)
@@ -160,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = commands.add_parser(
         "generate", help="write a seeded benchmark-family circuit"
     )
-    generate.add_argument("--family", required=True, choices=sorted(_GENERATORS))
+    generate.add_argument("--family", required=True, choices=sorted(FAMILIES))
     generate.add_argument("--n", required=True, type=int, help="qubit count")
     generate.add_argument("--seed", required=True, type=int)
     generate.add_argument(

@@ -2,14 +2,17 @@
 
 Computes one transition amplitude <end| C |start> by a walk over the tree
 of basis states the circuit can reach.  Non-branching gates extend the
-current path in place; each H opens two subtrees.  The depth-first walk
-(compiled with numba, or interpreted) keeps an amplitude register with one
-slot per branching level plus a fixed-size frame per level: O(n + h) for an
-n-qubit circuit with h branching gates, however long the circuit and however
-many paths the walk visits.  Without numba the numpy frontier walk runs
-instead: batches of at most ``_kernels.FRONTIER_CAP`` paths, one batch
-pending per branching level, so O(n + h * cap) memory, still independent of
-2**n; its amplitude and counters equal the depth-first walk's.
+current path in place; each H opens two subtrees.  Each circuit is compiled
+once, on its first query, into the kernels' packed plan, which is kept on
+the immutable instance; every later query of that circuit reuses it.  The
+depth-first walk (compiled with numba, or interpreted) keeps an amplitude
+register with one slot per branching level plus a fixed-size frame per
+level, which its wrapper in ``_kernels`` allocates: O(n + h) for an n-qubit
+circuit with h branching gates, however long the circuit and however many
+paths the walk visits.  Without numba the numpy frontier walk runs instead:
+batches of at most ``_kernels.FRONTIER_CAP`` paths, one batch pending per
+branching level, so O(n + h * cap) memory, still independent of 2**n; its
+amplitude and counters equal the depth-first walk's.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pack_circuit, traverse
+from ._kernels import PackedCircuit, pack_circuit, traverse
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
 
 
@@ -67,6 +70,19 @@ def end_state_reachable(current: BasisState, end: BasisState, gates_remaining: i
     return current.hamming_distance(end) <= gates_remaining
 
 
+def packed_circuit(circuit: Circuit) -> PackedCircuit:
+    """The kernels' plan of ``circuit``: packed on first use, then reused.
+
+    The plan lives in the instance's ``__dict__``, outside the dataclass
+    fields, so equality, hashing and ``repr`` do not see it; a circuit is
+    immutable, so the plan cannot go stale.
+    """
+    plan = circuit.__dict__.get("_packed")
+    if plan is None:
+        plan = circuit.__dict__["_packed"] = pack_circuit(circuit)
+    return plan
+
+
 def path_sum_amplitude(
     circuit: Circuit,
     query: AmplitudeQuery,
@@ -83,16 +99,9 @@ def path_sum_amplitude(
         raise CircuitError(
             f"query width {query.width} does not match circuit width {circuit.num_qubits}"
         )
-    packed = pack_circuit(circuit)
-    h = circuit.branching_count
-    # The whole working set: one amplitude slot per branching level (slot 0
-    # holds the result) and one frame per level for the explicit stack.
-    amp = np.zeros(h + 1, dtype=np.complex128)
-    frame_gate = np.zeros(h + 1, dtype=np.int64)
-    frame_state = np.zeros(h + 1, dtype=np.int64)
-    frame_re = np.zeros(h + 1, dtype=np.float64)
-    frame_im = np.zeros(h + 1, dtype=np.float64)
-    frame_branch = np.zeros(h + 1, dtype=np.int8)
+    plan = packed_circuit(circuit)
+    # One amplitude slot per branching level; slot 0 holds the result.
+    amp = np.zeros(plan.h + 1, dtype=np.complex128)
     if options.deadline_s is not None:
         if options.deadline_s <= 0:
             raise CircuitError(f"deadline_s must be positive, got {options.deadline_s}")
@@ -100,22 +109,7 @@ def path_sum_amplitude(
     else:
         deadline = -1.0
     calls, edges, prunes, max_depth, timed_out = traverse(
-        packed.hq,
-        packed.cmask,
-        packed.fac1,
-        packed.flip1,
-        packed.fac0,
-        packed.flip0,
-        query.start.bits,
-        query.end.bits,
-        options.prune,
-        deadline,
-        amp,
-        frame_gate,
-        frame_state,
-        frame_re,
-        frame_im,
-        frame_branch,
+        plan, query.start.bits, query.end.bits, options.prune, deadline, amp
     )
     if timed_out:
         raise QueryTimeout(

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import pack_circuit
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
-from .engine import QueryTimeout
+from .engine import QueryTimeout, packed_circuit
 from .gates import INV_SQRT2
 
 # 2**26 complex128 amplitudes are 1 GiB; one more qubit doubles it, and the
@@ -113,7 +112,7 @@ def statevector_simulate(
         if deadline_s <= 0:
             raise CircuitError(f"deadline_s must be positive, got {deadline_s}")
         deadline = time.perf_counter() + deadline_s
-    packed = pack_circuit(circuit)
+    packed = packed_circuit(circuit)
     psi = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     psi[start.bits] = 1.0
     scratch = np.empty_like(psi)

@@ -22,6 +22,7 @@ from pathsum import (
     path_sum_amplitude,
     statevector_amplitude,
 )
+from pathsum import engine
 from pathsum.circuit import ccx, cnot, h, s, t, x
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -276,3 +277,31 @@ def test_concurrent_queries_share_circuit():
     for th in threads:
         th.join()
     assert results == expected
+
+
+def test_circuit_is_packed_once(monkeypatch):
+    packed = []
+    pack = engine.pack_circuit
+
+    def counting_pack(circuit):
+        packed.append(circuit)
+        return pack(circuit)
+
+    monkeypatch.setattr(engine, "pack_circuit", counting_pack)
+    rng = np.random.default_rng(112)
+    c = random_circuit(rng, 5, 20)
+    for _ in range(6):
+        path_sum_amplitude(c, random_query(rng, 5))
+    statevector_amplitude(c, random_query(rng, 5))
+    assert packed == [c]
+
+
+def test_cached_plan_leaves_equality_and_repr_alone():
+    rng = np.random.default_rng(113)
+    gates = random_circuit(rng, 4, 12).gates
+    queried = make_circuit(4, gates)
+    fresh = make_circuit(4, gates)
+    path_sum_amplitude(queried, _query(4, 0, 0))
+    assert queried == fresh and fresh == queried
+    assert repr(queried) == repr(fresh)
+    assert hash(queried) == hash(fresh)

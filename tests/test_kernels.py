@@ -6,7 +6,9 @@ The depth-first walk has one Python source, run interpreted
 depth-first walk's amplitude and counters bit for bit.
 """
 import importlib.util
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 
 from pathsum import _kernels, gen_hsp_standard, gen_layered_hadamard, make_circuit
-from pathsum.circuit import AmplitudeQuery, BasisState, h
+from pathsum.circuit import (
+    AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
+)
 from pathsum._kernels import (
     pack_circuit,
     sv_hadamard,
@@ -38,21 +42,9 @@ def _drive(traverse_fn, circuit, query, prune, deadline=-1.0):
     The amplitude comes back as its ``repr``, so a zero of the other sign
     counts as a difference.
     """
-    packed = pack_circuit(circuit)
-    h = circuit.branching_count
-    amp = np.zeros(h + 1, dtype=np.complex128)
-    frames = (
-        np.zeros(h + 1, dtype=np.int64),
-        np.zeros(h + 1, dtype=np.int64),
-        np.zeros(h + 1, dtype=np.float64),
-        np.zeros(h + 1, dtype=np.float64),
-        np.zeros(h + 1, dtype=np.int8),
-    )
-    counters = traverse_fn(
-        packed.hq, packed.cmask, packed.fac1, packed.flip1, packed.fac0,
-        packed.flip0, query.start.bits, query.end.bits, prune, deadline, amp,
-        *frames,
-    )
+    plan = pack_circuit(circuit)
+    amp = np.zeros(plan.h + 1, dtype=np.complex128)
+    counters = traverse_fn(plan, query.start.bits, query.end.bits, prune, deadline, amp)
     return repr(complex(amp[0])), tuple(counters)
 
 
@@ -80,6 +72,32 @@ def test_traversal_twins_agree_bitwise():
                 amp_a, counters_a = _drive(traverse_fn, circuit, query, prune)
                 assert amp_a == amp_b
                 assert counters_a == counters_b
+
+
+def test_twins_agree_on_signed_zeros_and_every_gate_kind():
+    # Every gate kind, with P and CP at theta 0 (a factor of exactly 1,
+    # never multiplied in) and pi, from every start to every end state.
+    # Y then Z on |0> leaves the phase at (-0.0, -1), and a walk with no H
+    # returns its phase unchanged, so the sign of that zero must survive.
+    kinds = [x(0), y(1), z(2), s(0), t(1), p(2, 0.0), p(0, math.pi),
+             cp(0, 1, 0.0), cp(1, 2, math.pi), cnot(0, 2), ccx(0, 1, 2), identity(1)]
+    circuits = [
+        make_circuit(1, [y(0), z(0)]),
+        make_circuit(3, kinds),
+        make_circuit(3, [h(0)] + kinds + [h(1)] + kinds[::-1] + [h(2)]),
+    ]
+    signed_zeros = 0
+    for circuit in circuits:
+        n = circuit.num_qubits
+        for start in range(1 << n):
+            for end in range(1 << n):
+                query = AmplitudeQuery(BasisState(start, n), BasisState(end, n))
+                for prune in (False, True):
+                    expected = _drive(traverse_py, circuit, query, prune)
+                    signed_zeros += re.search(r"-0(?![.\de])", expected[0]) is not None
+                    for traverse_fn in (traverse, traverse_frontier):
+                        assert _drive(traverse_fn, circuit, query, prune) == expected
+    assert signed_zeros > 0
 
 
 def test_frontier_small_batches_agree_bitwise(monkeypatch):
@@ -175,6 +193,7 @@ _SNIPPET = """
     from pathsum import _kernels
     assert _kernels.NUMBA_ENABLED is %(enabled)s
     assert (_kernels.traverse is _kernels.traverse_py) is %(disabled)s
+    assert _kernels.KERNEL == %(kernel)r, _kernels.KERNEL
 
     from pathsum import (AmplitudeQuery, BasisState, make_circuit,
                          path_sum_amplitude, statevector_amplitude)
@@ -198,7 +217,8 @@ _SNIPPET = """
 
 
 def test_interpreted_mode_via_env_flag():
-    done = _run_snippet(_SNIPPET % {"enabled": "False", "disabled": "True"},
+    done = _run_snippet(_SNIPPET % {"enabled": "False", "disabled": "True",
+                                    "kernel": "dfs-interpreted"},
                         disable_numba=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "OK"
@@ -206,7 +226,8 @@ def test_interpreted_mode_via_env_flag():
 
 def test_compiled_mode_is_the_default():
     pytest.importorskip("numba")
-    done = _run_snippet(_SNIPPET % {"enabled": "True", "disabled": "False"},
+    done = _run_snippet(_SNIPPET % {"enabled": "True", "disabled": "False",
+                                    "kernel": "dfs-numba"},
                         disable_numba=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "OK"
@@ -215,7 +236,7 @@ def test_compiled_mode_is_the_default():
 @pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
                     reason="numba is installed, so the compiled walk is the default")
 def test_frontier_mode_without_numba():
-    snippet = _SNIPPET % {"enabled": "False", "disabled": "False"}
+    snippet = _SNIPPET % {"enabled": "False", "disabled": "False", "kernel": "frontier"}
     snippet += "\n    assert _kernels.traverse is _kernels.traverse_frontier\n"
     done = _run_snippet(snippet, disable_numba=False)
     assert done.returncode == 0, done.stderr
