@@ -1,31 +1,71 @@
 #!/usr/bin/env python3
-"""Compare the compiled kernels against their plain-Python twins.
+"""Compare the default kernels against their plain-Python twins.
 
-Times the path-sum traversal (the default ``traverse``: compiled, or the
-numpy frontier walk without numba; vs the interpreted depth-first source) on
-one circuit per family, and the dense state-vector update (compiled per-element
-loops vs vectorized numpy) on a QFT-layer circuit.  Results are wall-clock
-best-of-N; amplitudes are cross-checked so a fast-but-wrong kernel cannot
-win.  Run directly: python3 benchmarks/compare_backends.py
+Times the path-sum traversal (the default ``traverse``, named by
+``_kernels.KERNEL``: the compiled depth-first walk, or without numba the
+numpy frontier walk, vs the interpreted depth-first source) on one circuit
+per family and on a narrow 48-qubit circuit with 5 H gates, which the
+frontier hands to its scalar depth-first finish.  With numba it also times
+the dense state-vector update (compiled per-element loops vs vectorized
+numpy) on a QFT-layer circuit; without numba those loops would run
+interpreted, about 40x slower than numpy, so they are skipped.  Results are
+wall-clock best-of-N; amplitudes are cross-checked so a fast-but-wrong
+kernel cannot win.  Run directly: python3 benchmarks/compare_backends.py
 """
 import argparse
+import math
+import random
 import time
 
 import numpy as np
 
 from pathsum import _kernels
 from pathsum._kernels import pack_circuit
-from pathsum.circuit import AmplitudeQuery, BasisState
+from pathsum.circuit import BasisState, Gate, GateKind, make_circuit
+from pathsum.gates import apply_nonbranching, branch_gate
 from pathsum.generators import gen_hsp_standard, gen_layered_hadamard, gen_layered_qft
 from pathsum.statevector import _apply_gates_loop, _apply_gates_numpy
 
-TRAVERSAL_POINTS = [
-    ("h-layer", gen_layered_hadamard, 12),
-    ("qft-layer", gen_layered_qft, 10),
-    ("hsp", gen_hsp_standard, 14),
-]
 STATEVECTOR_POINT = ("qft-layer", gen_layered_qft, 18)
 SEED = 1
+NONBRANCHING = [kind for kind in GateKind if not kind.is_branching]
+
+
+def narrow_circuit(rng, n=48, hs=5, others=300):
+    """A wide random circuit with ``hs`` evenly spaced H gates (at most
+    2**hs leaves) among ``others`` gates of every other kind."""
+    length = hs + others
+    slots = {(k + 1) * length // (hs + 1) for k in range(hs)}
+    gates = []
+    for i in range(length):
+        kind = GateKind.H if i in slots else rng.choice(NONBRANCHING)
+        theta = rng.uniform(0.0, 2.0 * math.pi) if kind.takes_angle else None
+        gates.append(Gate(kind, tuple(rng.sample(range(n), kind.arity)), theta))
+    return make_circuit(n, gates)
+
+
+def random_path_end(circuit, start, rng):
+    """The end state of one random path from ``start``; most other end
+    states of a wide circuit are cut off at once."""
+    state = BasisState(start, circuit.num_qubits)
+    for gate in circuit.gates:
+        if gate.kind.is_branching:
+            state = branch_gate(gate, state)[rng.randrange(2)].state
+        else:
+            state = apply_nonbranching(gate, state).state
+    return state.bits
+
+
+def traversal_points():
+    """(label, circuit, start, end) per timed traversal."""
+    for family, generate, n in (("h-layer", gen_layered_hadamard, 12),
+                                ("qft-layer", gen_layered_qft, 10),
+                                ("hsp", gen_hsp_standard, 14)):
+        yield f"{family} n={n}", generate(n, SEED), 0, 0
+    rng = random.Random(SEED)
+    circuit = narrow_circuit(rng)
+    start = rng.getrandbits(circuit.num_qubits)
+    yield "narrow n=48", circuit, start, random_path_end(circuit, start, rng)
 
 
 def best_of(repeat, run):
@@ -38,12 +78,12 @@ def best_of(repeat, run):
     return best, result
 
 
-def time_traversal(traverse_fn, circuit, repeat):
+def time_traversal(traverse_fn, circuit, start, end, repeat):
     plan = pack_circuit(circuit)
     amp = np.zeros(plan.h + 1, dtype=np.complex128)
 
     def run():
-        counters = traverse_fn(plan, 0, 0, True, -1.0, amp)
+        counters = traverse_fn(plan, start, end, True, -1.0, amp)
         return complex(amp[0]), counters
 
     return best_of(repeat, run)
@@ -66,27 +106,25 @@ def main():
                         help="timed repetitions per point, best is kept")
     args = parser.parse_args()
 
-    if not _kernels.NUMBA_ENABLED:
-        print("note: numba is missing (or PATHSUM_DISABLE_NUMBA is set), so the")
-        print("'compiled' column below is the default walk: the numpy frontier")
-        print("walk, or with PATHSUM_DISABLE_NUMBA the interpreted code again;")
-        print("the state-vector 'compiled loops' run interpreted.\n")
     _kernels.warm_up()
-
-    print("path-sum traversal: default traverse vs interpreted traverse_py")
-    header = (f"{'circuit':>14} {'edges':>10} {'compiled':>12} "
-              f"{'interpreted':>12} {'speedup':>8}")
-    print(header)
-    for family, generate, n in TRAVERSAL_POINTS:
-        circuit = generate(n, SEED)
-        fast, (amp_fast, counters) = time_traversal(_kernels.traverse, circuit, args.repeat)
-        slow, (amp_slow, _) = time_traversal(_kernels.traverse_py, circuit, 1)
+    kernel = _kernels.KERNEL
+    print(f"path-sum traversal: default traverse ({kernel}) vs interpreted traverse_py")
+    print(f"{'circuit':>14} {'edges':>10} {kernel:>15} {'interpreted':>12} {'speedup':>8}")
+    for label, circuit, start, end in traversal_points():
+        fast, (amp_fast, counters) = time_traversal(
+            _kernels.traverse, circuit, start, end, args.repeat)
+        slow, (amp_slow, _) = time_traversal(_kernels.traverse_py, circuit, start, end, 1)
         assert amp_fast == amp_slow, (amp_fast, amp_slow)
         edges = counters[1]
-        print(f"{family + ' n=' + str(n):>14} {edges:>10} {fast:>11.4f}s "
+        print(f"{label:>14} {edges:>10} {fast:>14.4f}s "
               f"{slow:>11.4f}s {slow / fast:>7.1f}x")
 
     family, generate, n = STATEVECTOR_POINT
+    if not _kernels.NUMBA_ENABLED:
+        print(f"\nstate vector, {family} n={n}: skipped.  Without numba its per-element")
+        print("loops run interpreted: 47 s per repeat on a 2-core VM, against 1.2 s")
+        print("for the vectorized numpy updates.")
+        return
     circuit = generate(n, SEED)
     print(f"\nstate vector, {family} n={n} ({circuit.num_gates} gates, "
           f"2**{n} amplitudes): compiled loops vs vectorized numpy")

@@ -4,9 +4,10 @@ Every non-branching gate reduces to one conditional micro-operation on a
 basis-state mask: if ``(state & cmask) == cmask`` multiply the path phase by
 ``fac1`` and xor ``flip1`` into the state, otherwise use ``fac0``/``flip0``.
 H is kept separate because it is the only gate that branches.
-``pack_circuit`` compiles a circuit into these arrays plus its H count and
-one op per gate specialised for the frontier walk; the engine keeps the
-result on the circuit, so each circuit is packed once.
+``pack_circuit`` compiles a circuit into these arrays plus its H count,
+the H gates left at each position, and one op per gate specialised for the
+frontier walk; the engine keeps the result on the circuit, so each circuit
+is packed once.
 
 Every walk has one signature, ``traverse(plan, start, end, prune,
 deadline, amp)``.  The depth-first traversal and the state-vector loops
@@ -14,7 +15,12 @@ below each have a single Python source, compiled with numba when it is
 installed; the depth-first source runs inside a thin wrapper, the only
 place its stack frames are allocated.  Without numba, ``traverse`` is the
 numpy frontier walk instead, which runs whole batches of paths per gate and
-gives the same amplitude and counters bit for bit.  Set
+gives the same amplitude and counters bit for bit.  Where a batch has at
+most ``SCALAR_LEAVES`` = 64 leaves left (live paths times 2**(H gates
+left)), the frontier hands it to a recursive depth-first walk on Python
+ints and floats, since numpy's cost per call outweighs batching that few
+paths; the limit is the measured crossover, and the recursion is at most
+log2(64) = 6 calls deep, so memory stays O(n + h * FRONTIER_CAP).  Set
 ``PATHSUM_DISABLE_NUMBA=1`` before import to run the depth-first source as
 plain interpreted Python.  ``KERNEL`` names the walk ``traverse`` is.  Every
 variant stays importable (``traverse_py``, ``traverse_frontier``,
@@ -69,7 +75,9 @@ class PackedCircuit:
     ``hq[i]`` is the operand qubit when gate i is an H, else -1 and the gate
     is the micro-operation described by the remaining arrays.  ``h`` is the
     number of H gates.  ``ops[i]`` is the same gate specialised for the
-    frontier walk: a tuple whose first item is one of the ``_OP_*`` codes.
+    frontier walk and its scalar finish: a tuple whose first item is one of
+    the ``_OP_*`` codes.  ``hleft[i]`` counts the H gates at positions
+    ``>= i``.
     """
 
     num_qubits: int
@@ -81,6 +89,7 @@ class PackedCircuit:
     flip0: np.ndarray  # int64, xor mask otherwise
     h: int
     ops: tuple
+    hleft: tuple  # H gates at or after each position, one entry past the end
 
 
 # Frontier ops.  Every non-H row is classified by what it can change, so a
@@ -91,14 +100,15 @@ class PackedCircuit:
 #   (_OP_CFLIP, c, x)             state ^= x where (state & c) == c, factor 1
 #   (_OP_CPHASE, c, f)            factor f where (state & c) == c
 #   (_OP_GENERAL, c, f1, x1, f0, x0)  any other row
-# A factor f is (f.real, [[-f.imag], [f.imag]]), or None when it is 1.
+# A factor f is (f.real, [[-f.imag], [f.imag]], f.imag), or None when it is
+# 1: the column serves the numpy batches, the plain floats the scalar walk.
 _OP_H, _OP_SKIP, _OP_FLIP, _OP_CFLIP, _OP_CPHASE, _OP_GENERAL = range(6)
 
 
 def _factor(f: complex):
     if f == 1.0:
         return None
-    return f.real, np.array([[-f.imag], [f.imag]])
+    return f.real, np.array([[-f.imag], [f.imag]]), f.imag
 
 
 def _gate_op(q, c, f1, x1, f0, x0) -> tuple:
@@ -165,8 +175,11 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
             raise CircuitError(f"unhandled gate kind {kind!r}")
     ops = tuple(map(_gate_op, hq.tolist(), cmask.tolist(), fac1.tolist(),
                     flip1.tolist(), fac0.tolist(), flip0.tolist()))
-    h = sum(1 for op in ops if op[0] == _OP_H)
-    return PackedCircuit(circuit.num_qubits, hq, cmask, fac1, flip1, fac0, flip0, h, ops)
+    hleft = [0] * (length + 1)
+    for i in range(length - 1, -1, -1):
+        hleft[i] = hleft[i + 1] + (ops[i][0] == _OP_H)
+    return PackedCircuit(circuit.num_qubits, hq, cmask, fac1, flip1, fac0, flip0,
+                         hleft[0], ops, tuple(hleft))
 
 
 def _traverse_impl(
@@ -301,6 +314,18 @@ def _traverse_impl(
 # frontier walk needs O(n + h * FRONTIER_CAP) memory, independent of 2**n.
 FRONTIER_CAP = 1024
 
+# A batch whose live paths times 2**(H gates left) is at most this many
+# leaves is finished path by path on Python scalars (``_scalar_finish``):
+# below it numpy's fixed cost per call outweighs the batching.  Measured
+# crossover, whole queries on one path or the other (2-core VM): on random
+# 48-qubit circuits of 100-1,000 gates the scalar walk was 1.8-3.2x faster
+# at 16-32 leaves, 1.0-1.3x at 64 and 0.2-0.8x from 128 on; on the circuit
+# families it was 1.7-4.1x faster at 64-256 leaves and 0.3-0.9x from 1,024.
+SCALAR_LEAVES = 64
+
+# Gate steps the scalar walk takes between two looks at the clock.
+_CLOCK_STEPS = 4096
+
 # Phase sign of an H's second child, by the old value of the H's bit.
 _SIGNS = np.array([1.0, -1.0])
 
@@ -315,12 +340,13 @@ def _times(P, f):
 
 
 def _fold_batch(idx, P, levels):
-    """Sum finished leaves up ``levels`` branching levels to one value.
+    """Sum the values of paths at one depth up ``levels`` levels to one value.
 
-    ``idx`` holds each leaf's branch bits below the batch root, ascending.
-    Every level adds siblings as ``0.0 + (left + right)``, a missing sibling
-    counting as zero, which is bit for bit the depth-first walk's
-    ``(0j + left) + right``, signed zeros included.
+    ``idx`` holds each path's branch bits below the batch root, ascending,
+    and ``levels`` is the paths' depth below the root.  Every level adds
+    siblings as ``0.0 + (left + right)``, a missing sibling counting as
+    zero, which is bit for bit the depth-first walk's ``(0j + left) +
+    right``, signed zeros included.
     """
     if idx.size == 0:
         return None
@@ -336,6 +362,93 @@ def _fold_batch(idx, P, levels):
     return complex(P[0, 0], P[1, 0])
 
 
+class _Deadline(Exception):
+    """The scalar walk passed the query's deadline."""
+
+
+def _scalar_finish(plan, pos, depth, states, res, ims, end, prune, deadline, counters):
+    """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
+
+    Each path (Python int state, float phase) walks its subtree on plain
+    Python scalars over ``plan.ops``, recursing once per H, and does what
+    the DFS does: the same cut, the same products in the same order, and
+    ``(0j + left) + right`` at every H.  ``counters`` is the walk's
+    ``(calls, edges, prunes, max_depth)`` so far.  Returns ``(values,
+    calls, edges, prunes, max_depth, timed_out)``; ``values`` has each
+    path's subtree value as ``(re, im)``, or None where no leaf reached
+    ``end``.  The clock is read once every ``_CLOCK_STEPS`` gate steps.
+    """
+    ops = plan.ops
+    length = len(ops)
+    calls, edges, prunes, max_depth = counters
+    countdown = _CLOCK_STEPS
+
+    def walk(pos, state, re, im, depth):
+        nonlocal calls, edges, prunes, max_depth, countdown
+        while pos < length:
+            # As in the frontier: no cut is possible while 63 or more gates
+            # remain.
+            if prune and length - pos < 63 and (state ^ end).bit_count() > length - pos:
+                prunes += 1
+                return None
+            countdown -= 1
+            if not countdown:
+                if deadline > 0.0 and time.perf_counter() > deadline:
+                    raise _Deadline
+                countdown = _CLOCK_STEPS
+            op = ops[pos]
+            kind = op[0]
+            if kind == _OP_CPHASE:
+                c = op[1]
+                if (state & c) == c:
+                    fr, _, fi = op[2]
+                    re, im = re * fr - im * fi, re * fi + im * fr
+            elif kind == _OP_CFLIP:
+                c = op[1]
+                if (state & c) == c:
+                    state ^= op[2]
+            elif kind == _OP_FLIP:
+                state ^= op[1]
+            elif kind == _OP_H:
+                bit = op[2]
+                calls += 2
+                edges += 2
+                depth += 1
+                if depth > max_depth:
+                    max_depth = depth
+                low = walk(pos + 1, state & ~bit, re * INV_SQRT2, im * INV_SQRT2, depth)
+                sign = -INV_SQRT2 if state & bit else INV_SQRT2
+                high = walk(pos + 1, state | bit, re * sign, im * sign, depth)
+                # (0j + low) + high; a missing child is +0, which adds nothing.
+                if low is None:
+                    return None if high is None else (0.0 + high[0], 0.0 + high[1])
+                if high is None:
+                    return 0.0 + low[0], 0.0 + low[1]
+                return (0.0 + low[0]) + high[0], (0.0 + low[1]) + high[1]
+            elif kind == _OP_GENERAL:
+                _, c, f1, x1, f0, x0 = op
+                if (state & c) == c:
+                    f = f1
+                    state ^= x1
+                else:
+                    f = f0
+                    state ^= x0
+                if f is not None:
+                    fr, _, fi = f
+                    re, im = re * fr - im * fi, re * fi + im * fr
+            edges += 1
+            pos += 1
+        return (re, im) if state == end else None
+
+    values = []
+    try:
+        for state, re, im in zip(states, res, ims):
+            values.append(walk(pos, state, re, im, depth))
+    except _Deadline:
+        return values, calls, edges, prunes, max_depth, True
+    return values, calls, edges, prunes, max_depth, False
+
+
 def _frontier_impl(plan, start, end, prune, deadline, amp):
     """Batched numpy walk of the computation tree; same results as the DFS.
 
@@ -346,15 +459,19 @@ def _frontier_impl(plan, start, end, prune, deadline, amp):
     at an H the two children of a path are placed next to each other.
     Before an H would double a batch past FRONTIER_CAP paths, the batch is
     split at its root: the later half waits on a stack and the walk goes on
-    with the earlier one.  A finished batch is folded to its root's value,
-    which is added into ``amp[depth - 1]``, the accumulator of the root's
-    parent, as the DFS does.  Amplitude and counters (returned as the DFS
-    returns them) equal the DFS's bit for bit.
+    with the earlier one.  Once the batch's live paths times 2**(H gates
+    left) is at most SCALAR_LEAVES, each path is finished by
+    ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES) calls deep.  A
+    finished batch is folded to its root's value, which is added into
+    ``amp[depth - 1]``, the accumulator of the root's parent, as the DFS
+    does.  Amplitude and counters (returned as the DFS returns them) equal
+    the DFS's bit for bit.
     """
     cap = FRONTIER_CAP
+    limit = SCALAR_LEAVES
     ops = plan.ops
+    hleft = plan.hleft
     length = len(ops)
-    h = plan.h
     calls = 0
     edges = 0
     prunes = 0
@@ -383,6 +500,9 @@ def _frontier_impl(plan, start, end, prune, deadline, amp):
                     state, P, idx = state[alive], P[:, alive], idx[alive]
                     if not state.size:
                         break
+            # Few enough leaves left below this batch: finish it on scalars.
+            if state.size << hleft[pos] <= limit:
+                break
             op = ops[pos]
             kind = op[0]
             if kind == _OP_CPHASE:
@@ -437,9 +557,17 @@ def _frontier_impl(plan, start, end, prune, deadline, amp):
             edges += state.size
             pos += 1
         value = None
-        if state.size:
+        if pos == length:
             hit = state == end
-            value = _fold_batch(idx[hit], P[:, hit], h - root)
+            value = _fold_batch(idx[hit], P[:, hit], depth - root)
+        elif state.size:
+            values, calls, edges, prunes, max_depth, timed_out = _scalar_finish(
+                plan, pos, depth, state.tolist(), P[0].tolist(), P[1].tolist(),
+                end, prune, deadline, (calls, edges, prunes, max_depth))
+            if timed_out:
+                return calls, edges, prunes, max_depth, True
+            hit = [i for i, v in enumerate(values) if v is not None]
+            value = _fold_batch(idx[hit], np.array([values[i] for i in hit]).T, depth - root)
         # Add the root's value to its parent, closing every parent whose
         # later child is not still waiting on the stack.
         while root > 0:

@@ -9,10 +9,15 @@ data files (n versus mean over trials).
 from __future__ import annotations
 
 import csv
+import importlib.util
+import os
+import platform
 import time
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import _kernels
 from .circuit import AmplitudeQuery, BasisState, CircuitError
@@ -243,12 +248,26 @@ def write_csv_rows(records, handle):
         ])
 
 
+def _environment() -> dict:
+    """What the sweep ran on: the walk ``traverse`` is, the Python and numpy
+    versions, whether numba can be imported, and the core count."""
+    return {
+        "kernel": _kernels.KERNEL,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba_present": importlib.util.find_spec("numba") is not None,
+        "nproc": os.cpu_count(),
+    }
+
+
 def write_csv(records, path):
-    """Flat results table; a '<path>.meta' sidecar documents the memory metric."""
+    """Flat results table; a '<path>.meta' sidecar holds the memory note on
+    its first line, then one ``name: value`` line per environment field."""
     path = Path(path)
     with path.open("w", newline="") as handle:
         write_csv_rows(records, handle)
-    Path(str(path) + ".meta").write_text(MEMORY_NOTE + "\n")
+    lines = [MEMORY_NOTE] + [f"{name}: {value}" for name, value in _environment().items()]
+    Path(str(path) + ".meta").write_text("\n".join(lines) + "\n")
 
 
 # Series where every trial of some n timed out mark that n with this value.

@@ -12,7 +12,11 @@ circuit with h branching gates, however long the circuit and however many
 paths the walk visits.  Without numba the numpy frontier walk runs instead:
 batches of at most ``_kernels.FRONTIER_CAP`` paths, one batch pending per
 branching level, so O(n + h * cap) memory, still independent of 2**n; its
-amplitude and counters equal the depth-first walk's.
+amplitude and counters equal the depth-first walk's.  A batch with at most
+``_kernels.SCALAR_LEAVES`` = 64 leaves left below it is finished path by
+path on Python scalars, the measured point below which numpy's cost per
+call outweighs batching; that walk recurses at most 6 levels, so the
+memory bound is unchanged.
 """
 from __future__ import annotations
 

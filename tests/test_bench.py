@@ -1,9 +1,14 @@
 """Benchmark harness: plan validation, record shape, CSV layout, plot data."""
 import csv
+import importlib.util
 import math
+import os
+import platform
 
+import numpy as np
 import pytest
 
+from pathsum import _kernels
 from pathsum.bench import (
     CSV_COLUMNS,
     MEMORY_NOTE,
@@ -104,9 +109,17 @@ def test_csv_layout(tmp_path):
         assert int(row[9]) > 0 and int(row[10]) >= 0
     for row in rows[4:]:  # statevector rows leave them empty
         assert row[9] == "" and row[10] == ""
-    meta = (tmp_path / "results.csv.meta").read_text()
-    assert meta.strip() == MEMORY_NOTE
-    assert "tracemalloc" in meta
+    meta = (tmp_path / "results.csv.meta").read_text().splitlines()
+    assert meta[0] == MEMORY_NOTE
+    assert "tracemalloc" in meta[0]
+    fields = dict(line.split(": ", 1) for line in meta[1:])
+    assert fields == {
+        "kernel": _kernels.KERNEL,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba_present": str(importlib.util.find_spec("numba") is not None),
+        "nproc": str(os.cpu_count()),
+    }
 
 
 def test_csv_header_only_for_no_records(tmp_path):

@@ -2,8 +2,9 @@
 
 The depth-first walk has one Python source, run interpreted
 (``traverse_py``) or compiled with numba.  The numpy frontier walk
-(``traverse_frontier``) is a separate source that must reproduce the
-depth-first walk's amplitude and counters bit for bit.
+(``traverse_frontier``), with its depth-first finish on Python scalars, is
+a separate source that must reproduce the depth-first walk's amplitude and
+counters bit for bit, whichever of its two paths runs.
 """
 import importlib.util
 import math
@@ -17,10 +18,15 @@ import time
 import numpy as np
 import pytest
 
-from pathsum import _kernels, gen_hsp_standard, gen_layered_hadamard, make_circuit
+from pathsum import (
+    EngineOptions, QueryTimeout, _kernels, gen_hsp_standard, gen_layered_hadamard,
+    make_circuit, path_sum_amplitude,
+)
 from pathsum.circuit import (
     AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
 )
+from pathsum.engine import packed_circuit
+from pathsum.gates import apply_nonbranching, branch_gate
 from pathsum._kernels import (
     pack_circuit,
     sv_hadamard,
@@ -33,7 +39,11 @@ from pathsum._kernels import (
     warm_up,
 )
 
-from conftest import random_circuit, random_query
+from conftest import random_circuit, random_gate, random_query
+
+# Scalar handoff limits: 0 never hands off (numpy only), 1 << 62 hands off
+# as soon as fewer than 63 H gates remain.
+_LIMITS = (0, 1, 2, _kernels.SCALAR_LEAVES, 1 << 62)
 
 
 def _drive(traverse_fn, circuit, query, prune, deadline=-1.0):
@@ -48,6 +58,35 @@ def _drive(traverse_fn, circuit, query, prune, deadline=-1.0):
     return repr(complex(amp[0])), tuple(counters)
 
 
+def _stream_circuit(rng, n=48, hs=5, others=300):
+    """A wide random circuit with few H gates, evenly spaced, and every
+    other gate kind, shaped like the benchmark's query stream."""
+    length = hs + others
+    slots = {(k + 1) * length // (hs + 1) for k in range(hs)}
+    gates = []
+    for i in range(length):
+        if i in slots:
+            gate = h(int(rng.integers(n)))
+        else:
+            gate = random_gate(rng, n)
+            while gate.kind.is_branching:
+                gate = random_gate(rng, n)
+        gates.append(gate)
+    return make_circuit(n, gates)
+
+
+def _random_path_query(rng, circuit):
+    """A random start state and the end state of one random path from it."""
+    n = circuit.num_qubits
+    start = state = BasisState(int(rng.integers(1 << n)), n)
+    for gate in circuit.gates:
+        if gate.kind.is_branching:
+            state = branch_gate(gate, state)[int(rng.integers(2))].state
+        else:
+            state = apply_nonbranching(gate, state).state
+    return AmplitudeQuery(start, state)
+
+
 def _twin_inputs():
     rng = np.random.default_rng(20240811)
     for _ in range(25):
@@ -59,30 +98,39 @@ def _twin_inputs():
         n = circuit.num_qubits
         yield circuit, AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
         yield circuit, random_query(rng, n)
+    # At most 32 leaves: the default walk finishes it on scalars from gate 0.
+    circuit = _stream_circuit(rng)
+    yield circuit, random_query(rng, circuit.num_qubits)
+    yield circuit, _random_path_query(rng, circuit)
 
 
-def test_traversal_twins_agree_bitwise():
+def test_traversal_twins_agree_bitwise(monkeypatch):
     # The compiled walk shares the interpreted walk's source and is built
-    # without fast-math; the frontier adds in the same tree order.  Results
-    # must be identical, not merely close.
+    # without fast-math; the frontier adds in the same tree order, on numpy
+    # batches and on scalars alike.  Results must be identical, not merely
+    # close.
     for circuit, query in _twin_inputs():
         for prune in (False, True):
             amp_b, counters_b = _drive(traverse_py, circuit, query, prune)
-            for traverse_fn in (traverse, traverse_frontier):
-                amp_a, counters_a = _drive(traverse_fn, circuit, query, prune)
-                assert amp_a == amp_b
-                assert counters_a == counters_b
+            for limit in _LIMITS:
+                monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                for traverse_fn in (traverse, traverse_frontier):
+                    amp_a, counters_a = _drive(traverse_fn, circuit, query, prune)
+                    assert amp_a == amp_b
+                    assert counters_a == counters_b
 
 
-def test_twins_agree_on_signed_zeros_and_every_gate_kind():
+def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
     # Every gate kind, with P and CP at theta 0 (a factor of exactly 1,
     # never multiplied in) and pi, from every start to every end state.
     # Y then Z on |0> leaves the phase at (-0.0, -1), and a walk with no H
-    # returns its phase unchanged, so the sign of that zero must survive.
+    # returns its phase unchanged, so the sign of that zero must survive;
+    # below one H, the one leaf that hits must have it cleared.
     kinds = [x(0), y(1), z(2), s(0), t(1), p(2, 0.0), p(0, math.pi),
              cp(0, 1, 0.0), cp(1, 2, math.pi), cnot(0, 2), ccx(0, 1, 2), identity(1)]
     circuits = [
         make_circuit(1, [y(0), z(0)]),
+        make_circuit(2, [h(1), y(0), z(0)]),
         make_circuit(3, kinds),
         make_circuit(3, [h(0)] + kinds + [h(1)] + kinds[::-1] + [h(2)]),
     ]
@@ -95,8 +143,10 @@ def test_twins_agree_on_signed_zeros_and_every_gate_kind():
                 for prune in (False, True):
                     expected = _drive(traverse_py, circuit, query, prune)
                     signed_zeros += re.search(r"-0(?![.\de])", expected[0]) is not None
-                    for traverse_fn in (traverse, traverse_frontier):
-                        assert _drive(traverse_fn, circuit, query, prune) == expected
+                    for limit in _LIMITS:
+                        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                        for traverse_fn in (traverse, traverse_frontier):
+                            assert _drive(traverse_fn, circuit, query, prune) == expected
     assert signed_zeros > 0
 
 
@@ -112,10 +162,12 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
             expected = _drive(traverse_py, circuit, query, prune)
             for cap in (1, 2, 4):
                 monkeypatch.setattr(_kernels, "FRONTIER_CAP", cap)
-                assert _drive(traverse_frontier, circuit, query, prune) == expected
+                for limit in _LIMITS:
+                    monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                    assert _drive(traverse_frontier, circuit, query, prune) == expected
 
 
-def test_frontier_deep_narrow_walk():
+def test_frontier_deep_narrow_walk(monkeypatch):
     # 66 H gates but few live paths: the branch bits below one batch root
     # would outgrow int64, so the frontier splits to re-root the batch.
     n = 62
@@ -123,15 +175,63 @@ def test_frontier_deep_narrow_walk():
     query = AmplitudeQuery(BasisState.zeros(n), BasisState((1 << n) - 1, n))
     expected = _drive(traverse_py, circuit, query, True)
     assert expected[1][3] == 66
-    assert _drive(traverse_frontier, circuit, query, True) == expected
+    for limit in _LIMITS:
+        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+        assert _drive(traverse_frontier, circuit, query, True) == expected
+
+
+def test_default_walk_hands_only_narrow_trees_to_scalars(monkeypatch):
+    handoffs = []
+    finish = _kernels._scalar_finish
+
+    def counting(plan, pos, *args):
+        handoffs.append(pos)
+        return finish(plan, pos, *args)
+
+    monkeypatch.setattr(_kernels, "_scalar_finish", counting)
+    rng = np.random.default_rng(99)
+    circuit = _stream_circuit(rng)
+    for prune in (False, True):
+        _drive(traverse_frontier, circuit, _random_path_query(rng, circuit), prune)
+        assert handoffs == [0]
+        handoffs.clear()
+    # 4,096 leaves, and still hundreds of live paths when one H is left.
+    circuit = gen_layered_hadamard(6, 1)
+    for query in (AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6)),
+                  _random_path_query(rng, circuit)):
+        _drive(traverse_frontier, circuit, query, True)
+    assert handoffs == []
 
 
 def test_frontier_deadline_is_checked():
+    expired = time.perf_counter() - 1.0
     circuit = gen_layered_hadamard(4, 1)
     query = AmplitudeQuery(BasisState.zeros(4), BasisState.zeros(4))
-    _, counters = _drive(traverse_frontier, circuit, query, True,
-                         deadline=time.perf_counter() - 1.0)
+    _, counters = _drive(traverse_frontier, circuit, query, True, deadline=expired)
     assert counters[4] is True
+    # Four leaves, 6,000 gates each: the scalar walk handles it from gate 0.
+    circuit = make_circuit(3, [h(0), h(1)] + [t(0), cnot(0, 2), s(1)] * 2000)
+    query = AmplitudeQuery(BasisState.zeros(3), BasisState.zeros(3))
+    _, counters = _drive(traverse_frontier, circuit, query, True, deadline=expired)
+    assert counters[4] is True
+    # The scalar walk itself reads the clock once per _CLOCK_STEPS steps.
+    finished = _kernels._scalar_finish(pack_circuit(circuit), 0, 0, [0], [1.0], [0.0],
+                                       0, True, expired, (0, 0, 0, 0))
+    assert finished[5] is True
+    assert finished[2] <= _kernels._CLOCK_STEPS + 4
+
+
+def test_scalar_walk_deadline_overshoot_is_bounded():
+    # At most 32 leaves of 200,000 gates each: about 6.4M gate steps, every
+    # one of them on the scalar walk.
+    circuit = make_circuit(5, [h(q) for q in range(5)]
+                           + [t(0), cnot(0, 1), s(2), x(3), z(4)] * 40_000)
+    packed_circuit(circuit)  # compile outside the timed call
+    query = AmplitudeQuery(BasisState.zeros(5), BasisState.zeros(5))
+    began = time.perf_counter()
+    with pytest.raises(QueryTimeout):
+        path_sum_amplitude(circuit, query, EngineOptions(deadline_s=0.05))
+    assert time.perf_counter() - began < 1.0
 
 
 def test_statevector_twins_agree_bitwise():
