@@ -181,7 +181,6 @@ def _run_one(circuit, method: str, cap_s: float, prune: bool) -> BenchRecord:
 
 def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
     """Execute a plan and return one record per (family, n, seed, method, trial)."""
-    _kernels.warm_up()
     records = []
     for family in plan.families:
         generate = FAMILIES[family][0]

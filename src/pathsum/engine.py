@@ -5,18 +5,15 @@ of basis states the circuit can reach.  Non-branching gates extend the
 current path in place; each H opens two subtrees.  Each circuit is compiled
 once, on its first query, into the kernels' packed plan, which is kept on
 the immutable instance; every later query of that circuit reuses it.  The
-depth-first walk (compiled with numba, or interpreted) keeps an amplitude
-register with one slot per branching level plus a fixed-size frame per
-level, which its wrapper in ``_kernels`` allocates: O(n + h) for an n-qubit
-circuit with h branching gates, however long the circuit and however many
-paths the walk visits.  Without numba the numpy frontier walk runs instead:
-batches of at most ``_kernels.FRONTIER_CAP`` paths, one batch pending per
-branching level, so O(n + h * cap) memory, still independent of 2**n; its
-amplitude and counters equal the depth-first walk's.  A batch with at most
-``_kernels.SCALAR_LEAVES`` = 64 leaves left below it is finished path by
-path on Python scalars, the measured point below which numpy's cost per
-call outweighs batching; that walk recurses at most 6 levels, so the
-memory bound is unchanged.
+walk (``_kernels.traverse``) runs batches of at most
+``_kernels.FRONTIER_CAP`` paths with one batch pending per branching level,
+so O(n + h * cap) memory for an n-qubit circuit with h branching gates,
+independent of 2**n, however long the circuit and however many paths it
+visits.  A batch with at most ``_kernels.SCALAR_LEAVES`` = 64 leaves left
+below it is finished path by path on Python scalars, the measured point
+below which numpy's cost per call outweighs batching; that walk recurses
+at most 6 levels, so the memory bound is unchanged.  Either way the paths'
+values are added in depth-first tree order.
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """Gate semantics on basis states: classification, phase factors, branching.
 
 This module is the readable reference for what each gate does to one basis
-state.  The compiled kernels encode the same actions as flat arrays; a test
-pins the two representations against each other kind by kind.
+state.  The kernels encode the same actions as one op per gate, from their
+own table; a test pins the two against each other kind by kind, bit for
+bit.
 """
 from __future__ import annotations
 

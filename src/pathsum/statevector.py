@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import _OP_CFLIP, _OP_CPHASE, _OP_FLIP, _OP_GENERAL, _OP_H
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
 from .engine import QueryTimeout, packed_circuit
 from .gates import INV_SQRT2
 
-# 2**26 complex128 amplitudes are 1 GiB; one more qubit doubles it, and the
-# scatter path needs a scratch vector of the same size again.
+# 2**26 complex128 amplitudes are 1 GiB, but a run holds more than the
+# vector: a scratch vector, an int64 index array and one op's temporaries.
+# Its traced peak at n=16 is 72 bytes per amplitude on the circuit families
+# and 81 with a Y gate, so about 5.4 GB at this cap.
 MAX_STATEVECTOR_QUBITS = 26
 
 
@@ -52,46 +54,41 @@ def _check_width(num_qubits: int):
         )
 
 
-def _apply_gates_loop(psi, scratch, packed, deadline):
-    """Compiled per-gate loops (or their interpreted twins)."""
-    for i in range(packed.hq.shape[0]):
-        if deadline > 0.0 and time.perf_counter() > deadline:
-            raise QueryTimeout("state-vector run exceeded its deadline")
-        q = packed.hq[i]
-        if q >= 0:
-            _kernels.sv_hadamard(psi, q)
-        else:
-            _kernels.sv_microop(
-                psi,
-                scratch,
-                packed.cmask[i],
-                packed.fac1[i],
-                packed.flip1[i],
-                packed.fac0[i],
-                packed.flip0[i],
-            )
-            psi, scratch = scratch, psi
-    return psi
+def _apply_gates(psi, scratch, plan, deadline):
+    """Run every op of ``plan`` on all amplitudes; returns the final vector.
 
-
-def _apply_gates_numpy(psi, scratch, packed, deadline):
-    """Vectorized numpy fallback; same arithmetic per amplitude as the loops."""
+    Each op acts on every basis index as the path walk's op acts on one
+    state: H mixes amplitude pairs, a flip or conditional flip permutes the
+    amplitudes (a gather into ``scratch``), a conditional phase multiplies
+    only the amplitudes whose index has every bit of its mask set.
+    """
     idx = np.arange(psi.shape[0], dtype=np.int64)
-    for i in range(packed.hq.shape[0]):
+    for op in plan.ops:
         if deadline > 0.0 and time.perf_counter() > deadline:
             raise QueryTimeout("state-vector run exceeded its deadline")
-        q = packed.hq[i]
-        if q >= 0:
-            pairs = psi.reshape(-1, 2, 1 << q)
+        kind = op[0]
+        if kind == _OP_H:
+            pairs = psi.reshape(-1, 2, op[2])
             a = pairs[:, 0, :].copy()
             b = pairs[:, 1, :]
             pairs[:, 0, :] = (a + b) * INV_SQRT2
             pairs[:, 1, :] = (a - b) * INV_SQRT2
-        else:
-            hot = (idx & packed.cmask[i]) == packed.cmask[i]
-            dest = np.where(hot, idx ^ packed.flip1[i], idx ^ packed.flip0[i])
-            factor = np.where(hot, packed.fac1[i], packed.fac0[i])
-            scratch[dest] = psi * factor
+        elif kind == _OP_FLIP:
+            np.take(psi, idx ^ op[1], out=scratch)
+            psi, scratch = scratch, psi
+        elif kind == _OP_CFLIP:
+            c = op[1]
+            np.take(psi, idx ^ ((idx & c) == c) * op[2], out=scratch)
+            psi, scratch = scratch, psi
+        elif kind == _OP_CPHASE:
+            c = op[1]
+            fr, _, fi = op[2]
+            np.multiply(psi, complex(fr, fi), out=psi, where=(idx & c) == c)
+        elif kind == _OP_GENERAL:
+            _, c, (fr1, _, fi1), x1, (fr0, _, fi0), x0 = op
+            hot = (idx & c) == c
+            dest = np.where(hot, idx ^ x1, idx ^ x0)
+            scratch[dest] = psi * np.where(hot, complex(fr1, fi1), complex(fr0, fi0))
             psi, scratch = scratch, psi
     return psi
 
@@ -112,14 +109,10 @@ def statevector_simulate(
         if deadline_s <= 0:
             raise CircuitError(f"deadline_s must be positive, got {deadline_s}")
         deadline = time.perf_counter() + deadline_s
-    packed = packed_circuit(circuit)
     psi = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     psi[start.bits] = 1.0
     scratch = np.empty_like(psi)
-    if _kernels.NUMBA_ENABLED:
-        final = _apply_gates_loop(psi, scratch, packed, deadline)
-    else:
-        final = _apply_gates_numpy(psi, scratch, packed, deadline)
+    final = _apply_gates(psi, scratch, packed_circuit(circuit), deadline)
     return StateVector(final, circuit.num_qubits)
 
 

@@ -1,9 +1,12 @@
-"""Shared test helpers: random circuits, an independent matrix oracle, and
-the malformed-input corpus for the text format.
+"""Shared test helpers: random circuits, an independent matrix oracle, a
+reference depth-first walk, and the malformed-input corpus for the text
+format.
 
 The matrix oracle builds dense gate unitaries straight from the textbook
 2x2 / controlled definitions, deliberately not reusing the package's gate
 semantics, so tests can compare three independent routes to the same number.
+The reference walk reads gates only through ``pathsum.gates`` and shares no
+code with the kernels, so it checks their amplitude and counters bit for bit.
 """
 from __future__ import annotations
 
@@ -11,7 +14,10 @@ import math
 
 import numpy as np
 
-from pathsum import AmplitudeQuery, BasisState, Gate, GateKind, make_circuit
+from pathsum import (
+    AmplitudeQuery, BasisState, Gate, GateKind, apply_nonbranching, branch_gate, make_circuit,
+)
+from pathsum.engine import end_state_reachable
 
 SINGLE_KINDS = [
     GateKind.H,
@@ -123,6 +129,51 @@ def circuit_unitary(circuit) -> np.ndarray:
     for gate in circuit.gates:
         full = gate_unitary(gate, circuit.num_qubits) @ full
     return full
+
+
+def reference_walk(circuit, query, prune):
+    """Amplitude and counters of ``query`` by a plain recursive depth-first walk.
+
+    Returns ``(repr(amplitude), (calls, edges, prunes, max_depth, False))``,
+    the shape of the kernel's result, so a zero of the other sign counts as
+    a difference.  Gates act through ``apply_nonbranching`` and
+    ``branch_gate``; a path is cut when ``end_state_reachable`` says no.
+    The phase is two floats: a factor other than 1 is multiplied in as
+    ``(re*fr - im*fi, re*fi + im*fr)`` and H's real factor scales each part,
+    and the two children of an H add as ``(0j + low) + high``.
+    """
+    gates = circuit.gates
+    length = len(gates)
+    end = query.end
+    calls = edges = prunes = max_depth = 0
+
+    def walk(pos, state, re, im, depth):
+        nonlocal calls, edges, prunes, max_depth
+        while pos < length:
+            if prune and not end_state_reachable(state, end, length - pos):
+                prunes += 1
+                return 0j
+            gate = gates[pos]
+            if gate.kind.is_branching:
+                calls += 2
+                edges += 2
+                max_depth = max(max_depth, depth + 1)
+                low, high = branch_gate(gate, state)
+                a = walk(pos + 1, low.state, re * low.factor.real, im * low.factor.real, depth + 1)
+                b = walk(pos + 1, high.state, re * high.factor.real, im * high.factor.real,
+                         depth + 1)
+                return (0j + a) + b
+            step = apply_nonbranching(gate, state)
+            fr, fi = step.factor.real, step.factor.imag
+            if fr != 1.0 or fi != 0.0:
+                re, im = re * fr - im * fi, re * fi + im * fr
+            state = step.state
+            edges += 1
+            pos += 1
+        return complex(re, im) if state == end else 0j
+
+    amplitude = walk(0, query.start, 1.0, 0.0, 0)
+    return repr(amplitude), (calls, edges, prunes, max_depth, False)
 
 
 # Malformed circuit files with the exact position the parser must report and

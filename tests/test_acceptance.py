@@ -3,10 +3,7 @@
 Each test prints one ``PASS criterion N: ...`` line with its measured
 numbers (visible under ``pytest -s``; the per-test PASSED/FAILED line of
 ``pytest -v`` carries the same verdict).  Timing assertions hold for the
-default kernels: the numba-compiled walk, or the numpy frontier walk where
-numba is not installed.  With PATHSUM_DISABLE_NUMBA=1 the depth-first walk
-runs interpreted; every numeric check still holds but criterion 4 overruns
-its time budget.
+numpy frontier walk, the one kernel.
 """
 import math
 import time
@@ -30,7 +27,6 @@ from pathsum import (
     statevector_amplitude,
     statevector_simulate,
 )
-from pathsum import _kernels
 from pathsum._rng import SplitMix64
 from pathsum.circuit import ccx, h, x
 from pathsum.textio import CircuitParseError
@@ -42,13 +38,6 @@ INV_SQRT2 = math.sqrt(0.5)
 
 def _zeros_query(n):
     return AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm():
-    # Compile the kernels once so timed criteria measure the algorithm,
-    # not the JIT.
-    _kernels.warm_up()
 
 
 def test_criterion_01_oracle_equivalence():

@@ -1,6 +1,6 @@
 """Gate semantics: classification, per-state actions, and the invariants the
-pruning rule and the traversal lean on.  Also pins the kernels' flat micro-op
-encoding against the readable reference semantics, kind by kind.
+pruning rule and the traversal lean on.  Also pins the kernels' per-gate ops
+against the readable reference semantics, kind by kind, bit for bit.
 """
 import math
 
@@ -21,6 +21,7 @@ from pathsum import (
     make_circuit,
     phase_factor,
 )
+from pathsum import _kernels
 from pathsum._kernels import pack_circuit
 from pathsum.circuit import ccx, cnot, cp, h, identity, p, s, t, x, y, z
 
@@ -139,32 +140,71 @@ def test_inverse_gate_restores_state_with_unit_factor():
         assert abs(fwd.factor * back.factor - 1.0) < 1e-15
 
 
-def _packed_successor(packed, i, bits):
-    """Replay gate i of a packed circuit on a bare bitmask, micro-op style."""
-    if packed.hq[i] >= 0:
-        raise AssertionError("branching gate in micro-op replay")
-    if (bits & packed.cmask[i]) == packed.cmask[i]:
-        return bits ^ int(packed.flip1[i]), complex(packed.fac1[i])
-    return bits ^ int(packed.flip0[i]), complex(packed.fac0[i])
+def successors(gate, state):
+    """Reference successors of ``state``: ``(bits, repr(factor))`` pairs."""
+    if gate.kind.is_branching:
+        branches = branch_gate(gate, state)
+    else:
+        branches = [apply_nonbranching(gate, state)]
+    return [(b.state.bits, repr(b.factor)) for b in branches]
+
+
+def _op_factor(f):
+    fr, column, fi = f
+    assert column.tobytes() == np.array([[-fi], [fi]]).tobytes()
+    return complex(fr, fi)
+
+
+def replay_op(op, bits):
+    """Successors of the bitmask ``bits`` under one plan op, shaped as
+    ``successors`` shapes them, so zero signs count."""
+    kind = op[0]
+    factor = 1.0 + 0.0j
+    if kind == _kernels._OP_H:
+        assert op[2] == 1 << op[1]
+        high = -INV_SQRT2 if bits & op[2] else INV_SQRT2
+        return [(bits & ~op[2], repr(complex(INV_SQRT2))),
+                (bits | op[2], repr(complex(high)))]
+    if kind == _kernels._OP_FLIP:
+        bits ^= op[1]
+    elif kind == _kernels._OP_CFLIP:
+        if bits & op[1] == op[1]:
+            bits ^= op[2]
+    elif kind == _kernels._OP_CPHASE:
+        if bits & op[1] == op[1]:
+            factor = _op_factor(op[2])
+    elif kind == _kernels._OP_GENERAL:
+        _, c, f1, x1, f0, x0 = op
+        hot = bits & c == c
+        factor = _op_factor(f1 if hot else f0)
+        bits ^= x1 if hot else x0
+    else:
+        assert kind == _kernels._OP_SKIP and op == (kind,)
+    return [(bits, repr(factor))]
+
+
+# P and CP at theta 0 become SKIP ops and at pi CPHASE ops.
+_FIXED_GATES = [p(0, 0.0), p(1, math.pi), cp(0, 1, 0.0), cp(1, 2, math.pi)]
 
 
 def test_packed_encoding_matches_reference_semantics():
     rng = np.random.default_rng(9)
-    for _ in range(400):
-        n = int(rng.integers(1, 9))
-        gate = random_gate(rng, n)
-        if gate.kind.is_branching:
-            continue
-        circuit = make_circuit(n, [gate])
-        packed = pack_circuit(circuit)
-        state = random_state(rng, n)
-        want = apply_nonbranching(gate, state)
-        got_bits, got_factor = _packed_successor(packed, 0, state.bits)
-        assert got_bits == want.state.bits
-        assert got_factor == want.factor  # identical constants, bit-exact
+    inputs = [(random_gate(rng, int(n)), int(n)) for n in rng.integers(1, 9, size=400)]
+    inputs += [(gate, 3) for gate in _FIXED_GATES]
+    kinds = set()
+    for gate, n in inputs:
+        op = pack_circuit(make_circuit(n, [gate])).ops[0]
+        kinds.add(op[0])
+        for _ in range(4):
+            state = random_state(rng, n)
+            assert replay_op(op, state.bits) == successors(gate, state)
+    assert kinds == set(range(6))  # every op kind is pinned
 
 
 def test_packed_hadamard_marked():
-    packed = pack_circuit(make_circuit(3, [h(2), x(0)]))
-    assert packed.hq[0] == 2
-    assert packed.hq[1] == -1
+    plan = pack_circuit(make_circuit(3, [h(2), x(0)]))
+    assert plan.ops[0] == (_kernels._OP_H, 2, 4)
+    assert plan.ops[1][0] != _kernels._OP_H
+    assert (plan.h, plan.hleft) == (1, (1, 0, 0))
+    for bits in range(8):
+        assert replay_op(plan.ops[0], bits) == successors(h(2), BasisState(bits, 3))

@@ -1,18 +1,12 @@
-"""Kernel variants: selection flag and exact agreement.
+"""The path-sum kernel: exact agreement with the reference walk, the plan's
+ops, batch splitting, the scalar handoff and deadlines.
 
-The depth-first walk has one Python source, run interpreted
-(``traverse_py``) or compiled with numba.  The numpy frontier walk
-(``traverse_frontier``), with its depth-first finish on Python scalars, is
-a separate source that must reproduce the depth-first walk's amplitude and
-counters bit for bit, whichever of its two paths runs.
+``traverse`` (the numpy frontier walk, with its depth-first finish on
+Python scalars) must reproduce ``conftest.reference_walk``'s amplitude and
+counters bit for bit, at every batch cap and every scalar handoff limit.
 """
-import importlib.util
 import math
-import os
 import re
-import subprocess
-import sys
-import textwrap
 import time
 
 import numpy as np
@@ -27,26 +21,17 @@ from pathsum.circuit import (
 )
 from pathsum.engine import packed_circuit
 from pathsum.gates import apply_nonbranching, branch_gate
-from pathsum._kernels import (
-    pack_circuit,
-    sv_hadamard,
-    sv_hadamard_py,
-    sv_microop,
-    sv_microop_py,
-    traverse,
-    traverse_frontier,
-    traverse_py,
-    warm_up,
-)
+from pathsum._kernels import pack_circuit, traverse
 
-from conftest import random_circuit, random_gate, random_query
+from conftest import random_circuit, random_gate, random_query, reference_walk
+from test_gates import replay_op, successors
 
 # Scalar handoff limits: 0 never hands off (numpy only), 1 << 62 hands off
 # as soon as fewer than 63 H gates remain.
 _LIMITS = (0, 1, 2, _kernels.SCALAR_LEAVES, 1 << 62)
 
 
-def _drive(traverse_fn, circuit, query, prune, deadline=-1.0):
+def _drive(circuit, query, prune, deadline=-1.0):
     """Run one traversal exactly the way the engine does.
 
     The amplitude comes back as its ``repr``, so a zero of the other sign
@@ -54,7 +39,7 @@ def _drive(traverse_fn, circuit, query, prune, deadline=-1.0):
     """
     plan = pack_circuit(circuit)
     amp = np.zeros(plan.h + 1, dtype=np.complex128)
-    counters = traverse_fn(plan, query.start.bits, query.end.bits, prune, deadline, amp)
+    counters = traverse(plan, query.start.bits, query.end.bits, prune, deadline, amp)
     return repr(complex(amp[0])), tuple(counters)
 
 
@@ -105,19 +90,15 @@ def _twin_inputs():
 
 
 def test_traversal_twins_agree_bitwise(monkeypatch):
-    # The compiled walk shares the interpreted walk's source and is built
-    # without fast-math; the frontier adds in the same tree order, on numpy
-    # batches and on scalars alike.  Results must be identical, not merely
-    # close.
+    # The frontier adds in depth-first tree order, on numpy batches and on
+    # scalars alike, so it must equal the reference walk exactly, not
+    # merely closely.
     for circuit, query in _twin_inputs():
         for prune in (False, True):
-            amp_b, counters_b = _drive(traverse_py, circuit, query, prune)
+            expected = reference_walk(circuit, query, prune)
             for limit in _LIMITS:
                 monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-                for traverse_fn in (traverse, traverse_frontier):
-                    amp_a, counters_a = _drive(traverse_fn, circuit, query, prune)
-                    assert amp_a == amp_b
-                    assert counters_a == counters_b
+                assert _drive(circuit, query, prune) == expected
 
 
 def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
@@ -141,12 +122,11 @@ def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
             for end in range(1 << n):
                 query = AmplitudeQuery(BasisState(start, n), BasisState(end, n))
                 for prune in (False, True):
-                    expected = _drive(traverse_py, circuit, query, prune)
+                    expected = reference_walk(circuit, query, prune)
                     signed_zeros += re.search(r"-0(?![.\de])", expected[0]) is not None
                     for limit in _LIMITS:
                         monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-                        for traverse_fn in (traverse, traverse_frontier):
-                            assert _drive(traverse_fn, circuit, query, prune) == expected
+                        assert _drive(circuit, query, prune) == expected
     assert signed_zeros > 0
 
 
@@ -159,12 +139,12 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
         circuit = random_circuit(rng, n, int(rng.integers(1, 18)))
         query = random_query(rng, n)
         for prune in (False, True):
-            expected = _drive(traverse_py, circuit, query, prune)
+            expected = reference_walk(circuit, query, prune)
             for cap in (1, 2, 4):
                 monkeypatch.setattr(_kernels, "FRONTIER_CAP", cap)
                 for limit in _LIMITS:
                     monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-                    assert _drive(traverse_frontier, circuit, query, prune) == expected
+                    assert _drive(circuit, query, prune) == expected
 
 
 def test_frontier_deep_narrow_walk(monkeypatch):
@@ -173,11 +153,11 @@ def test_frontier_deep_narrow_walk(monkeypatch):
     n = 62
     circuit = make_circuit(n, [h(0)] * 4 + [h(q) for q in range(n)])
     query = AmplitudeQuery(BasisState.zeros(n), BasisState((1 << n) - 1, n))
-    expected = _drive(traverse_py, circuit, query, True)
+    expected = reference_walk(circuit, query, True)
     assert expected[1][3] == 66
     for limit in _LIMITS:
         monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-        assert _drive(traverse_frontier, circuit, query, True) == expected
+        assert _drive(circuit, query, True) == expected
 
 
 def test_default_walk_hands_only_narrow_trees_to_scalars(monkeypatch):
@@ -192,14 +172,14 @@ def test_default_walk_hands_only_narrow_trees_to_scalars(monkeypatch):
     rng = np.random.default_rng(99)
     circuit = _stream_circuit(rng)
     for prune in (False, True):
-        _drive(traverse_frontier, circuit, _random_path_query(rng, circuit), prune)
+        _drive(circuit, _random_path_query(rng, circuit), prune)
         assert handoffs == [0]
         handoffs.clear()
     # 4,096 leaves, and still hundreds of live paths when one H is left.
     circuit = gen_layered_hadamard(6, 1)
     for query in (AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6)),
                   _random_path_query(rng, circuit)):
-        _drive(traverse_frontier, circuit, query, True)
+        _drive(circuit, query, True)
     assert handoffs == []
 
 
@@ -207,12 +187,12 @@ def test_frontier_deadline_is_checked():
     expired = time.perf_counter() - 1.0
     circuit = gen_layered_hadamard(4, 1)
     query = AmplitudeQuery(BasisState.zeros(4), BasisState.zeros(4))
-    _, counters = _drive(traverse_frontier, circuit, query, True, deadline=expired)
+    _, counters = _drive(circuit, query, True, deadline=expired)
     assert counters[4] is True
     # Four leaves, 6,000 gates each: the scalar walk handles it from gate 0.
     circuit = make_circuit(3, [h(0), h(1)] + [t(0), cnot(0, 2), s(1)] * 2000)
     query = AmplitudeQuery(BasisState.zeros(3), BasisState.zeros(3))
-    _, counters = _drive(traverse_frontier, circuit, query, True, deadline=expired)
+    _, counters = _drive(circuit, query, True, deadline=expired)
     assert counters[4] is True
     # The scalar walk itself reads the clock once per _CLOCK_STEPS steps.
     finished = _kernels._scalar_finish(pack_circuit(circuit), 0, 0, [0], [1.0], [0.0],
@@ -234,110 +214,16 @@ def test_scalar_walk_deadline_overshoot_is_bounded():
     assert time.perf_counter() - began < 1.0
 
 
-def test_statevector_twins_agree_bitwise():
-    rng = np.random.default_rng(7)
-    n = 5
-    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    psi /= np.linalg.norm(psi)
-    for q in range(n):
-        a = psi.copy()
-        b = psi.copy()
-        sv_hadamard(a, q)
-        sv_hadamard_py(b, q)
-        assert np.array_equal(a, b)
-    for _ in range(20):
-        cmask = int(rng.integers(0, 2**n))
-        flip1 = int(rng.integers(0, 2**n))
-        flip0 = int(rng.integers(0, 2**n))
-        f1 = complex(rng.standard_normal(), rng.standard_normal())
-        f0 = complex(rng.standard_normal(), rng.standard_normal())
-        # Arbitrary masks need not scatter onto every slot; zero the outputs
-        # so unwritten slots compare equal.
-        out_a = np.zeros_like(psi)
-        out_b = np.zeros_like(psi)
-        sv_microop(psi, out_a, cmask, f1, flip1, f0, flip0)
-        sv_microop_py(psi, out_b, cmask, f1, flip1, f0, flip0)
-        assert np.array_equal(out_a, out_b)
-
-
-def test_warm_up_is_repeatable():
-    warm_up()
-    warm_up()
-
-
 def test_packed_rows_mark_only_h_gates():
+    # Every op, replayed on a bare bitmask, does what the reference
+    # semantics say; only H gates become H ops, and ``hleft`` counts them.
     rng = np.random.default_rng(3)
     for _ in range(10):
         circuit = random_circuit(rng, 5, 12)
-        packed = pack_circuit(circuit)
+        plan = pack_circuit(circuit)
         for i, gate in enumerate(circuit.gates):
-            if gate.kind.is_branching:
-                assert packed.hq[i] == gate.qubits[0]
-            else:
-                assert packed.hq[i] == -1
-
-
-def _run_snippet(code, disable_numba):
-    env = dict(os.environ)
-    if disable_numba:
-        env["PATHSUM_DISABLE_NUMBA"] = "1"
-    else:
-        env.pop("PATHSUM_DISABLE_NUMBA", None)
-    return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, env=env,
-    )
-
-
-_SNIPPET = """
-    from pathsum import _kernels
-    assert _kernels.NUMBA_ENABLED is %(enabled)s
-    assert (_kernels.traverse is _kernels.traverse_py) is %(disabled)s
-    assert _kernels.KERNEL == %(kernel)r, _kernels.KERNEL
-
-    from pathsum import (AmplitudeQuery, BasisState, make_circuit,
-                         path_sum_amplitude, statevector_amplitude)
-    from pathsum.circuit import h
-    c = make_circuit(1, [h(0)])
-    q = AmplitudeQuery(BasisState.zeros(1), BasisState.zeros(1))
-    amp, stats = path_sum_amplitude(c, q)
-    assert abs(amp - 2 ** -0.5) < 1e-15, amp
-    assert stats.recursion_calls == 2 and stats.edges_traversed == 2
-    assert abs(statevector_amplitude(c, q) - 2 ** -0.5) < 1e-15
-
-    from pathsum import EngineOptions, QueryTimeout
-    tower = make_circuit(1, [h(0)] * 24)
-    try:
-        path_sum_amplitude(tower, q, EngineOptions(deadline_s=0.05))
-    except QueryTimeout:
-        print("OK")
-    else:
-        raise SystemExit("deadline did not fire")
-"""
-
-
-def test_interpreted_mode_via_env_flag():
-    done = _run_snippet(_SNIPPET % {"enabled": "False", "disabled": "True",
-                                    "kernel": "dfs-interpreted"},
-                        disable_numba=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "OK"
-
-
-def test_compiled_mode_is_the_default():
-    pytest.importorskip("numba")
-    done = _run_snippet(_SNIPPET % {"enabled": "True", "disabled": "False",
-                                    "kernel": "dfs-numba"},
-                        disable_numba=False)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "OK"
-
-
-@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
-                    reason="numba is installed, so the compiled walk is the default")
-def test_frontier_mode_without_numba():
-    snippet = _SNIPPET % {"enabled": "False", "disabled": "False", "kernel": "frontier"}
-    snippet += "\n    assert _kernels.traverse is _kernels.traverse_frontier\n"
-    done = _run_snippet(snippet, disable_numba=False)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "OK"
+            assert (plan.ops[i][0] == _kernels._OP_H) == gate.kind.is_branching
+            assert plan.hleft[i] == sum(g.kind.is_branching for g in circuit.gates[i:])
+            for bits in range(32):
+                assert replay_op(plan.ops[i], bits) == successors(gate, BasisState(bits, 5))
+        assert plan.hleft[-1] == 0 and plan.h == plan.hleft[0]

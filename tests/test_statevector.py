@@ -1,5 +1,5 @@
-"""Dense backend: worked vectors, the memory guard, norm preservation,
-linearity against explicit matrices, and parity between its two inner loops.
+"""Dense backend: worked vectors, the memory guard, norm preservation and
+linearity against explicit matrices, over every kind of plan op.
 """
 import math
 import time
@@ -19,9 +19,7 @@ from pathsum import (
     statevector_simulate,
 )
 from pathsum import AmplitudeQuery
-from pathsum._kernels import pack_circuit
-from pathsum.circuit import h, x
-from pathsum.statevector import _apply_gates_loop, _apply_gates_numpy
+from pathsum.circuit import ccx, cnot, cp, h, identity, p, x, y
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -100,9 +98,14 @@ def test_norm_preserved_over_long_circuit():
 
 def test_linearity_matches_explicit_matrices():
     rng = np.random.default_rng(202)
-    for _ in range(8):
-        n = int(rng.integers(1, 5))
-        c = random_circuit(rng, n, int(rng.integers(1, 20)))
+    circuits = [random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(1, 20)))
+                for _ in range(8)]
+    # Every op kind: SKIP (I, P at 0), FLIP (X), GENERAL (Y), CFLIP (CNOT,
+    # CCX), CPHASE (CP at pi) and H.
+    circuits.append(make_circuit(3, [h(0), h(1), identity(2), x(2), y(0), cnot(1, 2),
+                                     ccx(0, 2, 1), p(1, 0.0), cp(0, 1, math.pi), h(2)]))
+    for c in circuits:
+        n = c.num_qubits
         unitary = circuit_unitary(c)
         for start_bits in range(1 << n):
             psi = statevector_simulate(c, BasisState(start_bits, n)).amplitudes
@@ -122,24 +125,6 @@ def test_deadline_enforced():
     with pytest.raises(QueryTimeout):
         statevector_simulate(c, BasisState.zeros(18), deadline_s=0.05)
     assert time.perf_counter() - began < 30.0
-
-
-def test_loop_and_numpy_paths_agree_to_the_ulp():
-    # Both inner loops perform the same per-entry arithmetic, but numpy's
-    # compiled complex multiply may fuse multiply-adds while the explicit
-    # loop does not, so agreement is to a few ulps rather than bit-exact.
-    rng = np.random.default_rng(204)
-    for _ in range(5):
-        n = int(rng.integers(2, 9))
-        c = random_circuit(rng, n, 120)
-        packed = pack_circuit(c)
-        start = random_state(rng, n)
-        psi1 = np.zeros(1 << n, dtype=np.complex128)
-        psi1[start.bits] = 1.0
-        psi2 = psi1.copy()
-        out1 = _apply_gates_loop(psi1, np.empty_like(psi1), packed, -1.0)
-        out2 = _apply_gates_numpy(psi2, np.empty_like(psi2), packed, -1.0)
-        np.testing.assert_allclose(out1, out2, atol=1e-13, rtol=0)
 
 
 def test_each_backend_is_deterministic():
