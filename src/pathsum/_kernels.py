@@ -1,22 +1,20 @@
 """The packed plan of a circuit and the walk that sums its paths.
 
 ``pack_circuit`` turns each gate into one op, read from ``_GATE_OPS``, the
-table of what every gate kind does to a basis-state bit mask: H branches,
-and every other kind is a flip, a conditional flip, a conditional phase or
-nothing.  The plan also holds the H count and the H gates left at each
-position.  The engine keeps the plan on the circuit, so each circuit is
-packed once, and the state-vector backend runs the same ops on all
-``2**n`` amplitudes.
+table of what every gate kind does to a basis-state bit mask.  The engine
+keeps the plan on the circuit, so each circuit is packed once, and the
+state-vector backend runs the same ops on all ``2**n`` amplitudes.
 
-``traverse(plan, start, end, prune, deadline, amp)`` is the numpy frontier
+``traverse(plan, start, end, prune, deadline)`` is the numpy frontier
 walk: it runs whole batches of paths per gate and adds their values in
 depth-first tree order, so its amplitude is the depth-first sum bit for bit.
-Where a batch has at most ``SCALAR_LEAVES`` = 64 leaves left (live paths
-times 2**(H gates left)), it hands the batch to a recursive depth-first
-walk on Python ints and floats, since numpy's cost per call outweighs
-batching that few paths; the limit is the measured crossover, and the
-recursion is at most log2(64) = 6 calls deep, so memory stays
-O(n + h * FRONTIER_CAP).  ``KERNEL`` names the walk.
+A batch with at most ``SCALAR_LEAVES`` = 64 leaves left (live paths times
+2**(H gates left)) is finished by a recursive depth-first walk on Python
+scalars, since numpy's cost per call outweighs batching that few paths;
+that recursion is at most 6 calls deep, so memory stays
+O(n + h * FRONTIER_CAP).  The walk returns ``(amplitude, TraversalStats)``
+or raises ``QueryTimeout`` with the counters it reached.  ``deadline_at``
+gives both backends their deadline as a ``perf_counter`` time.
 """
 from __future__ import annotations
 
@@ -27,10 +25,50 @@ from itertools import accumulate
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import Circuit, CircuitError, GateKind
 from .gates import INV_SQRT2, phase_factor
 
 KERNEL = "frontier"
+
+
+@dataclass(frozen=True)
+class TraversalStats:
+    """Counters from one traversal.
+
+    ``recursion_calls`` counts branch descents (the root does not count);
+    ``edges_traversed`` counts gate applications, i.e. non-branching gates
+    processed plus branch descents; ``max_depth_reached`` is the deepest
+    branching level visited; ``prunes`` counts cut subpaths.
+    """
+
+    recursion_calls: int
+    edges_traversed: int
+    prunes: int
+    max_depth_reached: int
+
+
+class QueryTimeout(RuntimeError):
+    """A query ran past its wall-clock deadline.  ``stats`` holds the path
+    walk's counters when it stopped, or None from the state vector."""
+
+    def __init__(self, message: str, stats: TraversalStats | None = None):
+        super().__init__(message)
+        self.stats = stats
+
+
+def deadline_at(deadline_s: float | None) -> float:
+    """The ``perf_counter`` time ``deadline_s`` seconds from now, or
+    ``math.inf`` for None; NaN, zero and negative values are refused."""
+    if deadline_s is None:
+        return math.inf
+    if not deadline_s > 0:
+        raise CircuitError(f"deadline_s must be positive, got {deadline_s}")
+    return time.perf_counter() + deadline_s
+
+
+def _timeout(calls, edges, prunes, max_depth):
+    return QueryTimeout("amplitude query exceeded its deadline",
+                        TraversalStats(calls, edges, prunes, max_depth))
 
 
 @dataclass(frozen=True)
@@ -55,13 +93,12 @@ class PackedCircuit:
 #   (_OP_FLIP, x)                 state ^= x on every path, factor 1
 #   (_OP_CFLIP, c, x)             state ^= x where (state & c) == c, factor 1
 #   (_OP_CPHASE, c, f)            factor f where (state & c) == c
-#   (_OP_GENERAL, c, f1, x1, f0, x0)  factor f1 and state ^= x1 where
-#                                 (state & c) == c, else f0 and x0; c is
-#                                 never 0 and neither factor is 1 (Y)
+#   (_OP_Y, x, f1, f0)            state ^= x on every path, factor f1 where
+#                                 the old bit x was set, else f0
 # A factor f is (f.real, [[-f.imag], [f.imag]], f.imag): the column serves
 # the numpy batches, the plain floats the scalar walk.  No op multiplies by
 # a factor of exactly 1.
-_OP_H, _OP_SKIP, _OP_FLIP, _OP_CFLIP, _OP_CPHASE, _OP_GENERAL = range(6)
+_OP_H, _OP_SKIP, _OP_FLIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(6)
 
 
 def _factor(f: complex) -> tuple:
@@ -84,7 +121,7 @@ _GATE_OPS = {
     GateKind.H: lambda qs, theta: (_OP_H, qs[0], 1 << qs[0]),
     GateKind.I: lambda qs, theta: _SKIP,
     GateKind.X: lambda qs, theta: (_OP_FLIP, 1 << qs[0]),
-    GateKind.Y: lambda qs, theta: (_OP_GENERAL, 1 << qs[0], _Y1, 1 << qs[0], _Y0, 1 << qs[0]),
+    GateKind.Y: lambda qs, theta: (_OP_Y, 1 << qs[0], _Y1, _Y0),
     GateKind.Z: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _Z),
     GateKind.S: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _S),
     GateKind.T: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _T),
@@ -155,10 +192,6 @@ def _fold_batch(idx, P, levels):
     return complex(P[0, 0], P[1, 0])
 
 
-class _Deadline(Exception):
-    """The scalar walk passed the query's deadline."""
-
-
 def _scalar_finish(plan, pos, depth, states, res, ims, end, prune, deadline, counters):
     """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
 
@@ -166,10 +199,10 @@ def _scalar_finish(plan, pos, depth, states, res, ims, end, prune, deadline, cou
     Python scalars over ``plan.ops``, recursing once per H, with the same
     cut and the same products in the same order as the batches, and
     ``(0j + left) + right`` at every H.  ``counters`` is the walk's
-    ``(calls, edges, prunes, max_depth)`` so far.  Returns ``(values,
-    calls, edges, prunes, max_depth, timed_out)``; ``values`` has each
-    path's subtree value as ``(re, im)``, or None where no leaf reached
-    ``end``.  The clock is read once every ``_CLOCK_STEPS`` gate steps.
+    ``(calls, edges, prunes, max_depth)``.  Returns each path's subtree
+    value as ``(re, im)``, or None where no leaf reached ``end``, and the
+    updated counters.  The clock is read once every ``_CLOCK_STEPS`` gate
+    steps.
     """
     ops = plan.ops
     length = len(ops)
@@ -186,8 +219,8 @@ def _scalar_finish(plan, pos, depth, states, res, ims, end, prune, deadline, cou
                 return None
             countdown -= 1
             if not countdown:
-                if deadline > 0.0 and time.perf_counter() > deadline:
-                    raise _Deadline
+                if time.perf_counter() > deadline:
+                    raise _timeout(calls, edges, prunes, max_depth)
                 countdown = _CLOCK_STEPS
             op = ops[pos]
             kind = op[0]
@@ -218,29 +251,20 @@ def _scalar_finish(plan, pos, depth, states, res, ims, end, prune, deadline, cou
                 if high is None:
                     return 0.0 + low[0], 0.0 + low[1]
                 return (0.0 + low[0]) + high[0], (0.0 + low[1]) + high[1]
-            elif kind == _OP_GENERAL:
-                _, c, f1, x1, f0, x0 = op
-                if (state & c) == c:
-                    fr, _, fi = f1
-                    state ^= x1
-                else:
-                    fr, _, fi = f0
-                    state ^= x0
+            elif kind == _OP_Y:
+                _, bit, f1, f0 = op
+                fr, _, fi = f1 if state & bit else f0
+                state ^= bit
                 re, im = re * fr - im * fi, re * fi + im * fr
             edges += 1
             pos += 1
         return (re, im) if state == end else None
 
-    values = []
-    try:
-        for state, re, im in zip(states, res, ims):
-            values.append(walk(pos, state, re, im, depth))
-    except _Deadline:
-        return values, calls, edges, prunes, max_depth, True
-    return values, calls, edges, prunes, max_depth, False
+    values = [walk(pos, state, re, im, depth) for state, re, im in zip(states, res, ims)]
+    return values, (calls, edges, prunes, max_depth)
 
 
-def traverse(plan, start, end, prune, deadline, amp):
+def traverse(plan, start, end, prune, deadline):
     """Sum the paths from ``start`` to ``end`` over ``plan`` in batches.
 
     A batch is every live path below one tree node (its root) at one gate,
@@ -254,14 +278,12 @@ def traverse(plan, start, end, prune, deadline, amp):
     left) is at most SCALAR_LEAVES, each path is finished by
     ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES) calls deep.  A
     finished batch is folded to its root's value, which is added into
-    ``amp[depth - 1]``, the accumulator of the root's parent.
+    ``amp[depth - 1]``, the accumulator of the root's parent; slot 0 ends
+    up holding the amplitude.
 
-    ``amp`` has one slot per branching level plus slot 0, which receives
-    the amplitude.  With ``prune``, a path is cut once the Hamming distance
-    to ``end`` exceeds the gates left; ``deadline`` is a ``perf_counter``
-    time, or <= 0 for none.  Returns ``(calls, edges, prunes, max_depth,
-    timed_out)``: branch descents, gate applications, cut paths and the
-    deepest branching level.
+    With ``prune``, a path is cut once the Hamming distance to ``end``
+    exceeds the gates left.  Past ``deadline`` (a ``perf_counter`` time)
+    it raises QueryTimeout with the counters reached.
     """
     cap = FRONTIER_CAP
     limit = SCALAR_LEAVES
@@ -272,6 +294,7 @@ def traverse(plan, start, end, prune, deadline, amp):
     edges = 0
     prunes = 0
     max_depth = 0
+    amp = [0j] * (plan.h + 1)
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
     batch = (
@@ -284,8 +307,8 @@ def traverse(plan, start, end, prune, deadline, amp):
     while True:
         pos, depth, root, state, P, idx = batch
         while pos < length and state.size:
-            if deadline > 0.0 and time.perf_counter() > deadline:
-                return calls, edges, prunes, max_depth, True
+            if time.perf_counter() > deadline:
+                raise _timeout(calls, edges, prunes, max_depth)
             # States have at most 62 bits set, so no cut is possible while
             # 63 or more gates remain.
             if prune and length - pos < 63:
@@ -337,10 +360,10 @@ def traverse(plan, start, end, prune, deadline, amp):
                     max_depth = depth
                 pos += 1
                 continue
-            elif kind == _OP_GENERAL:
-                _, c, f1, x1, f0, x0 = op
-                hot = (state & c) == c
-                state = state ^ (x1 if x1 == x0 else np.where(hot, x1, x0))
+            elif kind == _OP_Y:
+                _, bit, f1, f0 = op
+                hot = (state & bit) != 0
+                state = state ^ bit
                 P = _times(P, (np.where(hot, f1[0], f0[0]), np.where(hot, f1[1], f0[1])))
             edges += state.size
             pos += 1
@@ -349,11 +372,9 @@ def traverse(plan, start, end, prune, deadline, amp):
             hit = state == end
             value = _fold_batch(idx[hit], P[:, hit], depth - root)
         elif state.size:
-            values, calls, edges, prunes, max_depth, timed_out = _scalar_finish(
+            values, (calls, edges, prunes, max_depth) = _scalar_finish(
                 plan, pos, depth, state.tolist(), P[0].tolist(), P[1].tolist(),
                 end, prune, deadline, (calls, edges, prunes, max_depth))
-            if timed_out:
-                return calls, edges, prunes, max_depth, True
             hit = [i for i, v in enumerate(values) if v is not None]
             value = _fold_batch(idx[hit], np.array([values[i] for i in hit]).T, depth - root)
         # Add the root's value to its parent, closing every parent whose
@@ -368,5 +389,5 @@ def traverse(plan, start, end, prune, deadline, amp):
         if root == 0:
             amp[0] = 0j if value is None else value
         if not pending:
-            return calls, edges, prunes, max_depth, False
+            return amp[0], TraversalStats(calls, edges, prunes, max_depth)
         batch = pending.pop()

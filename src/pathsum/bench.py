@@ -52,8 +52,8 @@ CSV_COLUMNS = [
 # Written next to every CSV because the CSV cannot say this about itself.
 MEMORY_NOTE = (
     "peak_mem_bytes: per-run high-water mark of allocator-tracked memory "
-    "(tracemalloc), measured from the start of each query; interpreter and "
-    "JIT baseline memory is excluded.  It comes from a second, traced run "
+    "(tracemalloc), measured from the start of each query; the interpreter's "
+    "baseline memory is excluded.  It comes from a second, traced run "
     "of the same query after the timed one, so tracing never runs inside "
     "the timed region; it is 0 where the timed run timed out or failed."
 )
@@ -96,7 +96,7 @@ class BenchPlan:
             raise CircuitError("plan needs at least one seed")
         if self.trials < 1:
             raise CircuitError(f"trials must be >= 1, got {self.trials}")
-        if self.time_cap_s <= 0:
+        if not self.time_cap_s > 0:
             raise CircuitError(f"time cap must be positive, got {self.time_cap_s}")
 
 

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# Masks must stay comfortably inside a signed 64-bit word for the compiled
-# kernels, hence 62 rather than 63 or 64.
+# Masks must stay comfortably inside a signed 64-bit word for the frontier
+# walk's int64 states, hence 62 rather than 63 or 64.
 MAX_QUBITS = 62
 
 

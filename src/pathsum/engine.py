@@ -13,16 +13,16 @@ visits.  A batch with at most ``_kernels.SCALAR_LEAVES`` = 64 leaves left
 below it is finished path by path on Python scalars, the measured point
 below which numpy's cost per call outweighs batching; that walk recurses
 at most 6 levels, so the memory bound is unchanged.  Either way the paths'
-values are added in depth-first tree order.
+values are added in depth-first tree order.  ``TraversalStats`` and
+``QueryTimeout`` come from ``_kernels`` and are re-exported here.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._kernels import PackedCircuit, pack_circuit, traverse
+from ._kernels import (
+    PackedCircuit, QueryTimeout, TraversalStats, deadline_at, pack_circuit, traverse,
+)
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
 
 
@@ -33,31 +33,12 @@ class EngineOptions:
     ``prune`` cuts a path as soon as the end state is out of reach (each
     remaining gate can fix at most one wrong bit); the cut subtree would have
     summed to zero, so the amplitude is unchanged.  ``deadline_s`` caps the
-    wall-clock time of one query; exceeding it raises QueryTimeout.
+    wall-clock time of one query; exceeding it raises QueryTimeout, whose
+    ``stats`` holds the counters reached.
     """
 
     prune: bool = True
     deadline_s: float | None = None
-
-
-@dataclass(frozen=True)
-class TraversalStats:
-    """Counters from one traversal.
-
-    ``recursion_calls`` counts branch descents (the root does not count);
-    ``edges_traversed`` counts gate applications, i.e. non-branching gates
-    processed plus branch descents; ``max_depth_reached`` is the deepest
-    branching level visited; ``prunes`` counts cut subpaths.
-    """
-
-    recursion_calls: int
-    edges_traversed: int
-    prunes: int
-    max_depth_reached: int
-
-
-class QueryTimeout(RuntimeError):
-    """A query exceeded its wall-clock deadline."""
 
 
 def end_state_reachable(current: BasisState, end: BasisState, gates_remaining: int) -> bool:
@@ -100,26 +81,5 @@ def path_sum_amplitude(
         raise CircuitError(
             f"query width {query.width} does not match circuit width {circuit.num_qubits}"
         )
-    plan = packed_circuit(circuit)
-    # One amplitude slot per branching level; slot 0 holds the result.
-    amp = np.zeros(plan.h + 1, dtype=np.complex128)
-    if options.deadline_s is not None:
-        if options.deadline_s <= 0:
-            raise CircuitError(f"deadline_s must be positive, got {options.deadline_s}")
-        deadline = time.perf_counter() + options.deadline_s
-    else:
-        deadline = -1.0
-    calls, edges, prunes, max_depth, timed_out = traverse(
-        plan, query.start.bits, query.end.bits, options.prune, deadline, amp
-    )
-    if timed_out:
-        raise QueryTimeout(
-            f"amplitude query exceeded its deadline of {options.deadline_s} s"
-        )
-    stats = TraversalStats(
-        recursion_calls=int(calls),
-        edges_traversed=int(edges),
-        prunes=int(prunes),
-        max_depth_reached=int(max_depth),
-    )
-    return complex(amp[0]), stats
+    return traverse(packed_circuit(circuit), query.start.bits, query.end.bits,
+                    options.prune, deadline_at(options.deadline_s))

@@ -1,10 +1,13 @@
 """Dense state-vector backend: the exponential-space reference simulator.
 
-Holds all 2**n amplitudes and applies gates one at a time, so results are
-exact up to floating point and any single amplitude can be read off at the
-end.  Memory is Theta(2**n); construction refuses circuits wider than
-MAX_STATEVECTOR_QUBITS rather than attempt an allocation that would not fit
-on a desk machine.
+Holds all 2**n amplitudes and runs the path walk's plan on them one op at a
+time, so results are exact up to floating point and any single amplitude
+can be read off at the end.  Every op works in place on views of the vector
+shaped as a (2,) * n array, one axis per qubit: H mixes the two halves
+along its qubit's axis, a flip or Y swaps them (within the slice where
+every control is 1) and a phase multiplies that slice.  Memory is
+Theta(2**n); a run refuses circuits wider than MAX_STATEVECTOR_QUBITS
+rather than attempt an allocation that would not fit on a desk machine.
 """
 from __future__ import annotations
 
@@ -13,15 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _OP_CFLIP, _OP_CPHASE, _OP_FLIP, _OP_GENERAL, _OP_H
+from ._kernels import _OP_CFLIP, _OP_CPHASE, _OP_FLIP, _OP_H, _OP_Y, QueryTimeout, deadline_at
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
-from .engine import QueryTimeout, packed_circuit
+from .engine import packed_circuit
 from .gates import INV_SQRT2
 
-# 2**26 complex128 amplitudes are 1 GiB, but a run holds more than the
-# vector: a scratch vector, an int64 index array and one op's temporaries.
-# Its traced peak at n=16 is 72 bytes per amplitude on the circuit families
-# and 81 with a Y gate, so about 5.4 GB at this cap.
+# 2**26 complex128 amplitudes are 1 GiB.  A run holds the vector and, while
+# one op runs, at most two half-vector copies: its traced peak at n=14 and
+# n=16 is 32 bytes per amplitude on h-layer, qft-layer and hsp and with a Y
+# gate, so about 2.1 GB at this cap.
 MAX_STATEVECTOR_QUBITS = 26
 
 
@@ -54,43 +57,57 @@ def _check_width(num_qubits: int):
         )
 
 
-def _apply_gates(psi, scratch, plan, deadline):
-    """Run every op of ``plan`` on all amplitudes; returns the final vector.
+def _select(v, ones, zeros=0):
+    """The view of ``v``, the vector as a (2,) * n array with basis-index bit
+    q on axis n - 1 - q, where every bit of ``ones`` is 1 and every bit of
+    ``zeros`` is 0 (the trailing ``...`` keeps it a view when no axis is
+    left)."""
+    index = [slice(None)] * v.ndim
+    for mask, value in ((ones, 1), (zeros, 0)):
+        while mask:
+            bit = mask & -mask
+            index[v.ndim - bit.bit_length()] = value
+            mask ^= bit
+    return v[(*index, ...)]
 
-    Each op acts on every basis index as the path walk's op acts on one
-    state: H mixes amplitude pairs, a flip or conditional flip permutes the
-    amplitudes (a gather into ``scratch``), a conditional phase multiplies
-    only the amplitudes whose index has every bit of its mask set.
+
+def _apply_gate(v, op):
+    """Run one plan op on every amplitude of ``v`` in place, as the path
+    walk runs it on one state.
+
+    numpy buffers every strided operand of a ufunc, and below 2**15
+    amplitudes those buffers are as large as half the vector.  So H, flips
+    and Y do their arithmetic on contiguous copies of the two halves and
+    write back by assignment, and a phase multiplies its slice in place
+    (two operand buffers).  An op holds at most two half-vector copies or
+    buffers, freed when it returns.
     """
-    idx = np.arange(psi.shape[0], dtype=np.int64)
-    for op in plan.ops:
-        if deadline > 0.0 and time.perf_counter() > deadline:
-            raise QueryTimeout("state-vector run exceeded its deadline")
-        kind = op[0]
-        if kind == _OP_H:
-            pairs = psi.reshape(-1, 2, op[2])
-            a = pairs[:, 0, :].copy()
-            b = pairs[:, 1, :]
-            pairs[:, 0, :] = (a + b) * INV_SQRT2
-            pairs[:, 1, :] = (a - b) * INV_SQRT2
-        elif kind == _OP_FLIP:
-            np.take(psi, idx ^ op[1], out=scratch)
-            psi, scratch = scratch, psi
-        elif kind == _OP_CFLIP:
-            c = op[1]
-            np.take(psi, idx ^ ((idx & c) == c) * op[2], out=scratch)
-            psi, scratch = scratch, psi
-        elif kind == _OP_CPHASE:
-            c = op[1]
-            fr, _, fi = op[2]
-            np.multiply(psi, complex(fr, fi), out=psi, where=(idx & c) == c)
-        elif kind == _OP_GENERAL:
-            _, c, (fr1, _, fi1), x1, (fr0, _, fi0), x0 = op
-            hot = (idx & c) == c
-            dest = np.where(hot, idx ^ x1, idx ^ x0)
-            scratch[dest] = psi * np.where(hot, complex(fr1, fi1), complex(fr0, fi0))
-            psi, scratch = scratch, psi
-    return psi
+    kind = op[0]
+    if kind == _OP_H:
+        low, high = _select(v, 0, op[2]), _select(v, op[2])
+        a, b = low.copy(), high.copy()
+        high[...] = a  # keep the old low half while ``a`` takes the sum
+        a += b
+        a *= INV_SQRT2
+        low[...] = a
+        a[...] = high
+        a -= b
+        a *= INV_SQRT2
+        high[...] = a
+    elif kind == _OP_FLIP or kind == _OP_CFLIP or kind == _OP_Y:
+        c, x = (op[1], op[2]) if kind == _OP_CFLIP else (0, op[1])
+        low, high = _select(v, c, x), _select(v, c | x)
+        a, b = low.copy(), high.copy()
+        if kind == _OP_Y:
+            _, _, (fr1, _, fi1), (fr0, _, fi0) = op
+            b *= complex(fr1, fi1)
+            a *= complex(fr0, fi0)
+        low[...] = b
+        high[...] = a
+    elif kind == _OP_CPHASE:
+        fr, _, fi = op[2]
+        hot = _select(v, op[1])
+        hot *= complex(fr, fi)
 
 
 def statevector_simulate(
@@ -104,16 +121,15 @@ def statevector_simulate(
             f"start width {start.width} does not match circuit width {circuit.num_qubits}"
         )
     _check_width(circuit.num_qubits)
-    deadline = -1.0
-    if deadline_s is not None:
-        if deadline_s <= 0:
-            raise CircuitError(f"deadline_s must be positive, got {deadline_s}")
-        deadline = time.perf_counter() + deadline_s
+    deadline = deadline_at(deadline_s)
     psi = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     psi[start.bits] = 1.0
-    scratch = np.empty_like(psi)
-    final = _apply_gates(psi, scratch, packed_circuit(circuit), deadline)
-    return StateVector(final, circuit.num_qubits)
+    v = psi.reshape((2,) * circuit.num_qubits)
+    for op in packed_circuit(circuit).ops:
+        if time.perf_counter() > deadline:
+            raise QueryTimeout("state-vector run exceeded its deadline")
+        _apply_gate(v, op)
+    return StateVector(psi, circuit.num_qubits)
 
 
 def statevector_amplitude(

@@ -25,7 +25,7 @@ from .circuit import (
 
 _MNEMONICS = {kind.value: kind for kind in GateKind}
 _TOKEN = re.compile(r"\S+")
-_UINT = re.compile(r"\d+")
+_UINT = re.compile(r"[0-9]+")  # ASCII only: \d would accept other scripts' digits
 
 
 class CircuitParseError(CircuitError):

@@ -134,9 +134,9 @@ def circuit_unitary(circuit) -> np.ndarray:
 def reference_walk(circuit, query, prune):
     """Amplitude and counters of ``query`` by a plain recursive depth-first walk.
 
-    Returns ``(repr(amplitude), (calls, edges, prunes, max_depth, False))``,
-    the shape of the kernel's result, so a zero of the other sign counts as
-    a difference.  Gates act through ``apply_nonbranching`` and
+    Returns ``(repr(amplitude), (calls, edges, prunes, max_depth))``, the
+    kernel's counters in TraversalStats order, so a zero of the other sign
+    counts as a difference.  Gates act through ``apply_nonbranching`` and
     ``branch_gate``; a path is cut when ``end_state_reachable`` says no.
     The phase is two floats: a factor other than 1 is multiplied in as
     ``(re*fr - im*fi, re*fi + im*fr)`` and H's real factor scales each part,
@@ -173,7 +173,7 @@ def reference_walk(circuit, query, prune):
         return complex(re, im) if state == end else 0j
 
     amplitude = walk(0, query.start, 1.0, 0.0, 0)
-    return repr(amplitude), (calls, edges, prunes, max_depth, False)
+    return repr(amplitude), (calls, edges, prunes, max_depth)
 
 
 # Malformed circuit files with the exact position the parser must report and
@@ -189,6 +189,7 @@ BAD_CIRCUIT_CORPUS = [
     ("qubits 0\n", 1, 8, "between 1 and 62"),
     ("qubits 63\n", 1, 8, "between 1 and 62"),
     ("qubits 2 3\n", 1, 10, "unexpected argument"),
+    ("qubits \u0663\n", 1, 8, "not a positive integer"),  # Arabic-Indic 3
     ("qubits 2\nqubits 2\n", 2, 1, "duplicate 'qubits'"),
     ("qubits 2\nfoo 0\n", 2, 1, "unknown gate 'foo'"),
     ("qubits 2\nh\n", 2, 1, "expects 1 qubit operand"),
@@ -199,6 +200,7 @@ BAD_CIRCUIT_CORPUS = [
     ("qubits 2\nh 5\n", 2, 3, "out of range"),
     ("qubits 2\nh -1\n", 2, 3, "not a non-negative integer"),
     ("qubits 2\nh 1.5\n", 2, 3, "not a non-negative integer"),
+    ("qubits 2\nh \u0661\n", 2, 3, "not a non-negative integer"),  # Arabic-Indic 1
     ("qubits 2\np 0\n", 2, 1, "missing its angle"),
     ("qubits 2\np 0 abc\n", 2, 5, "not a number"),
     ("qubits 2\np 0 inf\n", 2, 5, "not finite"),

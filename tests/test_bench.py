@@ -37,8 +37,9 @@ def test_plan_validation():
         BenchPlan(**good, seeds=())
     with pytest.raises(CircuitError, match="trials"):
         BenchPlan(**good, trials=0)
-    with pytest.raises(CircuitError, match="time cap"):
-        BenchPlan(**good, time_cap_s=0.0)
+    for cap in (0.0, float("nan")):
+        with pytest.raises(CircuitError, match="time cap"):
+            BenchPlan(**good, time_cap_s=cap)
 
 
 def _small_plan(**overrides):

@@ -1,7 +1,10 @@
 """Path-sum engine: worked amplitudes, traversal counters, pruning, bounds,
 oracle equivalence against the dense backend and the matrix oracle.
 """
+import importlib.util
 import math
+import pathlib
+import sys
 import threading
 import time
 import tracemalloc
@@ -17,6 +20,7 @@ from pathsum import (
     EngineOptions,
     QueryTimeout,
     end_state_reachable,
+    gen_layered_hadamard,
     invert_circuit,
     make_circuit,
     path_sum_amplitude,
@@ -242,13 +246,42 @@ def test_wide_circuit_no_exponential_allocation():
 def test_deadline_enforced():
     c = make_circuit(1, [h(0)] * 26)  # ~2^27 edges, well past the deadline
     began = time.perf_counter()
-    with pytest.raises(QueryTimeout):
+    with pytest.raises(QueryTimeout) as timeout:
         path_sum_amplitude(
             c, _query(1, 0, 0), EngineOptions(prune=False, deadline_s=0.05)
         )
     elapsed = time.perf_counter() - began
     assert elapsed >= 0.05
     assert elapsed < 30.0
+    # The walk's counters as they stood when it stopped, within the bound.
+    stats = timeout.value.stats
+    assert 0 < stats.edges_traversed <= (c.nonbranching_count + 2) * 2 ** c.branching_count
+    # The state vector has no path counters to carry.
+    with pytest.raises(QueryTimeout) as timeout:
+        statevector_amplitude(gen_layered_hadamard(12, 1), _query(12, 0, 0), deadline_s=1e-9)
+    assert timeout.value.stats is None
+
+
+def test_deadline_must_be_positive():
+    c = make_circuit(2, [h(0), cnot(0, 1)])
+    q = _query(2, 0, 0)
+    for deadline_s in (0, -1.0, float("nan")):
+        with pytest.raises(CircuitError, match="deadline_s must be positive"):
+            path_sum_amplitude(c, q, EngineOptions(deadline_s=deadline_s))
+        with pytest.raises(CircuitError, match="deadline_s must be positive"):
+            statevector_amplitude(c, q, deadline_s=deadline_s)
+
+
+def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
+    # perfbench/tracing.py times each layer by wrapping functions by name,
+    # engine.pack_circuit and engine.traverse among them; a name it cannot
+    # find drops that layer's metric without failing the run.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert module.Tracer().missing == []
 
 
 def test_stats_deterministic_across_runs():

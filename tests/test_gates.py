@@ -173,11 +173,10 @@ def replay_op(op, bits):
     elif kind == _kernels._OP_CPHASE:
         if bits & op[1] == op[1]:
             factor = _op_factor(op[2])
-    elif kind == _kernels._OP_GENERAL:
-        _, c, f1, x1, f0, x0 = op
-        hot = bits & c == c
-        factor = _op_factor(f1 if hot else f0)
-        bits ^= x1 if hot else x0
+    elif kind == _kernels._OP_Y:
+        _, x, f1, f0 = op
+        factor = _op_factor(f1 if bits & x else f0)
+        bits ^= x
     else:
         assert kind == _kernels._OP_SKIP and op == (kind,)
     return [(bits, repr(factor))]

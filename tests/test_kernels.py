@@ -8,6 +8,7 @@ counters bit for bit, at every batch cap and every scalar handoff limit.
 import math
 import re
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -31,16 +32,15 @@ from test_gates import replay_op, successors
 _LIMITS = (0, 1, 2, _kernels.SCALAR_LEAVES, 1 << 62)
 
 
-def _drive(circuit, query, prune, deadline=-1.0):
+def _drive(circuit, query, prune, deadline=math.inf):
     """Run one traversal exactly the way the engine does.
 
     The amplitude comes back as its ``repr``, so a zero of the other sign
     counts as a difference.
     """
-    plan = pack_circuit(circuit)
-    amp = np.zeros(plan.h + 1, dtype=np.complex128)
-    counters = traverse(plan, query.start.bits, query.end.bits, prune, deadline, amp)
-    return repr(complex(amp[0])), tuple(counters)
+    amplitude, stats = traverse(pack_circuit(circuit), query.start.bits, query.end.bits,
+                                prune, deadline)
+    return repr(amplitude), astuple(stats)
 
 
 def _stream_circuit(rng, n=48, hs=5, others=300):
@@ -187,18 +187,18 @@ def test_frontier_deadline_is_checked():
     expired = time.perf_counter() - 1.0
     circuit = gen_layered_hadamard(4, 1)
     query = AmplitudeQuery(BasisState.zeros(4), BasisState.zeros(4))
-    _, counters = _drive(circuit, query, True, deadline=expired)
-    assert counters[4] is True
+    with pytest.raises(QueryTimeout):
+        _drive(circuit, query, True, deadline=expired)
     # Four leaves, 6,000 gates each: the scalar walk handles it from gate 0.
     circuit = make_circuit(3, [h(0), h(1)] + [t(0), cnot(0, 2), s(1)] * 2000)
     query = AmplitudeQuery(BasisState.zeros(3), BasisState.zeros(3))
-    _, counters = _drive(circuit, query, True, deadline=expired)
-    assert counters[4] is True
+    with pytest.raises(QueryTimeout):
+        _drive(circuit, query, True, deadline=expired)
     # The scalar walk itself reads the clock once per _CLOCK_STEPS steps.
-    finished = _kernels._scalar_finish(pack_circuit(circuit), 0, 0, [0], [1.0], [0.0],
-                                       0, True, expired, (0, 0, 0, 0))
-    assert finished[5] is True
-    assert finished[2] <= _kernels._CLOCK_STEPS + 4
+    with pytest.raises(QueryTimeout) as timeout:
+        _kernels._scalar_finish(pack_circuit(circuit), 0, 0, [0], [1.0], [0.0],
+                                0, True, expired, (0, 0, 0, 0))
+    assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
 
 
 def test_scalar_walk_deadline_overshoot_is_bounded():

@@ -3,6 +3,7 @@ linearity against explicit matrices, over every kind of plan op.
 """
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from pathsum import (
     CircuitError,
     QueryTimeout,
     StateVectorLimitError,
+    gen_layered_hadamard,
+    gen_layered_qft,
     gen_qft,
     make_circuit,
     statevector_amplitude,
@@ -100,7 +103,7 @@ def test_linearity_matches_explicit_matrices():
     rng = np.random.default_rng(202)
     circuits = [random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(1, 20)))
                 for _ in range(8)]
-    # Every op kind: SKIP (I, P at 0), FLIP (X), GENERAL (Y), CFLIP (CNOT,
+    # Every op kind: SKIP (I, P at 0), FLIP (X), Y, CFLIP (CNOT,
     # CCX), CPHASE (CP at pi) and H.
     circuits.append(make_circuit(3, [h(0), h(1), identity(2), x(2), y(0), cnot(1, 2),
                                      ccx(0, 2, 1), p(1, 0.0), cp(0, 1, math.pi), h(2)]))
@@ -116,6 +119,23 @@ def test_width_mismatch_rejected():
     c = make_circuit(2, [h(0)])
     with pytest.raises(CircuitError, match="width"):
         statevector_simulate(c, BasisState.zeros(3))
+
+
+def test_traced_peak_is_the_vector_and_two_half_copies():
+    # The vector is 16 B per amplitude and an op adds at most two
+    # half-vector copies, 32 B in all; 40 leaves room for small objects.
+    n = 14
+    circuits = [gen_layered_hadamard(n, 1), gen_layered_qft(n, 1),
+                make_circuit(n, [h(0), y(3), h(7), y(0), cnot(0, 7), y(13)])]
+    for c in circuits:
+        statevector_simulate(c, BasisState.zeros(n))  # pack outside the measurement
+        tracemalloc.start()
+        try:
+            statevector_simulate(c, BasisState.zeros(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**n
 
 
 def test_deadline_enforced():
