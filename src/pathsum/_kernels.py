@@ -15,6 +15,16 @@ that recursion is at most 6 calls deep, so memory stays
 O(n + h * FRONTIER_CAP).  The walk returns ``(amplitude, TraversalStats)``
 or raises ``QueryTimeout`` with the counters it reached.  ``deadline_at``
 gives both backends their deadline as a ``perf_counter`` time.
+
+With ``prune``, both walks cut a path once its Hamming distance d to
+``end`` exceeds the R gates left, and evaluate that cut only where it can
+fire.  Every op changes at most one bit, and only bits in ``plan.moves``,
+so d never exceeds D = popcount((start ^ end) | moves): no cut is possible
+before position ``len(ops) - D + 1``.  A check that leaves a path alive
+with slack R - d rules out a cut for the next (R - d) // 2 gates, since
+each gate lowers R by one and raises d by at most one; the next check
+comes right after them.  Cuts therefore fire at exactly the positions
+where a check at every gate would fire them.
 """
 from __future__ import annotations
 
@@ -77,13 +87,17 @@ class PackedCircuit:
 
     ``h`` is the number of H gates.  ``ops[i]`` is gate i as a tuple whose
     first item is one of the ``_OP_*`` codes.  ``hleft[i]`` counts the H
-    gates at positions ``>= i``.
+    gates at positions ``>= i`` and ``nexth[i]`` is the position of the
+    first of them (``len(ops)`` if none).  ``moves`` is the OR of every bit
+    an op can change.
     """
 
     num_qubits: int
     h: int
     ops: tuple
     hleft: tuple  # H gates at or after each position, one entry past the end
+    nexth: tuple  # next H at or after each position, one entry past the end
+    moves: int
 
 
 # Ops.  Every gate is classified by what it can change, so it runs only the
@@ -132,10 +146,33 @@ _GATE_OPS = {
 }
 
 
+# Where each op that changes a bit keeps that bit's mask.
+_MOVED_BIT = {_OP_H: 2, _OP_FLIP: 1, _OP_CFLIP: 2, _OP_Y: 1}
+
+
 def pack_circuit(circuit: Circuit) -> PackedCircuit:
     ops = tuple(_GATE_OPS[gate.kind](gate.qubits, gate.theta) for gate in circuit.gates)
+    length = len(ops)
     hleft = tuple(accumulate(reversed([op[0] == _OP_H for op in ops]), initial=0))[::-1]
-    return PackedCircuit(circuit.num_qubits, hleft[0], ops, hleft)
+    nexth = [length] * (length + 1)
+    moves = 0
+    for i in reversed(range(length)):
+        kind = ops[i][0]
+        nexth[i] = i if kind == _OP_H else nexth[i + 1]
+        if kind in _MOVED_BIT:
+            moves |= ops[i][_MOVED_BIT[kind]]
+    return PackedCircuit(circuit.num_qubits, hleft[0], ops, hleft, tuple(nexth), moves)
+
+
+def _first_check(plan, start, end, prune):
+    """The first position where the cut can fire: ``len(plan.ops) - D + 1``
+    with D = popcount((start ^ end) | moves), the most any path's distance
+    to ``end`` can reach.  Without ``prune`` it is ``len(plan.ops)``, where
+    no check runs."""
+    length = len(plan.ops)
+    if not prune:
+        return length
+    return max(0, length - ((start ^ end) | plan.moves).bit_count() + 1)
 
 
 # Most paths one frontier batch holds (a lone path's two children always
@@ -192,75 +229,84 @@ def _fold_batch(idx, P, levels):
     return complex(P[0, 0], P[1, 0])
 
 
-def _scalar_finish(plan, pos, depth, states, res, ims, end, prune, deadline, counters):
+def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, counters):
     """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
 
     Each path (Python int state, float phase) walks its subtree on plain
     Python scalars over ``plan.ops``, recursing once per H, with the same
     cut and the same products in the same order as the batches, and
-    ``(0j + left) + right`` at every H.  ``counters`` is the walk's
-    ``(calls, edges, prunes, max_depth)``.  Returns each path's subtree
-    value as ``(re, im)``, or None where no leaf reached ``end``, and the
-    updated counters.  The clock is read once every ``_CLOCK_STEPS`` gate
-    steps.
+    ``(0j + left) + right`` at every H.  ``check`` (at least ``pos``;
+    ``len(plan.ops)`` without pruning) is where the cut is next evaluated,
+    as in the batches: a check that keeps a path alive with slack R - d
+    moves it (R - d) // 2 + 1 gates on.
+    Between H gates, checks and clock reads, the gates run as one run and
+    are counted once.  ``counters`` is the walk's ``(calls, edges, prunes,
+    max_depth)``.  Returns each path's subtree value as ``(re, im)``, or
+    None where no leaf reached ``end``, and the updated counters.  The
+    clock is read once every ``_CLOCK_STEPS`` gate steps.
     """
     ops = plan.ops
+    nexth = plan.nexth
     length = len(ops)
     calls, edges, prunes, max_depth = counters
     countdown = _CLOCK_STEPS
 
-    def walk(pos, state, re, im, depth):
+    def walk(pos, state, re, im, depth, check):
         nonlocal calls, edges, prunes, max_depth, countdown
         while pos < length:
-            # As in the batches: no cut is possible while 63 or more gates
-            # remain.
-            if prune and length - pos < 63 and (state ^ end).bit_count() > length - pos:
-                prunes += 1
-                return None
-            countdown -= 1
+            if pos == check:
+                slack = length - pos - (state ^ end).bit_count()
+                if slack < 0:
+                    prunes += 1
+                    return None
+                check = pos + (slack >> 1) + 1
             if not countdown:
                 if time.perf_counter() > deadline:
                     raise _timeout(calls, edges, prunes, max_depth)
                 countdown = _CLOCK_STEPS
-            op = ops[pos]
-            kind = op[0]
-            if kind == _OP_CPHASE:
-                c = op[1]
-                if (state & c) == c:
-                    fr, _, fi = op[2]
-                    re, im = re * fr - im * fi, re * fi + im * fr
-            elif kind == _OP_CFLIP:
-                c = op[1]
-                if (state & c) == c:
-                    state ^= op[2]
-            elif kind == _OP_FLIP:
-                state ^= op[1]
-            elif kind == _OP_H:
-                bit = op[2]
+            if nexth[pos] == pos:
+                bit = ops[pos][2]
+                countdown -= 1
                 calls += 2
                 edges += 2
                 depth += 1
                 if depth > max_depth:
                     max_depth = depth
-                low = walk(pos + 1, state & ~bit, re * INV_SQRT2, im * INV_SQRT2, depth)
+                low = walk(pos + 1, state & ~bit, re * INV_SQRT2, im * INV_SQRT2, depth, check)
                 sign = -INV_SQRT2 if state & bit else INV_SQRT2
-                high = walk(pos + 1, state | bit, re * sign, im * sign, depth)
+                high = walk(pos + 1, state | bit, re * sign, im * sign, depth, check)
                 # (0j + low) + high; a missing child is +0, which adds nothing.
                 if low is None:
                     return None if high is None else (0.0 + high[0], 0.0 + high[1])
                 if high is None:
                     return 0.0 + low[0], 0.0 + low[1]
                 return (0.0 + low[0]) + high[0], (0.0 + low[1]) + high[1]
-            elif kind == _OP_Y:
-                _, bit, f1, f0 = op
-                fr, _, fi = f1 if state & bit else f0
-                state ^= bit
-                re, im = re * fr - im * fi, re * fi + im * fr
-            edges += 1
-            pos += 1
+            # The run up to the next H, check or clock read: no H in it.
+            stop = min(nexth[pos], check, pos + countdown)
+            for op in ops[pos:stop]:
+                kind = op[0]
+                if kind == _OP_CPHASE:
+                    c = op[1]
+                    if (state & c) == c:
+                        fr, _, fi = op[2]
+                        re, im = re * fr - im * fi, re * fi + im * fr
+                elif kind == _OP_CFLIP:
+                    c = op[1]
+                    if (state & c) == c:
+                        state ^= op[2]
+                elif kind == _OP_FLIP:
+                    state ^= op[1]
+                elif kind == _OP_Y:
+                    _, bit, f1, f0 = op
+                    fr, _, fi = f1 if state & bit else f0
+                    state ^= bit
+                    re, im = re * fr - im * fi, re * fi + im * fr
+            edges += stop - pos
+            countdown -= stop - pos
+            pos = stop
         return (re, im) if state == end else None
 
-    values = [walk(pos, state, re, im, depth) for state, re, im in zip(states, res, ims)]
+    values = [walk(pos, state, re, im, depth, check) for state, re, im in zip(states, res, ims)]
     return values, (calls, edges, prunes, max_depth)
 
 
@@ -282,8 +328,11 @@ def traverse(plan, start, end, prune, deadline):
     up holding the amplitude.
 
     With ``prune``, a path is cut once the Hamming distance to ``end``
-    exceeds the gates left.  Past ``deadline`` (a ``perf_counter`` time)
-    it raises QueryTimeout with the counters reached.
+    exceeds the gates left.  Each batch carries the position of its next
+    check: the first is ``_first_check``'s, and a check moves it on by the
+    batch's smallest slack R - d halved, plus one (see the module
+    docstring).  Past ``deadline`` (a ``perf_counter`` time) it raises
+    QueryTimeout with the counters reached.
     """
     cap = FRONTIER_CAP
     limit = SCALAR_LEAVES
@@ -295,30 +344,32 @@ def traverse(plan, start, end, prune, deadline):
     prunes = 0
     max_depth = 0
     amp = [0j] * (plan.h + 1)
-    # A batch: (gate position, depth, root depth, states, phases, branch
-    # bits below the root).
+    # A batch: (gate position, depth, root depth, next check position,
+    # states, phases, branch bits below the root).
     batch = (
-        0, 0, 0,
+        0, 0, 0, _first_check(plan, start, end, prune),
         np.array([start], dtype=np.int64),
         np.array([[1.0], [0.0]]),
         np.zeros(1, dtype=np.int64),
     )
     pending = []
     while True:
-        pos, depth, root, state, P, idx = batch
+        pos, depth, root, check, state, P, idx = batch
         while pos < length and state.size:
             if time.perf_counter() > deadline:
                 raise _timeout(calls, edges, prunes, max_depth)
-            # States have at most 62 bits set, so no cut is possible while
-            # 63 or more gates remain.
-            if prune and length - pos < 63:
-                alive = np.bitwise_count(state ^ end) <= length - pos
-                cut = state.size - int(np.count_nonzero(alive))
-                if cut:
-                    prunes += cut
+            if pos == check:
+                left = length - pos
+                dist = np.bitwise_count(state ^ end)
+                far = int(dist.max())
+                if far > left:
+                    alive = dist <= left
+                    prunes += state.size - int(np.count_nonzero(alive))
                     state, P, idx = state[alive], P[:, alive], idx[alive]
                     if not state.size:
                         break
+                    far = int(dist[alive].max())
+                check = pos + ((left - far) >> 1) + 1
             # Few enough leaves left below this batch: finish it on scalars.
             if state.size << hleft[pos] <= limit:
                 break
@@ -344,7 +395,8 @@ def traverse(plan, start, end, prune, deadline):
                     if k == 0:
                         idx = idx - half
                     elif k < state.size:
-                        pending.append((pos, depth, root, state[k:], P[:, k:], idx[k:] - half))
+                        pending.append((pos, depth, root, check,
+                                        state[k:], P[:, k:], idx[k:] - half))
                         state, P, idx = state[:k], P[:, :k], idx[:k]
                 size = state.size
                 P = np.repeat(P * INV_SQRT2, 2, axis=1)
@@ -373,8 +425,8 @@ def traverse(plan, start, end, prune, deadline):
             value = _fold_batch(idx[hit], P[:, hit], depth - root)
         elif state.size:
             values, (calls, edges, prunes, max_depth) = _scalar_finish(
-                plan, pos, depth, state.tolist(), P[0].tolist(), P[1].tolist(),
-                end, prune, deadline, (calls, edges, prunes, max_depth))
+                plan, pos, depth, check, state.tolist(), P[0].tolist(), P[1].tolist(),
+                end, deadline, (calls, edges, prunes, max_depth))
             hit = [i for i, v in enumerate(values) if v is not None]
             value = _fold_batch(idx[hit], np.array([values[i] for i in hit]).T, depth - root)
         # Add the root's value to its parent, closing every parent whose

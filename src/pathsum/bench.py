@@ -148,8 +148,10 @@ def _run_one(circuit, method: str, cap_s: float, prune: bool) -> BenchRecord:
     began = time.perf_counter()
     try:
         amplitude, calls, prune_count = _query(circuit, query, method, cap_s, prune)
-    except QueryTimeout:
+    except QueryTimeout as exc:
         timed_out = True
+        if exc.stats is not None:  # the path walk's counters when it stopped
+            calls, prune_count = exc.stats.recursion_calls, exc.stats.prunes
     except Exception as exc:  # recorded, not raised: sweeps must finish
         note = f"error: {exc}"
     wall = time.perf_counter() - began

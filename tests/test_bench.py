@@ -153,6 +153,15 @@ def test_timeout_becomes_a_row_not_an_error(tmp_path):
     assert lines[1] == f"14 {TIMEOUT_SENTINEL:g}"
 
 
+def test_timed_out_path_walk_keeps_its_counters():
+    # The deadline has passed before the walk's first look at the clock.
+    plan = _small_plan(methods=("pathsum", "statevector"), trials=1, time_cap_s=1e-9)
+    pathsum_row, statevector_row = run_benchmark(plan)
+    assert pathsum_row.timed_out and pathsum_row.amplitude is None
+    assert type(pathsum_row.recursion_calls) is int and type(pathsum_row.prunes) is int
+    assert statevector_row.recursion_calls is None and statevector_row.prunes is None
+
+
 def test_too_wide_statevector_runs_are_skipped(tmp_path):
     plan = _small_plan(n_min=30, n_max=30, methods=("statevector",), trials=2)
     records = run_benchmark(plan)

@@ -72,8 +72,30 @@ def _random_path_query(rng, circuit):
     return AmplitudeQuery(start, state)
 
 
+def _check_inputs(rng):
+    """Inputs whose cuts fire only after the stretches the walk skips.
+
+    The first check sits at ``len(ops) - D + 1`` (see ``_kernels``).  In
+    the hand-made circuit D = 3, so it sits at x(1), 2 gates from the end:
+    the low path is at distance 2 there (kept, d == R) and the high path at
+    distance 3 (cut, d == R + 1).  The random circuits are 6 qubits wide
+    and 80-150 gates long, with few H gates: checks start at most 5 gates
+    from the end and move on by half the slack, and most random end states
+    are cut there.
+    """
+    circuit = make_circuit(3, [h(0)] + [t(0)] * 70 + [x(1), x(2)])
+    yield circuit, AmplitudeQuery(BasisState(0, 3), BasisState(0b110, 3))
+    for _ in range(4):
+        circuit = _stream_circuit(rng, n=6, hs=int(rng.integers(2, 6)),
+                                  others=int(rng.integers(80, 151)))
+        yield circuit, random_query(rng, 6)
+        yield circuit, random_query(rng, 6)
+        yield circuit, _random_path_query(rng, circuit)
+
+
 def _twin_inputs():
     rng = np.random.default_rng(20240811)
+    yield from _check_inputs(rng)
     for _ in range(25):
         n = int(rng.integers(1, 7))
         yield random_circuit(rng, n, int(rng.integers(1, 15))), random_query(rng, n)
@@ -134,10 +156,11 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
     # Tiny caps split at nearly every H, so almost every value crosses
     # batches through the parents' accumulators.
     rng = np.random.default_rng(515)
+    inputs = []
     for _ in range(60):
         n = int(rng.integers(1, 7))
-        circuit = random_circuit(rng, n, int(rng.integers(1, 18)))
-        query = random_query(rng, n)
+        inputs.append((random_circuit(rng, n, int(rng.integers(1, 18))), random_query(rng, n)))
+    for circuit, query in inputs + list(_check_inputs(rng)):
         for prune in (False, True):
             expected = reference_walk(circuit, query, prune)
             for cap in (1, 2, 4):
@@ -194,10 +217,11 @@ def test_frontier_deadline_is_checked():
     query = AmplitudeQuery(BasisState.zeros(3), BasisState.zeros(3))
     with pytest.raises(QueryTimeout):
         _drive(circuit, query, True, deadline=expired)
-    # The scalar walk itself reads the clock once per _CLOCK_STEPS steps.
+    # The scalar walk itself reads the clock once per _CLOCK_STEPS steps;
+    # here it evaluates the cut from gate 0 on.
     with pytest.raises(QueryTimeout) as timeout:
-        _kernels._scalar_finish(pack_circuit(circuit), 0, 0, [0], [1.0], [0.0],
-                                0, True, expired, (0, 0, 0, 0))
+        _kernels._scalar_finish(pack_circuit(circuit), 0, 0, 0, [0], [1.0], [0.0],
+                                0, expired, (0, 0, 0, 0))
     assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
 
 
@@ -216,14 +240,31 @@ def test_scalar_walk_deadline_overshoot_is_bounded():
 
 def test_packed_rows_mark_only_h_gates():
     # Every op, replayed on a bare bitmask, does what the reference
-    # semantics say; only H gates become H ops, and ``hleft`` counts them.
+    # semantics say and changes only bits in ``moves``; only H gates become
+    # H ops, ``hleft`` counts them and ``nexth`` finds the next one.
     rng = np.random.default_rng(3)
     for _ in range(10):
         circuit = random_circuit(rng, 5, 12)
         plan = pack_circuit(circuit)
+        length = len(circuit.gates)
         for i, gate in enumerate(circuit.gates):
             assert (plan.ops[i][0] == _kernels._OP_H) == gate.kind.is_branching
             assert plan.hleft[i] == sum(g.kind.is_branching for g in circuit.gates[i:])
+            assert plan.nexth[i] == next(
+                (k for k in range(i, length) if circuit.gates[k].kind.is_branching), length)
             for bits in range(32):
                 assert replay_op(plan.ops[i], bits) == successors(gate, BasisState(bits, 5))
+                for after, _ in replay_op(plan.ops[i], bits):
+                    assert (after ^ bits) & ~plan.moves == 0
         assert plan.hleft[-1] == 0 and plan.h == plan.hleft[0]
+        assert plan.nexth[-1] == length
+        # No reachable state is further from ``end`` than the bound D that
+        # places the first check.
+        for start in range(32):
+            for end in range(32):
+                bound = ((start ^ end) | plan.moves).bit_count()
+                states = {start}
+                for op in plan.ops:
+                    assert max((s ^ end).bit_count() for s in states) <= bound
+                    states = {after for s in states for after, _ in replay_op(op, s)}
+                assert max((s ^ end).bit_count() for s in states) <= bound
