@@ -11,12 +11,12 @@ JSON file.  From the root of a checkout:
 
     python3 benchmarks/record.py [--seed 1] [--seconds 35] [--label L]
 
-The label defaults to the checkout's short commit, marked ``-dirty`` when
+The file goes to the root of the checkout this script is in.  The label
+defaults to the benchmarked checkout's short commit, marked ``-dirty`` when
 ``src/``, ``perfbench/`` or ``BENCHMARK.json`` differ from it.  ``--root
-DIR`` records another checkout, such as a parent commit's, whose benchmark
-and source are then the ones that run; ``--out FILE`` puts the file
-elsewhere than that checkout's root.  The exit code is 1 if any run failed,
-after the file is written.
+DIR`` benchmarks another checkout, such as a clone at the parent commit,
+whose benchmark and source are then the ones that run.  The exit code is 1
+if any run failed, after the file is written.
 """
 from __future__ import annotations
 
@@ -53,7 +53,10 @@ def record_run(root: Path, workload: str, seed: int, seconds: float, trace: int)
     argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    # Paths inside the checkout are written relative to its root, so files
+    # recorded from different checkouts compare line by line.
+    lines = [line.replace(f"{root}{os.sep}", "") for line in proc.stdout.splitlines()
+             if line.startswith("{")]
     run = {"workload": workload, "trace": trace, "argv": argv, "exit_code": proc.returncode}
     if proc.returncode in (0, 1) and len(lines) == 2:
         run["report"], run["result"] = (json.loads(line) for line in lines)
@@ -69,13 +72,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=None,
                         help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--out", type=Path, help="output file (default: ROOT/BENCH_<label>.json)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     label = args.label or short_commit(root)
-    out = args.out or root / f"BENCH_{label}.json"
+    out = ROOT / f"BENCH_{label}.json"
     runs = []
     for workload in spec["workloads"]:
         for trace in (0, 1):
