@@ -3,13 +3,14 @@
 
 For every workload ``BENCHMARK.json`` lists, this runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 35 --trace T
+    python3 perfbench/run.py --workload W --seed S --seconds R --trace T
 
-with T = 0 (the end-to-end metrics) and T = 1 (the per-layer ones), one
-run at a time, and writes each run's report line and result line to one
+with R the ``run_seconds`` of ``BENCHMARK.json``, so every file's runs
+are as long as the benchmark's, and T = 0 (the end-to-end metrics) and
+T = 1 (the per-layer ones), one run at a time, and writes each run's report line and result line to one
 JSON file.  From the root of a checkout:
 
-    python3 benchmarks/record.py [--seed 1] [--seconds 35] [--label L]
+    python3 benchmarks/record.py [--seed 1] [--label L]
 
 The file goes to the root of the checkout this script is in.  The label
 defaults to the benchmarked checkout's short commit, marked ``-dirty`` when
@@ -70,12 +71,10 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--label", help="file label (default: the short commit)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     label = args.label or short_commit(root)
     out = ROOT / f"BENCH_{label}.json"
     runs = []

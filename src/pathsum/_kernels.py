@@ -20,11 +20,12 @@ With ``prune``, both walks cut a path once its Hamming distance d to
 ``end`` exceeds the R gates left, and evaluate that cut only where it can
 fire.  Every op changes at most one bit, and only bits in ``plan.moves``,
 so d never exceeds D = popcount((start ^ end) | moves): no cut is possible
-before position ``len(ops) - D + 1``.  A check that leaves a path alive
-with slack R - d rules out a cut for the next (R - d) // 2 gates, since
-each gate lowers R by one and raises d by at most one; the next check
-comes right after them.  Cuts therefore fire at exactly the positions
-where a check at every gate would fire them.
+before position ``len(ops) - D + 1``, where the frontier starts checking
+at every gate.  The scalar walk also skips ahead: a check that leaves a
+path alive with slack R - d rules out a cut for the next (R - d) // 2
+gates, since each gate lowers R by one and raises d by at most one, so
+its next check comes right after them.  Cuts therefore fire at exactly
+the positions where a check at every gate would fire them.
 """
 from __future__ import annotations
 
@@ -236,9 +237,9 @@ def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, cou
     Python scalars over ``plan.ops``, recursing once per H, with the same
     cut and the same products in the same order as the batches, and
     ``(0j + left) + right`` at every H.  ``check`` (at least ``pos``;
-    ``len(plan.ops)`` without pruning) is where the cut is next evaluated,
-    as in the batches: a check that keeps a path alive with slack R - d
-    moves it (R - d) // 2 + 1 gates on.
+    ``len(plan.ops)`` without pruning) is where the cut is first
+    evaluated; a check that keeps a path alive with slack R - d moves the
+    next one (R - d) // 2 + 1 gates on.
     Between H gates, checks and clock reads, the gates run as one run and
     are counted once.  ``counters`` is the walk's ``(calls, edges, prunes,
     max_depth)``.  Returns each path's subtree value as ``(re, im)``, or
@@ -328,11 +329,10 @@ def traverse(plan, start, end, prune, deadline):
     up holding the amplitude.
 
     With ``prune``, a path is cut once the Hamming distance to ``end``
-    exceeds the gates left.  Each batch carries the position of its next
-    check: the first is ``_first_check``'s, and a check moves it on by the
-    batch's smallest slack R - d halved, plus one (see the module
-    docstring).  Past ``deadline`` (a ``perf_counter`` time) it raises
-    QueryTimeout with the counters reached.
+    exceeds the gates left, checked at every gate from ``_first_check``'s
+    position on (see the module docstring).  Past ``deadline`` (a
+    ``perf_counter`` time) it raises QueryTimeout with the counters
+    reached.
     """
     cap = FRONTIER_CAP
     limit = SCALAR_LEAVES
@@ -344,32 +344,30 @@ def traverse(plan, start, end, prune, deadline):
     prunes = 0
     max_depth = 0
     amp = [0j] * (plan.h + 1)
-    # A batch: (gate position, depth, root depth, next check position,
-    # states, phases, branch bits below the root).
+    first = _first_check(plan, start, end, prune)
+    # A batch: (gate position, depth, root depth, states, phases, branch
+    # bits below the root).
     batch = (
-        0, 0, 0, _first_check(plan, start, end, prune),
+        0, 0, 0,
         np.array([start], dtype=np.int64),
         np.array([[1.0], [0.0]]),
         np.zeros(1, dtype=np.int64),
     )
     pending = []
     while True:
-        pos, depth, root, check, state, P, idx = batch
+        pos, depth, root, state, P, idx = batch
         while pos < length and state.size:
             if time.perf_counter() > deadline:
                 raise _timeout(calls, edges, prunes, max_depth)
-            if pos == check:
+            if pos >= first:
                 left = length - pos
                 dist = np.bitwise_count(state ^ end)
-                far = int(dist.max())
-                if far > left:
+                if int(dist.max()) > left:
                     alive = dist <= left
                     prunes += state.size - int(np.count_nonzero(alive))
                     state, P, idx = state[alive], P[:, alive], idx[alive]
                     if not state.size:
                         break
-                    far = int(dist[alive].max())
-                check = pos + ((left - far) >> 1) + 1
             # Few enough leaves left below this batch: finish it on scalars.
             if state.size << hleft[pos] <= limit:
                 break
@@ -395,7 +393,7 @@ def traverse(plan, start, end, prune, deadline):
                     if k == 0:
                         idx = idx - half
                     elif k < state.size:
-                        pending.append((pos, depth, root, check,
+                        pending.append((pos, depth, root,
                                         state[k:], P[:, k:], idx[k:] - half))
                         state, P, idx = state[:k], P[:, :k], idx[:k]
                 size = state.size
@@ -425,7 +423,7 @@ def traverse(plan, start, end, prune, deadline):
             value = _fold_batch(idx[hit], P[:, hit], depth - root)
         elif state.size:
             values, (calls, edges, prunes, max_depth) = _scalar_finish(
-                plan, pos, depth, check, state.tolist(), P[0].tolist(), P[1].tolist(),
+                plan, pos, depth, max(pos, first), state.tolist(), P[0].tolist(), P[1].tolist(),
                 end, deadline, (calls, edges, prunes, max_depth))
             hit = [i for i, v in enumerate(values) if v is not None]
             value = _fold_batch(idx[hit], np.array([values[i] for i in hit]).T, depth - root)

@@ -80,8 +80,8 @@ def _check_inputs(rng):
     the low path is at distance 2 there (kept, d == R) and the high path at
     distance 3 (cut, d == R + 1).  The random circuits are 6 qubits wide
     and 80-150 gates long, with few H gates: checks start at most 5 gates
-    from the end and move on by half the slack, and most random end states
-    are cut there.
+    from the end, the scalar walk moves them on by half the slack, and
+    most random end states are cut there.
     """
     circuit = make_circuit(3, [h(0)] + [t(0)] * 70 + [x(1), x(2)])
     yield circuit, AmplitudeQuery(BasisState(0, 3), BasisState(0b110, 3))
@@ -95,7 +95,6 @@ def _check_inputs(rng):
 
 def _twin_inputs():
     rng = np.random.default_rng(20240811)
-    yield from _check_inputs(rng)
     for _ in range(25):
         n = int(rng.integers(1, 7))
         yield random_circuit(rng, n, int(rng.integers(1, 15))), random_query(rng, n)
@@ -109,6 +108,7 @@ def _twin_inputs():
     circuit = _stream_circuit(rng)
     yield circuit, random_query(rng, circuit.num_qubits)
     yield circuit, _random_path_query(rng, circuit)
+    yield from _check_inputs(rng)
 
 
 def test_traversal_twins_agree_bitwise(monkeypatch):
