@@ -28,19 +28,15 @@ from .engine import (
 )
 from .gates import (
     Branch,
-    GateClass,
     apply_nonbranching,
     branch_gate,
-    classify_gate,
     phase_factor,
 )
 from .generators import (
-    HspLayout,
     gen_hsp_standard,
     gen_layered_hadamard,
     gen_layered_qft,
     gen_qft,
-    hsp_layout,
 )
 from .statevector import (
     MAX_STATEVECTOR_QUBITS,
@@ -79,23 +75,19 @@ __all__ = [
     "CircuitParseError",
     "EngineOptions",
     "Gate",
-    "GateClass",
     "GateKind",
-    "HspLayout",
     "QueryTimeout",
     "StateVector",
     "StateVectorLimitError",
     "TraversalStats",
     "apply_nonbranching",
     "branch_gate",
-    "classify_gate",
     "end_state_reachable",
     "format_basis_state",
     "gen_hsp_standard",
     "gen_layered_hadamard",
     "gen_layered_qft",
     "gen_qft",
-    "hsp_layout",
     "invert_circuit",
     "invert_gate",
     "make_circuit",

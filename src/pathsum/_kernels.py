@@ -86,15 +86,13 @@ def _timeout(calls, edges, prunes, max_depth):
 class PackedCircuit:
     """A circuit compiled for the kernels: one op per gate.
 
-    ``h`` is the number of H gates.  ``ops[i]`` is gate i as a tuple whose
-    first item is one of the ``_OP_*`` codes.  ``hleft[i]`` counts the H
-    gates at positions ``>= i`` and ``nexth[i]`` is the position of the
-    first of them (``len(ops)`` if none).  ``moves`` is the OR of every bit
-    an op can change.
+    ``ops[i]`` is gate i as a tuple whose first item is one of the ``_OP_*``
+    codes.  ``hleft[i]`` counts the H gates at positions ``>= i``, so
+    ``hleft[0]`` is the circuit's H count, and ``nexth[i]`` is the position
+    of the first of them (``len(ops)`` if none).  ``moves`` is the OR of
+    every bit an op can change.
     """
 
-    num_qubits: int
-    h: int
     ops: tuple
     hleft: tuple  # H gates at or after each position, one entry past the end
     nexth: tuple  # next H at or after each position, one entry past the end
@@ -162,7 +160,7 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
         nexth[i] = i if kind == _OP_H else nexth[i + 1]
         if kind in _MOVED_BIT:
             moves |= ops[i][_MOVED_BIT[kind]]
-    return PackedCircuit(circuit.num_qubits, hleft[0], ops, hleft, tuple(nexth), moves)
+    return PackedCircuit(ops, hleft, tuple(nexth), moves)
 
 
 def _first_check(plan, start, end, prune):
@@ -323,7 +321,8 @@ def traverse(plan, start, end, prune, deadline):
     split at its root: the later half waits on a stack and the walk goes on
     with the earlier one.  Once the batch's live paths times 2**(H gates
     left) is at most SCALAR_LEAVES, each path is finished by
-    ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES) calls deep.  A
+    ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES) calls deep; a
+    tree that narrow from the root goes to it whole, with no batch.  A
     finished batch is folded to its root's value, which is added into
     ``amp[depth - 1]``, the accumulator of the root's parent; slot 0 ends
     up holding the amplitude.
@@ -339,12 +338,17 @@ def traverse(plan, start, end, prune, deadline):
     ops = plan.ops
     hleft = plan.hleft
     length = len(ops)
+    first = _first_check(plan, start, end, prune)
+    if 1 << hleft[0] <= limit:
+        # The whole tree is narrow: the scalar walk takes it from the root.
+        (value,), counters = _scalar_finish(plan, 0, 0, first, [start], [1.0], [0.0],
+                                            end, deadline, (0, 0, 0, 0))
+        return 0j if value is None else complex(*value), TraversalStats(*counters)
     calls = 0
     edges = 0
     prunes = 0
     max_depth = 0
-    amp = [0j] * (plan.h + 1)
-    first = _first_check(plan, start, end, prune)
+    amp = [0j] * (hleft[0] + 1)
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
     batch = (

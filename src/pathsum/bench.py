@@ -22,15 +22,8 @@ import numpy as np
 from . import _kernels
 from .circuit import AmplitudeQuery, BasisState, CircuitError
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
-from .generators import gen_hsp_standard, gen_layered_hadamard, gen_layered_qft
-from .statevector import MAX_STATEVECTOR_QUBITS, statevector_amplitude
-
-# family name -> (generator, smallest supported n)
-FAMILIES = {
-    "h-layer": (gen_layered_hadamard, 3),
-    "qft-layer": (gen_layered_qft, 3),
-    "hsp": (gen_hsp_standard, 5),
-}
+from .generators import FAMILIES
+from .statevector import StateVectorLimitError, statevector_amplitude
 
 METHODS = ("pathsum", "statevector")
 
@@ -122,23 +115,25 @@ class BenchRecord:
         return not self.note
 
 
-def _query(circuit, query, method: str, cap_s: float, prune: bool):
+def _query(plan: BenchPlan, circuit, query, method: str):
     """One query: (amplitude, recursion calls, prunes); None counters for the state vector."""
     if method == "pathsum":
-        options = EngineOptions(prune=prune, deadline_s=cap_s)
+        options = EngineOptions(prune=plan.prune, deadline_s=plan.time_cap_s)
         amplitude, stats = path_sum_amplitude(circuit, query, options)
         return amplitude, stats.recursion_calls, stats.prunes
-    return statevector_amplitude(circuit, query, deadline_s=cap_s), None, None
+    return statevector_amplitude(circuit, query, deadline_s=plan.time_cap_s), None, None
 
 
-def _run_one(circuit, method: str, cap_s: float, prune: bool) -> BenchRecord:
-    """Time a single all-zeros query; the returned record lacks identity fields.
+def _run_one(plan: BenchPlan, circuit, family: str, n: int, seed: int,
+             method: str, trial: int) -> BenchRecord:
+    """Time a single all-zeros query.
 
     The query is timed untraced; a finished query then runs once more
-    under tracemalloc for its peak memory.
+    under tracemalloc for its peak memory.  A circuit wider than the
+    state vector's cap is recorded as skipped, with no time and no peak,
+    once per trial so the CSV keeps its regular shape.
     """
-    width = circuit.num_qubits
-    query = AmplitudeQuery(BasisState.zeros(width), BasisState.zeros(width))
+    query = AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
     amplitude = None
     calls = None
     prune_count = None
@@ -147,38 +142,29 @@ def _run_one(circuit, method: str, cap_s: float, prune: bool) -> BenchRecord:
     peak = 0
     began = time.perf_counter()
     try:
-        amplitude, calls, prune_count = _query(circuit, query, method, cap_s, prune)
+        amplitude, calls, prune_count = _query(plan, circuit, query, method)
     except QueryTimeout as exc:
         timed_out = True
         if exc.stats is not None:  # the path walk's counters when it stopped
             calls, prune_count = exc.stats.recursion_calls, exc.stats.prunes
+    except StateVectorLimitError as exc:  # refused before allocating: nothing ran
+        note = f"skipped: {exc}"
+        began = None
     except Exception as exc:  # recorded, not raised: sweeps must finish
         note = f"error: {exc}"
-    wall = time.perf_counter() - began
+    wall = 0.0 if began is None else time.perf_counter() - began
     if not (timed_out or note):
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            _query(circuit, query, method, cap_s, prune)
+            _query(plan, circuit, query, method)
         except QueryTimeout:  # tracing slowed it past the cap; the peak so far stands
             pass
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-    return BenchRecord(
-        family="",
-        n=0,
-        seed=0,
-        method=method,
-        trial=0,
-        wall_time_s=wall,
-        peak_mem_bytes=peak,
-        amplitude=amplitude,
-        recursion_calls=calls,
-        prunes=prune_count,
-        timed_out=timed_out,
-        note=note,
-    )
+    return BenchRecord(family, n, seed, method, trial, wall, peak, amplitude, calls,
+                       prune_count, timed_out, note)
 
 
 def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
@@ -191,25 +177,7 @@ def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
                 circuit = generate(n, seed)
                 for method in plan.methods:
                     for trial in range(1, plan.trials + 1):
-                        if method == "statevector" and n > MAX_STATEVECTOR_QUBITS:
-                            # Do not attempt a 2**n allocation; record why once
-                            # per trial so the CSV keeps its regular shape.
-                            record = BenchRecord(
-                                family, n, seed, method, trial,
-                                wall_time_s=0.0,
-                                peak_mem_bytes=0,
-                                amplitude=None,
-                                recursion_calls=None,
-                                prunes=None,
-                                timed_out=False,
-                                note=f"skipped: wider than {MAX_STATEVECTOR_QUBITS} qubits",
-                            )
-                        else:
-                            record = _run_one(circuit, method, plan.time_cap_s, plan.prune)
-                            record.family = family
-                            record.n = n
-                            record.seed = seed
-                            record.trial = trial
+                        record = _run_one(plan, circuit, family, n, seed, method, trial)
                         records.append(record)
                         if progress is not None:
                             progress(record)

@@ -9,9 +9,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import FAMILIES, BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
+from .bench import BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
 from .circuit import AmplitudeQuery, BasisState, CircuitError
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
+from .generators import FAMILIES
 from .statevector import StateVectorLimitError, statevector_amplitude
 from .textio import parse_basis_state, parse_circuit, serialize_circuit
 

@@ -4,17 +4,10 @@ Computes one transition amplitude <end| C |start> by a walk over the tree
 of basis states the circuit can reach.  Non-branching gates extend the
 current path in place; each H opens two subtrees.  Each circuit is compiled
 once, on its first query, into the kernels' packed plan, which is kept on
-the immutable instance; every later query of that circuit reuses it.  The
-walk (``_kernels.traverse``) runs batches of at most
-``_kernels.FRONTIER_CAP`` paths with one batch pending per branching level,
-so O(n + h * cap) memory for an n-qubit circuit with h branching gates,
-independent of 2**n, however long the circuit and however many paths it
-visits.  A batch with at most ``_kernels.SCALAR_LEAVES`` = 64 leaves left
-below it is finished path by path on Python scalars, the measured point
-below which numpy's cost per call outweighs batching; that walk recurses
-at most 6 levels, so the memory bound is unchanged.  Either way the paths'
-values are added in depth-first tree order.  ``TraversalStats`` and
-``QueryTimeout`` come from ``_kernels`` and are re-exported here.
+the immutable instance; every later query of that circuit reuses it.  How
+the walk runs, and why its memory is independent of 2**n, is in
+``_kernels``.  ``TraversalStats`` and ``QueryTimeout`` come from
+``_kernels`` and are re-exported here.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Gate semantics on basis states: classification, phase factors, branching.
+"""Gate semantics on basis states: phase factors and branching.
 
 This module is the readable reference for what each gate does to one basis
 state.  The kernels encode the same actions as one op per gate, from their
@@ -9,22 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .circuit import BasisState, CircuitError, Gate, GateKind
 
 # Correctly rounded sqrt(0.5); shared by every backend so that identical
 # queries produce bit-identical floats regardless of backend.
 INV_SQRT2 = math.sqrt(0.5)
-
-
-class GateClass(Enum):
-    BRANCHING = "branching"
-    NON_BRANCHING = "non-branching"
-
-
-def classify_gate(kind: GateKind) -> GateClass:
-    return GateClass.BRANCHING if kind.is_branching else GateClass.NON_BRANCHING
 
 
 def phase_factor(theta: float) -> complex:

@@ -3,12 +3,12 @@
 All randomness comes from SplitMix64, so a (family, n, seed) triple denotes
 the same circuit everywhere and forever.  Every family is sandwich-shaped:
 a branching block, a middle layer of random Toffolis, and a second branching
-block; only the branching blocks differ between families.
+block; only the branching blocks differ between families.  ``FAMILIES``
+registers each family under its name with the smallest n it supports.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._rng import SplitMix64
 from .circuit import Circuit, CircuitError, Gate, ccx, cp, h, make_circuit
@@ -42,10 +42,16 @@ def _random_toffolis(rng: SplitMix64, n: int, count: int) -> list[Gate]:
     return gates
 
 
+def _check_size(family: str, n: int):
+    """Refuse an ``n`` below the family's smallest in ``FAMILIES``."""
+    smallest = FAMILIES[family][1]
+    if n < smallest:
+        raise CircuitError(f"{family} circuits need n >= {smallest}, got {n}")
+
+
 def gen_layered_hadamard(n: int, seed: int) -> Circuit:
     """H on every qubit, n random Toffolis, H on every qubit again."""
-    if n < 3:
-        raise CircuitError(f"layered-Hadamard circuits need n >= 3, got {n}")
+    _check_size("h-layer", n)
     rng = SplitMix64(seed)
     gates = [h(q) for q in range(n)]
     gates.extend(_random_toffolis(rng, n, n))
@@ -55,8 +61,7 @@ def gen_layered_hadamard(n: int, seed: int) -> Circuit:
 
 def gen_layered_qft(n: int, seed: int) -> Circuit:
     """QFT on every qubit, n random Toffolis, QFT on every qubit again."""
-    if n < 3:
-        raise CircuitError(f"layered-QFT circuits need n >= 3, got {n}")
+    _check_size("qft-layer", n)
     rng = SplitMix64(seed)
     gates = gen_qft(range(n))
     gates.extend(_random_toffolis(rng, n, n))
@@ -64,36 +69,21 @@ def gen_layered_qft(n: int, seed: int) -> Circuit:
     return make_circuit(n, gates)
 
 
-@dataclass(frozen=True)
-class HspLayout:
-    """Register split for the hidden-subgroup-style family."""
+def gen_hsp_standard(n: int, seed: int, a_size: int | None = None) -> Circuit:
+    """H on the a register, n Toffolis from a into b, then QFT on a.
 
-    a_qubits: range
-    b_qubits: range
-
-
-def hsp_layout(n: int, a_size: int | None = None) -> HspLayout:
-    """First ``a_size`` qubits (default floor(2n/3)) form the a register."""
+    The first ``a_size`` qubits (default floor(2n/3)) form the a register
+    and the rest the b register.  Each Toffoli draws two distinct controls
+    from a and a target from b; repeats across Toffolis are allowed.
+    """
+    _check_size("hsp", n)
     if a_size is None:
         a_size = (2 * n) // 3
     if a_size < 2 or a_size > n - 1:
         raise CircuitError(
             f"hsp a-register size must be in [2, {n - 1}] for n={n}, got {a_size}"
         )
-    return HspLayout(range(a_size), range(a_size, n))
-
-
-def gen_hsp_standard(n: int, seed: int, a_size: int | None = None) -> Circuit:
-    """H on the a register, n Toffolis from a into b, then QFT on a.
-
-    Each Toffoli draws two distinct controls from a and a target from b;
-    repeats across Toffolis are allowed.
-    """
-    if n < 5:
-        raise CircuitError(f"hsp circuits need n >= 5, got {n}")
-    layout = hsp_layout(n, a_size)
-    a = layout.a_qubits
-    b = layout.b_qubits
+    a, b = range(a_size), range(a_size, n)
     rng = SplitMix64(seed)
     gates = [h(q) for q in a]
     for _ in range(n):
@@ -102,3 +92,11 @@ def gen_hsp_standard(n: int, seed: int, a_size: int | None = None) -> Circuit:
         gates.append(ccx(a[c1], a[c2], b[target]))
     gates.extend(gen_qft(a))
     return make_circuit(n, gates)
+
+
+# family name -> (generator, smallest supported n)
+FAMILIES = {
+    "h-layer": (gen_layered_hadamard, 3),
+    "qft-layer": (gen_layered_qft, 3),
+    "hsp": (gen_hsp_standard, 5),
+}

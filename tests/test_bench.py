@@ -170,6 +170,7 @@ def test_too_wide_statevector_runs_are_skipped(tmp_path):
         assert not r.ran
         assert "skipped" in r.note and "26" in r.note
         assert r.amplitude is None and not r.timed_out
+        assert r.wall_time_s == 0.0 and r.peak_mem_bytes == 0
     assert write_plot_data(records, tmp_path / "plots") == []  # nothing to plot
 
 

@@ -284,6 +284,14 @@ def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
     assert module.Tracer().missing == []
 
 
+def test_package_exports_resolve():
+    # Every name in pathsum.__all__ is exported once and exists, so no name
+    # outlives the code it named.
+    import pathsum
+    assert len(pathsum.__all__) == len(set(pathsum.__all__))
+    assert [name for name in pathsum.__all__ if not hasattr(pathsum, name)] == []
+
+
 def test_stats_deterministic_across_runs():
     rng = np.random.default_rng(110)
     c = random_circuit(rng, 6, 20)

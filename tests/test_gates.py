@@ -12,11 +12,9 @@ from pathsum import (
     BasisState,
     CircuitError,
     Gate,
-    GateClass,
     GateKind,
     apply_nonbranching,
     branch_gate,
-    classify_gate,
     invert_gate,
     make_circuit,
     phase_factor,
@@ -29,12 +27,7 @@ INV_SQRT2 = math.sqrt(0.5)
 
 
 def test_classification():
-    assert classify_gate(GateKind.H) is GateClass.BRANCHING
-    for kind in GateKind:
-        if kind is not GateKind.H:
-            assert classify_gate(kind) is GateClass.NON_BRANCHING
-    assert classify_gate(GateKind.CCX) is GateClass.NON_BRANCHING
-    assert classify_gate(GateKind.CP) is GateClass.NON_BRANCHING
+    assert [kind for kind in GateKind if kind.is_branching] == [GateKind.H]
 
 
 def test_apply_nonbranching_examples():
@@ -204,6 +197,6 @@ def test_packed_hadamard_marked():
     plan = pack_circuit(make_circuit(3, [h(2), x(0)]))
     assert plan.ops[0] == (_kernels._OP_H, 2, 4)
     assert plan.ops[1][0] != _kernels._OP_H
-    assert (plan.h, plan.hleft) == (1, (1, 0, 0))
+    assert plan.hleft == (1, 0, 0)
     for bits in range(8):
         assert replay_op(plan.ops[0], bits) == successors(h(2), BasisState(bits, 3))

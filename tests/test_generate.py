@@ -15,7 +15,6 @@ from pathsum import (
     gen_layered_hadamard,
     gen_layered_qft,
     gen_qft,
-    hsp_layout,
     make_circuit,
     path_sum_amplitude,
     serialize_circuit,
@@ -23,6 +22,7 @@ from pathsum import (
 )
 from pathsum._rng import SplitMix64
 from pathsum.circuit import cp, h
+from pathsum.generators import FAMILIES
 
 
 # First outputs of the published SplitMix64 algorithm (seed 0 matches the
@@ -148,16 +148,18 @@ def test_hsp_branching_below_layered_hadamard():
 
 
 def test_hsp_layout():
-    layout = hsp_layout(6)
-    assert (list(layout.a_qubits), list(layout.b_qubits)) == ([0, 1, 2, 3], [4, 5])
-    layout = hsp_layout(9)
-    assert (len(layout.a_qubits), len(layout.b_qubits)) == (6, 3)
-    custom = hsp_layout(8, a_size=4)
-    assert (list(custom.a_qubits), list(custom.b_qubits)) == ([0, 1, 2, 3], [4, 5, 6, 7])
-    with pytest.raises(CircuitError, match="a-register size"):
-        hsp_layout(6, a_size=1)
-    with pytest.raises(CircuitError, match="a-register size"):
-        hsp_layout(6, a_size=6)
+    def registers(circuit):  # a is the qubits that carry H gates, b the rest
+        a = sorted({g.qubits[0] for g in circuit.gates if g.kind.is_branching})
+        return a, sorted(set(range(circuit.num_qubits)) - set(a))
+
+    assert registers(gen_hsp_standard(6, 1)) == ([0, 1, 2, 3], [4, 5])
+    a, b = registers(gen_hsp_standard(9, 1))
+    assert (len(a), len(b)) == (6, 3)
+    custom = gen_hsp_standard(8, 1, a_size=4)
+    assert registers(custom) == ([0, 1, 2, 3], [4, 5, 6, 7])
+    for a_size in (1, 6):
+        with pytest.raises(CircuitError, match="a-register size"):
+            gen_hsp_standard(6, 1, a_size=a_size)
 
 
 def test_hsp_structure_respects_registers():
@@ -183,14 +185,12 @@ def test_hsp_custom_split():
 
 
 def test_minimum_sizes_rejected():
-    with pytest.raises(CircuitError, match="n >= 3"):
-        gen_layered_hadamard(2, 1)
-    with pytest.raises(CircuitError, match="n >= 3"):
-        gen_layered_qft(2, 1)
-    with pytest.raises(CircuitError, match="n >= 5"):
-        gen_hsp_standard(4, 1)
-    gen_layered_hadamard(3, 1)
-    gen_hsp_standard(5, 1)
+    assert {family: smallest for family, (_, smallest) in FAMILIES.items()} == {
+        "h-layer": 3, "qft-layer": 3, "hsp": 5}
+    for family, (generate, smallest) in FAMILIES.items():
+        generate(smallest, 1)
+        with pytest.raises(CircuitError, match=f"{family} circuits need n >= {smallest}"):
+            generate(smallest - 1, 1)
 
 
 def test_determinism_and_seed_sensitivity():

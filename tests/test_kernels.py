@@ -256,7 +256,7 @@ def test_packed_rows_mark_only_h_gates():
                 assert replay_op(plan.ops[i], bits) == successors(gate, BasisState(bits, 5))
                 for after, _ in replay_op(plan.ops[i], bits):
                     assert (after ^ bits) & ~plan.moves == 0
-        assert plan.hleft[-1] == 0 and plan.h == plan.hleft[0]
+        assert plan.hleft[-1] == 0
         assert plan.nexth[-1] == length
         # No reachable state is further from ``end`` than the bound D that
         # places the first check.
