@@ -13,15 +13,19 @@ JSON file.  From the root of a checkout:
     python3 benchmarks/record.py [--seed 1] [--label L]
 
 The file goes to the root of the checkout this script is in.  The label
-defaults to the benchmarked checkout's short commit, marked ``-dirty`` when
-``src/``, ``perfbench/`` or ``BENCHMARK.json`` differ from it.  ``--root
-DIR`` benchmarks another checkout, such as a clone at the parent commit,
-whose benchmark and source are then the ones that run.  The exit code is 1
-if any run failed, after the file is written.
+defaults to the benchmarked checkout's short commit.  When ``src/``,
+``perfbench/`` or ``BENCHMARK.json`` differ from that commit, what runs is
+not the commit, so the script refuses to run without ``--label``, and the
+file records ``"dirty": true`` and the SHA-1 of ``git diff HEAD`` over
+those paths (untracked files count as dirty but are not in the diff).
+``--root DIR`` benchmarks another checkout, such as a clone at the parent
+commit, whose benchmark and source are then the ones that run.  The exit
+code is 1 if any run failed, after the file is written.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -31,14 +35,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def short_commit(root: Path) -> str:
-    """The short commit, with ``-dirty`` if what the benchmark runs differs from it."""
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
-                              check=True).stdout.strip()
+# What the benchmark runs: a change to any of these makes a checkout dirty.
+BENCHED_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
-    dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
-    return git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
+
+def checkout_state(root: Path) -> dict:
+    """The checkout's short commit, whether what the benchmark runs differs
+    from it, and if so the SHA-1 of ``git diff HEAD`` over those paths."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              check=True).stdout
+
+    commit = git("rev-parse", "--short", "HEAD").decode().strip()
+    dirty = bool(git("status", "--porcelain", "--", *BENCHED_PATHS).strip())
+    diff_sha1 = None
+    if dirty:
+        diff_sha1 = hashlib.sha1(git("diff", "HEAD", "--binary", "--", *BENCHED_PATHS)).hexdigest()
+    return {"commit": commit, "dirty": dirty, "diff_sha1": diff_sha1}
+
+
+def file_label(state: dict, label: str | None) -> str:
+    """``label``, or the short commit of a clean checkout; a dirty checkout
+    needs a label, since its commit does not hold what runs."""
+    if label:
+        return label
+    if state["dirty"]:
+        raise SystemExit(f"{', '.join(BENCHED_PATHS)} differ from {state['commit']}: "
+                         "commit them, or name the file with --label")
+    return state["commit"]
 
 
 def kernel_name(root: Path) -> str:
@@ -69,13 +93,15 @@ def record_run(root: Path, workload: str, seed: int, seconds: float, trace: int)
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
-    parser.add_argument("--label", help="file label (default: the short commit)")
+    parser.add_argument("--label", help="file label (default: the short commit; "
+                        "required when the checkout is dirty)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    label = args.label or short_commit(root)
+    state = checkout_state(root)
+    label = file_label(state, args.label)
     out = ROOT / f"BENCH_{label}.json"
     runs = []
     for workload in spec["workloads"]:
@@ -84,7 +110,7 @@ def main(argv=None) -> int:
             runs.append(record_run(root, workload["name"], args.seed, seconds, trace))
     record = {
         "label": label,
-        "commit": short_commit(root),
+        **state,
         "kernel": kernel_name(root),
         "seed": args.seed,
         "seconds": seconds,

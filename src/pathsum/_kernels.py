@@ -8,13 +8,14 @@ state-vector backend runs the same ops on all ``2**n`` amplitudes.
 ``traverse(plan, start, end, prune, deadline)`` is the numpy frontier
 walk: it runs whole batches of paths per gate and adds their values in
 depth-first tree order, so its amplitude is the depth-first sum bit for bit.
-A batch with at most ``SCALAR_LEAVES`` = 64 leaves left (live paths times
-2**(H gates left)) is finished by a recursive depth-first walk on Python
-scalars, since numpy's cost per call outweighs batching that few paths;
-that recursion is at most 6 calls deep, so memory stays
-O(n + h * FRONTIER_CAP).  The walk returns ``(amplitude, TraversalStats)``
-or raises ``QueryTimeout`` with the counters it reached.  ``deadline_at``
-gives both backends their deadline as a ``perf_counter`` time.
+Python scalars run the tree's narrow top (the root's paths, until they
+number ``SCALAR_LEAVES`` = 64) and bottom (each batch with at most 64
+leaves left, depth first, at most 6 calls deep).  A finished batch is
+summed in one dense pass over at most 2**FOLD_LEVELS slots, so memory
+stays O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS), independent of 2**n.
+The walk returns ``(amplitude, TraversalStats)`` or raises
+``QueryTimeout`` with the counters it reached.  ``deadline_at`` gives
+both backends their deadline as a ``perf_counter`` time.
 
 With ``prune``, both walks cut a path once its Hamming distance d to
 ``end`` exceeds the R gates left, and evaluate that cut only where it can
@@ -175,18 +176,25 @@ def _first_check(plan, start, end, prune):
 
 
 # Most paths one frontier batch holds (a lone path's two children always
-# fit).  At most one batch per branching level waits on the stack, so the
-# frontier walk needs O(n + h * FRONTIER_CAP) memory, independent of 2**n.
+# fit), the scalar top's too.  One batch per branching level waits on the
+# stack at most, and a fold takes 2**FOLD_LEVELS slots at most, so the walk
+# needs O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS) memory, independent of 2**n.
 FRONTIER_CAP = 1024
 
 # A batch whose live paths times 2**(H gates left) is at most this many
-# leaves is finished path by path on Python scalars (``_scalar_finish``):
-# below it numpy's fixed cost per call outweighs the batching.  Measured
+# leaves is finished path by path on Python scalars (``_scalar_finish``),
+# as is the top until it holds this many paths (``_scalar_top``): below it
+# numpy's fixed cost per call outweighs the batching.  Measured
 # crossover, whole queries on one path or the other (2-core VM): on random
 # 48-qubit circuits of 100-1,000 gates the scalar walk was 1.8-3.2x faster
 # at 16-32 leaves, 1.0-1.3x at 64 and 0.2-0.8x from 128 on; on the circuit
 # families it was 1.7-4.1x faster at 64-256 leaves and 0.3-0.9x from 1,024.
 SCALAR_LEAVES = 64
+
+# Most branch levels below a batch root: a batch is re-rooted before an H
+# would pass it, so a fold needs at most 2**FOLD_LEVELS slots.  10 levels
+# was slower on tree-walk and on h-layer n=9.
+FOLD_LEVELS = 14
 
 # Gate steps the scalar walk takes between two looks at the clock.
 _CLOCK_STEPS = 4096
@@ -208,24 +216,17 @@ def _times(P, f):
 def _fold_batch(idx, P, levels):
     """Sum the values of paths at one depth up ``levels`` levels to one value.
 
-    ``idx`` holds each path's branch bits below the batch root, ascending,
-    and ``levels`` is the paths' depth below the root.  Every level adds
-    siblings as ``0.0 + (left + right)``, a missing sibling counting as
-    zero, which is bit for bit the depth-first ``(0j + left) + right``,
-    signed zeros included.
+    ``idx`` holds each path's branch bits below the batch root, ``levels``
+    (at most ``FOLD_LEVELS``) their depth below it.  In a zeroed ``(2,
+    2**levels)`` array every level adds siblings as ``0.0 + (left +
+    right)``, a missing one counting as +0.0: bit for bit the depth-first
+    ``(0j + left) + right``, signed zeros included.  No value sums to 0j.
     """
-    if idx.size == 0:
-        return None
-    while levels > 0 and idx.size > 1:
-        parent = idx >> 1
-        starts = np.flatnonzero(np.concatenate(([True], parent[1:] != parent[:-1])))
-        idx = parent[starts]
-        P = 0.0 + np.add.reduceat(P, starts, axis=1)
-        levels -= 1
-    if levels > 0:
-        # A lone value only has its zero sign normalised by further levels.
-        return complex(0.0 + P[0, 0], 0.0 + P[1, 0])
-    return complex(P[0, 0], P[1, 0])
+    D = np.zeros((2, 1 << levels))
+    D[:, idx] = P
+    for _ in range(levels):
+        D = 0.0 + (D[:, 0::2] + D[:, 1::2])
+    return complex(D[0, 0], D[1, 0])
 
 
 def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, counters):
@@ -281,6 +282,7 @@ def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, cou
                     return 0.0 + low[0], 0.0 + low[1]
                 return (0.0 + low[0]) + high[0], (0.0 + low[1]) + high[1]
             # The run up to the next H, check or clock read: no H in it.
+            # This is ``_run`` inlined: a call per run cost 5% on query-stream.
             stop = min(nexth[pos], check, pos + countdown)
             for op in ops[pos:stop]:
                 kind = op[0]
@@ -309,6 +311,65 @@ def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, cou
     return values, (calls, edges, prunes, max_depth)
 
 
+def _run(run, state, re, im):
+    """One path through ``run``, ops with no H, with ``_times``'s products."""
+    for op in run:
+        kind = op[0]
+        if kind == _OP_CPHASE:
+            c = op[1]
+            if (state & c) == c:
+                fr, _, fi = op[2]
+                re, im = re * fr - im * fi, re * fi + im * fr
+        elif kind == _OP_CFLIP:
+            c = op[1]
+            if (state & c) == c:
+                state ^= op[2]
+        elif kind == _OP_FLIP:
+            state ^= op[1]
+        elif kind == _OP_Y:
+            _, bit, f1, f0 = op
+            fr, _, fi = f1 if state & bit else f0
+            state ^= bit
+            re, im = re * fr - im * fi, re * fi + im * fr
+    return state, re, im
+
+
+def _scalar_top(plan, start, first, deadline):
+    """The frontier's first batch and the counters, from the tree's narrow top.
+
+    The root's paths run one by one on Python scalars with the batches'
+    products; an H puts a path's two children side by side, so the branch
+    bits are ``arange``.  It stops at ``first`` (nothing above it is cut,
+    so it meets no narrow bottom), at SCALAR_LEAVES paths, and before an H
+    that would pass FRONTIER_CAP paths or FOLD_LEVELS levels.  It reads the
+    clock before each run of about ``_CLOCK_STEPS`` gate steps.
+    """
+    ops, nexth, limit, cap = plan.ops, plan.nexth, SCALAR_LEAVES, FRONTIER_CAP
+    paths = [(start, 1.0, 0.0)]
+    pos = depth = edges = 0
+    while pos < first and 1 << depth < limit and 2 << depth <= cap and depth < FOLD_LEVELS:
+        if time.perf_counter() > deadline:
+            raise _timeout((2 << depth) - 2, edges, 0, depth)
+        if nexth[pos] == pos:
+            bit = ops[pos][2]
+            paths = [(state & ~bit | b, re * f, im * f) for state, re, im in paths
+                     for b, f in ((0, INV_SQRT2), (bit, -INV_SQRT2 if state & bit else INV_SQRT2))]
+            depth += 1
+            edges += 1 << depth
+            pos += 1
+        else:
+            stop = min(nexth[pos], first, pos + (_CLOCK_STEPS >> depth) + 1)
+            run = ops[pos:stop]
+            paths = [_run(run, *path) for path in paths]
+            edges += (stop - pos) << depth
+            pos = stop
+    states, res, ims = zip(*paths)
+    batch = (pos, depth, 0, np.array(states, dtype=np.int64), np.array([res, ims]),
+             np.arange(len(paths)))
+    # Level d of the top descended into 2**(d + 1) children.
+    return batch, ((2 << depth) - 2, edges, 0, depth)
+
+
 def traverse(plan, start, end, prune, deadline):
     """Sum the paths from ``start`` to ``end`` over ``plan`` in batches.
 
@@ -317,15 +378,16 @@ def traverse(plan, start, end, prune, deadline):
     float64 array ``P`` of phase real and imaginary parts.  Each gate runs
     its op from ``plan.ops``, a few array operations on the whole batch;
     at an H the two children of a path are placed next to each other.
-    Before an H would double a batch past FRONTIER_CAP paths, the batch is
-    split at its root: the later half waits on a stack and the walk goes on
-    with the earlier one.  Once the batch's live paths times 2**(H gates
-    left) is at most SCALAR_LEAVES, each path is finished by
-    ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES) calls deep; a
-    tree that narrow from the root goes to it whole, with no batch.  A
-    finished batch is folded to its root's value, which is added into
-    ``amp[depth - 1]``, the accumulator of the root's parent; slot 0 ends
-    up holding the amplitude.
+    The first batch comes from ``_scalar_top``.  Before an H would double
+    a batch past FRONTIER_CAP paths, or its branch bits past FOLD_LEVELS
+    levels, the batch is split at its root: the later half waits on a
+    stack and the walk goes on with the earlier one.  Once the batch's
+    live paths times 2**(H gates left) is at most SCALAR_LEAVES, each path
+    is finished by ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES)
+    calls deep; a tree that narrow from the root goes to it whole, with no
+    batch.  A finished batch is folded to its root's value, which is added
+    into ``amp[depth - 1]``, the accumulator of the root's parent; the
+    value that closes the tree's root is the amplitude.
 
     With ``prune``, a path is cut once the Hamming distance to ``end``
     exceeds the gates left, checked at every gate from ``_first_check``'s
@@ -344,19 +406,10 @@ def traverse(plan, start, end, prune, deadline):
         (value,), counters = _scalar_finish(plan, 0, 0, first, [start], [1.0], [0.0],
                                             end, deadline, (0, 0, 0, 0))
         return 0j if value is None else complex(*value), TraversalStats(*counters)
-    calls = 0
-    edges = 0
-    prunes = 0
-    max_depth = 0
-    amp = [0j] * (hleft[0] + 1)
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
-    batch = (
-        0, 0, 0,
-        np.array([start], dtype=np.int64),
-        np.array([[1.0], [0.0]]),
-        np.zeros(1, dtype=np.int64),
-    )
+    batch, (calls, edges, prunes, max_depth) = _scalar_top(plan, start, first, deadline)
+    amp = [0j] * (hleft[0] + 1)
     pending = []
     while True:
         pos, depth, root, state, P, idx = batch
@@ -388,8 +441,8 @@ def traverse(plan, start, end, prune, deadline):
             elif kind == _OP_H:
                 q = op[1]
                 # Split at the root until the doubled batch fits (a lone
-                # path always fits) and the branch bits fit in int64.
-                while (2 * state.size > cap or depth - root >= 62) and depth > root:
+                # path always fits) and its branch bits fit the fold.
+                while (2 * state.size > cap or depth - root >= FOLD_LEVELS) and depth > root:
                     half = 1 << (depth - root - 1)
                     k = int(np.count_nonzero(idx < half))
                     amp[root] = 0j
@@ -421,27 +474,24 @@ def traverse(plan, start, end, prune, deadline):
                 P = _times(P, (np.where(hot, f1[0], f0[0]), np.where(hot, f1[1], f0[1])))
             edges += state.size
             pos += 1
-        value = None
-        if pos == length:
-            hit = state == end
-            value = _fold_batch(idx[hit], P[:, hit], depth - root)
-        elif state.size:
+        if pos < length and state.size:
             values, (calls, edges, prunes, max_depth) = _scalar_finish(
                 plan, pos, depth, max(pos, first), state.tolist(), P[0].tolist(), P[1].tolist(),
                 end, deadline, (calls, edges, prunes, max_depth))
-            hit = [i for i, v in enumerate(values) if v is not None]
-            value = _fold_batch(idx[hit], np.array([values[i] for i in hit]).T, depth - root)
+            P = np.array([value or (0.0, 0.0) for value in values]).T
+        else:
+            hit = state == end
+            idx, P = idx[hit], P[:, hit]
+        value = _fold_batch(idx, P, depth - root)
         # Add the root's value to its parent, closing every parent whose
-        # later child is not still waiting on the stack.
+        # later child is not still waiting on the stack.  Accumulators
+        # start at 0j and so never hold -0.0, so adding a 0j changes none.
         while root > 0:
-            if value is not None:
-                amp[root - 1] = amp[root - 1] + value
+            amp[root - 1] = amp[root - 1] + value
             if pending and pending[-1][2] == root:
                 break
             root -= 1
             value = amp[root]
-        if root == 0:
-            amp[0] = 0j if value is None else value
         if not pending:
-            return amp[0], TraversalStats(calls, edges, prunes, max_depth)
+            return value, TraversalStats(calls, edges, prunes, max_depth)
         batch = pending.pop()

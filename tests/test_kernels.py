@@ -31,6 +31,9 @@ from test_gates import replay_op, successors
 # as soon as fewer than 63 H gates remain.
 _LIMITS = (0, 1, 2, _kernels.SCALAR_LEAVES, 1 << 62)
 
+# Fold depths: 1 and 2 re-root a batch at nearly every H.
+_FOLD_LEVELS = (1, 2, _kernels.FOLD_LEVELS)
+
 
 def _drive(circuit, query, prune, deadline=math.inf):
     """Run one traversal exactly the way the engine does.
@@ -153,8 +156,9 @@ def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
 
 
 def test_frontier_small_batches_agree_bitwise(monkeypatch):
-    # Tiny caps split at nearly every H, so almost every value crosses
-    # batches through the parents' accumulators.
+    # Tiny caps split at nearly every H, and tiny fold depths re-root at
+    # nearly every H, so almost every value crosses batches through the
+    # parents' accumulators.
     rng = np.random.default_rng(515)
     inputs = []
     for _ in range(60):
@@ -163,24 +167,55 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
     for circuit, query in inputs + list(_check_inputs(rng)):
         for prune in (False, True):
             expected = reference_walk(circuit, query, prune)
-            for cap in (1, 2, 4):
-                monkeypatch.setattr(_kernels, "FRONTIER_CAP", cap)
-                for limit in _LIMITS:
-                    monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-                    assert _drive(circuit, query, prune) == expected
+            for levels in _FOLD_LEVELS:
+                monkeypatch.setattr(_kernels, "FOLD_LEVELS", levels)
+                for cap in (1, 2, 4):
+                    monkeypatch.setattr(_kernels, "FRONTIER_CAP", cap)
+                    for limit in _LIMITS:
+                        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                        assert _drive(circuit, query, prune) == expected
 
 
 def test_frontier_deep_narrow_walk(monkeypatch):
     # 66 H gates but few live paths: the branch bits below one batch root
-    # would outgrow int64, so the frontier splits to re-root the batch.
+    # would pass FOLD_LEVELS, so the frontier splits to re-root the batch;
+    # at one level it re-roots at every H.
     n = 62
     circuit = make_circuit(n, [h(0)] * 4 + [h(q) for q in range(n)])
     query = AmplitudeQuery(BasisState.zeros(n), BasisState((1 << n) - 1, n))
     expected = reference_walk(circuit, query, True)
     assert expected[1][3] == 66
-    for limit in _LIMITS:
-        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-        assert _drive(circuit, query, True) == expected
+    for levels in _FOLD_LEVELS:
+        monkeypatch.setattr(_kernels, "FOLD_LEVELS", levels)
+        for limit in _LIMITS:
+            monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+            assert _drive(circuit, query, True) == expected
+
+
+def test_scalar_top_hands_the_frontier_a_full_first_batch(monkeypatch):
+    # The top runs the root's paths on scalars until they number
+    # SCALAR_LEAVES; at limit 0 the frontier starts from the root.
+    tops = []
+    top = _kernels._scalar_top
+
+    def recording(*args):
+        batch, counters = top(*args)
+        tops.append((batch[0], batch[3].size, list(batch[5]), counters))
+        return batch, counters
+
+    monkeypatch.setattr(_kernels, "_scalar_top", recording)
+    circuit = gen_layered_hadamard(6, 1)
+    query = AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6))
+    expected = reference_walk(circuit, query, True)
+    assert _drive(circuit, query, True) == expected
+    (pos, size, idx, counters), = tops
+    assert size >= _kernels.SCALAR_LEAVES and idx == list(range(size))
+    # The circuit opens with its six H gates; the top ends right after them.
+    assert (pos, size, counters) == (6, 64, (126, 126, 0, 6))
+    tops.clear()
+    monkeypatch.setattr(_kernels, "SCALAR_LEAVES", 0)
+    assert _drive(circuit, query, True) == expected
+    assert tops == [(0, 1, [0], (0, 0, 0, 0))]
 
 
 def test_default_walk_hands_only_narrow_trees_to_scalars(monkeypatch):
@@ -222,6 +257,14 @@ def test_frontier_deadline_is_checked():
     with pytest.raises(QueryTimeout) as timeout:
         _kernels._scalar_finish(pack_circuit(circuit), 0, 0, 0, [0], [1.0], [0.0],
                                 0, expired, (0, 0, 0, 0))
+    assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
+    # 256 leaves, and a top of two paths through 6,000 gates before the
+    # tree widens: the scalar top reads the clock too.
+    circuit = make_circuit(8, [h(0)] + [t(0), cnot(0, 2)] * 3000 + [h(q) for q in range(1, 8)])
+    query = AmplitudeQuery(BasisState.zeros(8), BasisState.zeros(8))
+    with pytest.raises(QueryTimeout) as timeout:
+        _drive(circuit, query, True, deadline=expired)
+    assert timeout.value.stats is not None
     assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
 
 
