@@ -21,6 +21,18 @@ those paths (untracked files count as dirty but are not in the diff).
 ``--root DIR`` benchmarks another checkout, such as a clone at the parent
 commit, whose benchmark and source are then the ones that run.  The exit
 code is 1 if any run failed, after the file is written.
+
+A speed claim rests on paired runs, not on one run per side:
+
+    python3 benchmarks/record.py --against REV [--label L]
+
+clones REV into a temporary directory and runs it (the parent) and this
+checkout (the change) back to back, ``--trace 0`` only, once per workload
+and seed 1..PAIRS, the first side alternating from pair to pair.  The file
+``BENCH_<label>-vs-<REV's short commit>.json`` holds every run and, per
+workload, each side's attempted and failed queries and, per end-to-end
+metric, both sides' medians over the pairs, the parent's interquartile
+range and the number of pairs the change wins.
 """
 from __future__ import annotations
 
@@ -28,8 +40,10 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +51,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # What the benchmark runs: a change to any of these makes a checkout dirty.
 BENCHED_PATHS = ("src", "perfbench", "BENCHMARK.json")
+
+# Parent/change pairs behind a speed claim: it needs the change to win at
+# least nine of ten.
+PAIRS = 10
 
 
 def checkout_state(root: Path) -> dict:
@@ -90,35 +108,131 @@ def record_run(root: Path, workload: str, seed: int, seconds: float, trace: int)
     return run
 
 
+def paired_runs(change: Path, parent: Path, spec: dict) -> list:
+    """``--trace 0`` runs of both checkouts for seeds 1..PAIRS: in each
+    pair every workload runs on one side, then at once on the other, and
+    the side that runs first alternates, the parent first in pair 1."""
+    runs = []
+    for seed in range(1, PAIRS + 1):
+        sides = [("parent", parent), ("change", change)]
+        if seed % 2 == 0:
+            sides.reverse()
+        for workload in spec["workloads"]:
+            for side, root in sides:
+                print(f"pair {seed}: {workload['name']} {side}", file=sys.stderr, flush=True)
+                run = record_run(root, workload["name"], seed, spec["run_seconds"], 0)
+                runs.append({"side": side, "seed": seed, **run})
+    return runs
+
+
+def _iqr(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs: list, spec: dict) -> dict:
+    """Per workload, each side's attempted and failed queries summed over
+    the runs that gave a result; and per end-to-end metric, over the pairs
+    where both sides gave a result: each side's median, the parent's
+    interquartile range and the pairs in which the change is better (ties
+    count for neither)."""
+    values = {}
+    queries = {}
+    for run in runs:
+        result = run.get("result")
+        if not result:
+            continue
+        count = queries.setdefault((run["workload"], run["side"]), {"attempted": 0, "failed": 0})
+        count["attempted"] += result["attempted"]
+        count["failed"] += result["failed"]
+        for name, metric in result["metrics"].items():
+            key = (run["workload"], name)
+            values.setdefault(key, {}).setdefault(run["seed"], {})[run["side"]] = metric["value"]
+    summary = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        summary[name] = {"queries": {
+            side: queries.get((name, side), {"attempted": 0, "failed": 0})
+            for side in ("parent", "change")}}
+        for metric in spec["end_to_end"]:
+            by_seed = values.get((name, metric["name"]), {})
+            both = [v for v in by_seed.values() if len(v) == 2]
+            parent = [v["parent"] for v in both]
+            change = [v["change"] for v in both]
+            sign = 1 if metric["better"] == "higher" else -1
+            summary[name][metric["name"]] = {
+                "better": metric["better"],
+                "pairs": len(both),
+                "parent_median": statistics.median(parent) if both else None,
+                "change_median": statistics.median(change) if both else None,
+                "parent_iqr": _iqr(parent),
+                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            }
+    return summary
+
+
+def record_pairs(root: Path, spec: dict, state: dict, label: str,
+                 against: str) -> tuple[Path, dict]:
+    """Clone ``against`` from ``root``'s repository, run the pairs and
+    return the file to write and its record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp) / "parent"
+        subprocess.run(["git", "clone", "-q", "--no-checkout", str(root), str(parent)],
+                       check=True, capture_output=True)
+        subprocess.run(["git", "checkout", "-q", against], cwd=parent,
+                       check=True, capture_output=True)
+        parent_state = checkout_state(parent)
+        parent_kernel = kernel_name(parent)
+        runs = paired_runs(root, parent, spec)
+    record = {
+        "label": label,
+        **state,
+        "kernel": kernel_name(root),
+        "against": {"rev": against, "commit": parent_state["commit"], "kernel": parent_kernel},
+        "seeds": list(range(1, PAIRS + 1)),
+        "seconds": spec["run_seconds"],
+        "summary": summarize(runs, spec),
+        "runs": runs,
+    }
+    return ROOT / f"BENCH_{label}-vs-{parent_state['commit']}.json", record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--label", help="file label (default: the short commit; "
                         "required when the checkout is dirty)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=1, help="seed of a single run")
+    parser.add_argument("--against", metavar="REV",
+                        help=f"run paired against this commit, seeds 1..{PAIRS}")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     state = checkout_state(root)
     label = file_label(state, args.label)
-    out = ROOT / f"BENCH_{label}.json"
-    runs = []
-    for workload in spec["workloads"]:
-        for trace in (0, 1):
-            print(f"{workload['name']} --trace {trace}", file=sys.stderr, flush=True)
-            runs.append(record_run(root, workload["name"], args.seed, seconds, trace))
-    record = {
-        "label": label,
-        **state,
-        "kernel": kernel_name(root),
-        "seed": args.seed,
-        "seconds": seconds,
-        "runs": runs,
-    }
+    if args.against:
+        out, record = record_pairs(root, spec, state, label, args.against)
+    else:
+        out = ROOT / f"BENCH_{label}.json"
+        runs = []
+        for workload in spec["workloads"]:
+            for trace in (0, 1):
+                print(f"{workload['name']} --trace {trace}", file=sys.stderr, flush=True)
+                runs.append(record_run(root, workload["name"], args.seed, seconds, trace))
+        record = {
+            "label": label,
+            **state,
+            "kernel": kernel_name(root),
+            "seed": args.seed,
+            "seconds": seconds,
+            "runs": runs,
+        }
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
-    return 0 if all(run["exit_code"] == 0 for run in runs) else 1
+    return 0 if all(run["exit_code"] == 0 for run in record["runs"]) else 1
 
 
 if __name__ == "__main__":

@@ -1,21 +1,25 @@
 """The packed plan of a circuit and the walk that sums its paths.
 
-``pack_circuit`` turns each gate into one op, read from ``_GATE_OPS``, the
-table of what every gate kind does to a basis-state bit mask.  The engine
-keeps the plan on the circuit, so each circuit is packed once, and the
-state-vector backend runs the same ops on all ``2**n`` amplitudes.
+``pack_circuit`` turns each gate into one ``(kind, mask, arg)`` op, read
+from ``_GATE_OPS``, the table of what every gate kind does to a basis-state
+bit mask; its factors are Python complex numbers.  The engine keeps the
+plan on the circuit, so each circuit is packed once, and the state-vector
+backend runs the same ops on all ``2**n`` amplitudes.
 
 ``traverse(plan, start, end, prune, deadline)`` is the numpy frontier
 walk: it runs whole batches of paths per gate and adds their values in
 depth-first tree order, so its amplitude is the depth-first sum bit for bit.
 Python scalars run the tree's narrow top (the root's paths, until they
 number ``SCALAR_LEAVES`` = 64) and bottom (each batch with at most 64
-leaves left, depth first, at most 6 calls deep).  A finished batch is
-summed in one dense pass over at most 2**FOLD_LEVELS slots, so memory
-stays O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS), independent of 2**n.
-The walk returns ``(amplitude, TraversalStats)`` or raises
-``QueryTimeout`` with the counters it reached.  ``deadline_at`` gives
-both backends their deadline as a ``perf_counter`` time.
+leaves left, depth first, at most 6 calls deep), one complex phase per
+path, over the plan's ops with the no-op gates left out.  CPython's complex
+product rounds as ``(re*fr - im*fi, re*fi + im*fr)``; numpy's need not, so
+the batches keep each phase as a float pair and use that formula.  A
+finished batch is summed in one dense pass over at most 2**FOLD_LEVELS
+slots, so memory stays O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS),
+independent of 2**n.  The walk returns ``(amplitude, TraversalStats)``
+or raises ``QueryTimeout`` with the counters it reached.  ``deadline_at``
+gives both backends their deadline as a ``perf_counter`` time.
 
 With ``prune``, both walks cut a path once its Hamming distance d to
 ``end`` exceeds the R gates left, and evaluate that cut only where it can
@@ -87,57 +91,56 @@ def _timeout(calls, edges, prunes, max_depth):
 class PackedCircuit:
     """A circuit compiled for the kernels: one op per gate.
 
-    ``ops[i]`` is gate i as a tuple whose first item is one of the ``_OP_*``
-    codes.  ``hleft[i]`` counts the H gates at positions ``>= i``, so
-    ``hleft[0]`` is the circuit's H count, and ``nexth[i]`` is the position
-    of the first of them (``len(ops)`` if none).  ``moves`` is the OR of
-    every bit an op can change.
+    ``ops[i]`` is gate i as a ``(kind, mask, arg)`` tuple whose kind is one
+    of the ``_OP_*`` codes.  ``live`` holds the ops that are neither H nor
+    SKIP, in order, and ``rank[i]`` counts those before position i, so the
+    live ops of a run ``ops[i:j]`` with no H are ``live[rank[i]:rank[j]]``.
+    ``hleft[i]`` counts the H gates at positions ``>= i``, so ``hleft[0]``
+    is the circuit's H count, and ``nexth[i]`` is the position of the first
+    of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
+    can change.
     """
 
     ops: tuple
+    live: tuple  # ops that are neither H nor SKIP
+    rank: tuple  # live ops before each position, one entry past the end
     hleft: tuple  # H gates at or after each position, one entry past the end
     nexth: tuple  # next H at or after each position, one entry past the end
     moves: int
 
 
-# Ops.  Every gate is classified by what it can change, so it runs only the
-# operations it needs:
+# Ops.  Every op is ``(kind, mask, arg)``, and every gate is classified by
+# what it can change, so it runs only the operations it needs:
 #   (_OP_H, q, 1 << q)            branch on qubit q
-#   (_OP_SKIP,)                   identity: no state change, factor 1
-#   (_OP_FLIP, x)                 state ^= x on every path, factor 1
+#   (_OP_SKIP, 0, 0)              identity: no state change, factor 1
+#   (_OP_FLIP, 0, x)              state ^= x on every path, factor 1
 #   (_OP_CFLIP, c, x)             state ^= x where (state & c) == c, factor 1
 #   (_OP_CPHASE, c, f)            factor f where (state & c) == c
-#   (_OP_Y, x, f1, f0)            state ^= x on every path, factor f1 where
+#   (_OP_Y, x, (f1, f0))          state ^= x on every path, factor f1 where
 #                                 the old bit x was set, else f0
-# A factor f is (f.real, [[-f.imag], [f.imag]], f.imag): the column serves
-# the numpy batches, the plain floats the scalar walk.  No op multiplies by
-# a factor of exactly 1.
+# A factor is a Python complex, never exactly 1.  SKIP, FLIP and CFLIP
+# share one scalar step, ``if state & c == c: state ^= x``.
 _OP_H, _OP_SKIP, _OP_FLIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(6)
 
-
-def _factor(f: complex) -> tuple:
-    return f.real, np.array([[-f.imag], [f.imag]]), f.imag
-
-
-_SKIP = (_OP_SKIP,)
-_Z, _S, _T = _factor(-1.0 + 0j), _factor(1j), _factor(phase_factor(math.pi / 4))
+_SKIP = (_OP_SKIP, 0, 0)
+_T = phase_factor(math.pi / 4)
 # Y|0> = i|1>, Y|1> = -i|0>: flip either way, sign from the old bit.
-_Y1, _Y0 = _factor(-1j), _factor(1j)
+_Y = (-1j, 1j)
 
 
 def _phase(c: int, theta: float) -> tuple:
     f = phase_factor(theta)
-    return _SKIP if f == 1.0 else (_OP_CPHASE, c, _factor(f))
+    return _SKIP if f == 1.0 else (_OP_CPHASE, c, f)
 
 
 # GateKind -> op, from the gate's qubits and angle.
 _GATE_OPS = {
     GateKind.H: lambda qs, theta: (_OP_H, qs[0], 1 << qs[0]),
     GateKind.I: lambda qs, theta: _SKIP,
-    GateKind.X: lambda qs, theta: (_OP_FLIP, 1 << qs[0]),
-    GateKind.Y: lambda qs, theta: (_OP_Y, 1 << qs[0], _Y1, _Y0),
-    GateKind.Z: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _Z),
-    GateKind.S: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _S),
+    GateKind.X: lambda qs, theta: (_OP_FLIP, 0, 1 << qs[0]),
+    GateKind.Y: lambda qs, theta: (_OP_Y, 1 << qs[0], _Y),
+    GateKind.Z: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], -1.0 + 0j),
+    GateKind.S: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], 1j),
     GateKind.T: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _T),
     GateKind.P: lambda qs, theta: _phase(1 << qs[0], theta),
     GateKind.CP: lambda qs, theta: _phase((1 << qs[0]) | (1 << qs[1]), theta),
@@ -147,13 +150,16 @@ _GATE_OPS = {
 
 
 # Where each op that changes a bit keeps that bit's mask.
-_MOVED_BIT = {_OP_H: 2, _OP_FLIP: 1, _OP_CFLIP: 2, _OP_Y: 1}
+_MOVED_BIT = {_OP_H: 2, _OP_FLIP: 2, _OP_CFLIP: 2, _OP_Y: 1}
 
 
 def pack_circuit(circuit: Circuit) -> PackedCircuit:
     ops = tuple(_GATE_OPS[gate.kind](gate.qubits, gate.theta) for gate in circuit.gates)
     length = len(ops)
     hleft = tuple(accumulate(reversed([op[0] == _OP_H for op in ops]), initial=0))[::-1]
+    is_live = [op[0] != _OP_H and op[0] != _OP_SKIP for op in ops]
+    live = tuple(op for op, keep in zip(ops, is_live) if keep)
+    rank = tuple(accumulate(is_live, initial=0))
     nexth = [length] * (length + 1)
     moves = 0
     for i in reversed(range(length)):
@@ -161,7 +167,7 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
         nexth[i] = i if kind == _OP_H else nexth[i + 1]
         if kind in _MOVED_BIT:
             moves |= ops[i][_MOVED_BIT[kind]]
-    return PackedCircuit(ops, hleft, tuple(nexth), moves)
+    return PackedCircuit(ops, live, rank, hleft, tuple(nexth), moves)
 
 
 def _first_check(plan, start, end, prune):
@@ -199,18 +205,33 @@ FOLD_LEVELS = 14
 # Gate steps the scalar walk takes between two looks at the clock.
 _CLOCK_STEPS = 4096
 
+# The column that turns ``fi`` into ``[[-fi], [fi]]``, exactly.
+_SIGNED = np.array([[-1.0], [1.0]])
+
 # Phase sign of an H's second child, by the old value of the H's bit.
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _times(P, f):
-    """Paths ``P = [re; im]`` times the factor ``f`` (never 1).
+def _times(P, fr, fi):
+    """Paths ``P = [re; im]`` times the factor ``fr + i*fi`` (never 1).
 
     Row 0 is ``re*fr + im*(-fi)``, exactly the scalar ``re*fr - im*fi``;
     row 1 is ``im*fr + re*fi``, the scalar ``re*fi + im*fr`` with the sum
-    commuted.
+    commuted.  ``fr`` and ``fi`` are floats, or one per path for Y.  The
+    batches keep float pairs because numpy's complex product need not
+    round as that formula does.
     """
-    return P * f[0] + P[::-1] * f[1]
+    return P * fr + P[::-1] * (_SIGNED * fi)
+
+
+def _pairs(phases):
+    """Python complex phases as a ``(2, k)`` array of their parts, exactly."""
+    return np.array(phases, dtype=np.complex128).view(np.float64).reshape(-1, 2).T
+
+
+def _phases(P):
+    """The columns of ``P = [re; im]`` as Python complex phases, exactly."""
+    return np.ascontiguousarray(P.T).view(np.complex128).ravel().tolist()
 
 
 def _fold_batch(idx, P, levels):
@@ -218,40 +239,48 @@ def _fold_batch(idx, P, levels):
 
     ``idx`` holds each path's branch bits below the batch root, ``levels``
     (at most ``FOLD_LEVELS``) their depth below it.  In a zeroed ``(2,
-    2**levels)`` array every level adds siblings as ``0.0 + (left +
-    right)``, a missing one counting as +0.0: bit for bit the depth-first
-    ``(0j + left) + right``, signed zeros included.  No value sums to 0j.
+    2**levels)`` array, a missing path counting as +0.0, every level adds
+    siblings as ``left + right``.  That is bit for bit the depth-first
+    ``(0j + left) + right``, whose ``0j +`` only turns a -0.0 into +0.0,
+    because no sum here is -0.0.  At the lowest level the siblings are the
+    two children of one H, and every op after it is a bijection, so as
+    leaves they end in different states: at most one of them reaches
+    ``end``, and the other is +0.0.  A value the scalar walk summed below
+    an H has no -0.0 part, and a sum of terms that are not -0.0 is not
+    -0.0 either.
     """
     D = np.zeros((2, 1 << levels))
     D[:, idx] = P
     for _ in range(levels):
-        D = 0.0 + (D[:, 0::2] + D[:, 1::2])
+        D = D[:, 0::2] + D[:, 1::2]
     return complex(D[0, 0], D[1, 0])
 
 
-def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, counters):
+def _scalar_finish(plan, pos, depth, check, states, phases, end, deadline, counters):
     """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
 
-    Each path (Python int state, float phase) walks its subtree on plain
+    Each path (Python int state, complex phase) walks its subtree on plain
     Python scalars over ``plan.ops``, recursing once per H, with the same
-    cut and the same products in the same order as the batches, and
+    cut and the same products in the same order as the batches (CPython's
+    ``z * f`` is ``(re*fr - im*fi, re*fi + im*fr)``), and
     ``(0j + left) + right`` at every H.  ``check`` (at least ``pos``;
     ``len(plan.ops)`` without pruning) is where the cut is first
     evaluated; a check that keeps a path alive with slack R - d moves the
     next one (R - d) // 2 + 1 gates on.
-    Between H gates, checks and clock reads, the gates run as one run and
-    are counted once.  ``counters`` is the walk's ``(calls, edges, prunes,
-    max_depth)``.  Returns each path's subtree value as ``(re, im)``, or
-    None where no leaf reached ``end``, and the updated counters.  The
-    clock is read once every ``_CLOCK_STEPS`` gate steps.
+    Between H gates, checks and clock reads, the gates run as one run over
+    ``plan.live``, which leaves SKIP ops out, and are counted once.
+    ``counters`` is the walk's ``(calls, edges, prunes, max_depth)``.
+    Returns each path's subtree value, or None where no leaf reached
+    ``end`` (a complex zero is falsy, so test with ``is None``), and the
+    updated counters.  The clock is read once every ``_CLOCK_STEPS`` gate
+    steps.
     """
-    ops = plan.ops
-    nexth = plan.nexth
+    ops, live, rank, nexth = plan.ops, plan.live, plan.rank, plan.nexth
     length = len(ops)
     calls, edges, prunes, max_depth = counters
     countdown = _CLOCK_STEPS
 
-    def walk(pos, state, re, im, depth, check):
+    def walk(pos, state, z, depth, check):
         nonlocal calls, edges, prunes, max_depth, countdown
         while pos < length:
             if pos == check:
@@ -272,66 +301,52 @@ def _scalar_finish(plan, pos, depth, check, states, res, ims, end, deadline, cou
                 depth += 1
                 if depth > max_depth:
                     max_depth = depth
-                low = walk(pos + 1, state & ~bit, re * INV_SQRT2, im * INV_SQRT2, depth, check)
-                sign = -INV_SQRT2 if state & bit else INV_SQRT2
-                high = walk(pos + 1, state | bit, re * sign, im * sign, depth, check)
+                # Each part times 1/sqrt2 (``z * INV_SQRT2`` would multiply by
+                # ``INV_SQRT2 + 0j``, which can flip the sign of a zero part);
+                # the high child's -1/sqrt2 is exactly its negation.
+                z = complex(z.real * INV_SQRT2, z.imag * INV_SQRT2)
+                low = walk(pos + 1, state & ~bit, z, depth, check)
+                high = walk(pos + 1, state | bit, -z if state & bit else z, depth, check)
                 # (0j + low) + high; a missing child is +0, which adds nothing.
                 if low is None:
-                    return None if high is None else (0.0 + high[0], 0.0 + high[1])
+                    return high if high is None else 0j + high
                 if high is None:
-                    return 0.0 + low[0], 0.0 + low[1]
-                return (0.0 + low[0]) + high[0], (0.0 + low[1]) + high[1]
+                    return 0j + low
+                return (0j + low) + high
             # The run up to the next H, check or clock read: no H in it.
             # This is ``_run`` inlined: a call per run cost 5% on query-stream.
             stop = min(nexth[pos], check, pos + countdown)
-            for op in ops[pos:stop]:
-                kind = op[0]
+            for kind, c, a in live[rank[pos]:rank[stop]]:
                 if kind == _OP_CPHASE:
-                    c = op[1]
-                    if (state & c) == c:
-                        fr, _, fi = op[2]
-                        re, im = re * fr - im * fi, re * fi + im * fr
-                elif kind == _OP_CFLIP:
-                    c = op[1]
-                    if (state & c) == c:
-                        state ^= op[2]
-                elif kind == _OP_FLIP:
-                    state ^= op[1]
+                    if state & c == c:
+                        z *= a
                 elif kind == _OP_Y:
-                    _, bit, f1, f0 = op
-                    fr, _, fi = f1 if state & bit else f0
-                    state ^= bit
-                    re, im = re * fr - im * fi, re * fi + im * fr
+                    z *= a[0] if state & c else a[1]
+                    state ^= c
+                elif state & c == c:
+                    state ^= a
             edges += stop - pos
             countdown -= stop - pos
             pos = stop
-        return (re, im) if state == end else None
+        return z if state == end else None
 
-    values = [walk(pos, state, re, im, depth, check) for state, re, im in zip(states, res, ims)]
+    values = [walk(pos, state, z, depth, check) for state, z in zip(states, phases)]
     return values, (calls, edges, prunes, max_depth)
 
 
-def _run(run, state, re, im):
-    """One path through ``run``, ops with no H, with ``_times``'s products."""
-    for op in run:
-        kind = op[0]
+def _run(run, state, z):
+    """One path through ``run``, live ops with no H, as ``_scalar_finish``
+    runs them."""
+    for kind, c, a in run:
         if kind == _OP_CPHASE:
-            c = op[1]
-            if (state & c) == c:
-                fr, _, fi = op[2]
-                re, im = re * fr - im * fi, re * fi + im * fr
-        elif kind == _OP_CFLIP:
-            c = op[1]
-            if (state & c) == c:
-                state ^= op[2]
-        elif kind == _OP_FLIP:
-            state ^= op[1]
+            if state & c == c:
+                z *= a
         elif kind == _OP_Y:
-            _, bit, f1, f0 = op
-            fr, _, fi = f1 if state & bit else f0
-            state ^= bit
-            re, im = re * fr - im * fi, re * fi + im * fr
-    return state, re, im
+            z *= a[0] if state & c else a[1]
+            state ^= c
+        elif state & c == c:
+            state ^= a
+    return state, z
 
 
 def _scalar_top(plan, start, first, deadline):
@@ -339,32 +354,36 @@ def _scalar_top(plan, start, first, deadline):
 
     The root's paths run one by one on Python scalars with the batches'
     products; an H puts a path's two children side by side, so the branch
-    bits are ``arange``.  It stops at ``first`` (nothing above it is cut,
-    so it meets no narrow bottom), at SCALAR_LEAVES paths, and before an H
-    that would pass FRONTIER_CAP paths or FOLD_LEVELS levels.  It reads the
-    clock before each run of about ``_CLOCK_STEPS`` gate steps.
+    bits are ``arange``.  It stops at ``first`` (nothing above it is cut, so it meets no narrow
+    bottom), at SCALAR_LEAVES paths, and before an H that would pass
+    FRONTIER_CAP paths or FOLD_LEVELS levels.  It reads the clock before
+    each run of about ``_CLOCK_STEPS`` gate steps.
     """
-    ops, nexth, limit, cap = plan.ops, plan.nexth, SCALAR_LEAVES, FRONTIER_CAP
-    paths = [(start, 1.0, 0.0)]
+    ops, live, rank, nexth = plan.ops, plan.live, plan.rank, plan.nexth
+    limit, cap = SCALAR_LEAVES, FRONTIER_CAP
+    paths = [(start, 1 + 0j)]
     pos = depth = edges = 0
     while pos < first and 1 << depth < limit and 2 << depth <= cap and depth < FOLD_LEVELS:
         if time.perf_counter() > deadline:
             raise _timeout((2 << depth) - 2, edges, 0, depth)
         if nexth[pos] == pos:
             bit = ops[pos][2]
-            paths = [(state & ~bit | b, re * f, im * f) for state, re, im in paths
-                     for b, f in ((0, INV_SQRT2), (bit, -INV_SQRT2 if state & bit else INV_SQRT2))]
+            # As in ``_scalar_finish``: parts times 1/sqrt2, the high child's
+            # phase negated where the bit was set.
+            paths = [(state, complex(z.real * INV_SQRT2, z.imag * INV_SQRT2)) for state, z in paths]
+            paths = [child for state, z in paths
+                     for child in ((state & ~bit, z), (state | bit, -z if state & bit else z))]
             depth += 1
             edges += 1 << depth
             pos += 1
         else:
             stop = min(nexth[pos], first, pos + (_CLOCK_STEPS >> depth) + 1)
-            run = ops[pos:stop]
+            run = live[rank[pos]:rank[stop]]
             paths = [_run(run, *path) for path in paths]
             edges += (stop - pos) << depth
             pos = stop
-    states, res, ims = zip(*paths)
-    batch = (pos, depth, 0, np.array(states, dtype=np.int64), np.array([res, ims]),
+    states, phases = zip(*paths)
+    batch = (pos, depth, 0, np.array(states, dtype=np.int64), _pairs(phases),
              np.arange(len(paths)))
     # Level d of the top descended into 2**(d + 1) children.
     return batch, ((2 << depth) - 2, edges, 0, depth)
@@ -403,9 +422,9 @@ def traverse(plan, start, end, prune, deadline):
     first = _first_check(plan, start, end, prune)
     if 1 << hleft[0] <= limit:
         # The whole tree is narrow: the scalar walk takes it from the root.
-        (value,), counters = _scalar_finish(plan, 0, 0, first, [start], [1.0], [0.0],
+        (value,), counters = _scalar_finish(plan, 0, 0, first, [start], [1 + 0j],
                                             end, deadline, (0, 0, 0, 0))
-        return 0j if value is None else complex(*value), TraversalStats(*counters)
+        return 0j if value is None else value, TraversalStats(*counters)
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
     batch, (calls, edges, prunes, max_depth) = _scalar_top(plan, start, first, deadline)
@@ -428,18 +447,14 @@ def traverse(plan, start, end, prune, deadline):
             # Few enough leaves left below this batch: finish it on scalars.
             if state.size << hleft[pos] <= limit:
                 break
-            op = ops[pos]
-            kind = op[0]
+            kind, c, a = ops[pos]
             if kind == _OP_CPHASE:
-                c = op[1]
-                P = np.where((state & c) == c, _times(P, op[2]), P)
+                P = np.where((state & c) == c, _times(P, a.real, a.imag), P)
             elif kind == _OP_CFLIP:
-                c = op[1]
-                state = state ^ ((state & c) == c) * op[2]
+                state = state ^ ((state & c) == c) * a
             elif kind == _OP_FLIP:
-                state = state ^ op[1]
+                state = state ^ a
             elif kind == _OP_H:
-                q = op[1]
                 # Split at the root until the doubled batch fits (a lone
                 # path always fits) and its branch bits fit the fold.
                 while (2 * state.size > cap or depth - root >= FOLD_LEVELS) and depth > root:
@@ -454,11 +469,11 @@ def traverse(plan, start, end, prune, deadline):
                                         state[k:], P[:, k:], idx[k:] - half))
                         state, P, idx = state[:k], P[:, :k], idx[:k]
                 size = state.size
-                P = np.repeat(P * INV_SQRT2, 2, axis=1)
-                P[:, 1::2] *= _SIGNS[(state >> q) & 1]
-                state = np.repeat(state & ~op[2], 2)
-                state[1::2] |= op[2]
-                idx = np.repeat(idx << 1, 2)
+                P = (P * INV_SQRT2).repeat(2, axis=1)
+                P[:, 1::2] *= _SIGNS[(state >> c) & 1]
+                state = (state & ~a).repeat(2)
+                state[1::2] |= a
+                idx = (idx << 1).repeat(2)
                 idx[1::2] |= 1
                 depth += 1
                 calls += 2 * size
@@ -468,20 +483,20 @@ def traverse(plan, start, end, prune, deadline):
                 pos += 1
                 continue
             elif kind == _OP_Y:
-                _, bit, f1, f0 = op
-                hot = (state & bit) != 0
-                state = state ^ bit
-                P = _times(P, (np.where(hot, f1[0], f0[0]), np.where(hot, f1[1], f0[1])))
+                hot = (state & c) != 0
+                state = state ^ c
+                f1, f0 = a
+                P = _times(P, np.where(hot, f1.real, f0.real), np.where(hot, f1.imag, f0.imag))
             edges += state.size
             pos += 1
         if pos < length and state.size:
             values, (calls, edges, prunes, max_depth) = _scalar_finish(
-                plan, pos, depth, max(pos, first), state.tolist(), P[0].tolist(), P[1].tolist(),
+                plan, pos, depth, max(pos, first), state.tolist(), _phases(P),
                 end, deadline, (calls, edges, prunes, max_depth))
-            P = np.array([value or (0.0, 0.0) for value in values]).T
+            P = _pairs([0j if value is None else value for value in values])
         else:
-            hit = state == end
-            idx, P = idx[hit], P[:, hit]
+            # A missing leaf counts as +0.0 in the fold.
+            P = np.where(state == end, P, 0.0)
         value = _fold_batch(idx, P, depth - root)
         # Add the root's value to its parent, closing every parent whose
         # later child is not still waiting on the stack.  Accumulators

@@ -82,9 +82,9 @@ def _apply_gate(v, op):
     (two operand buffers).  An op holds at most two half-vector copies or
     buffers, freed when it returns.
     """
-    kind = op[0]
+    kind, mask, arg = op
     if kind == _OP_H:
-        low, high = _select(v, 0, op[2]), _select(v, op[2])
+        low, high = _select(v, 0, arg), _select(v, arg)
         a, b = low.copy(), high.copy()
         high[...] = a  # keep the old low half while ``a`` takes the sum
         a += b
@@ -95,19 +95,17 @@ def _apply_gate(v, op):
         a *= INV_SQRT2
         high[...] = a
     elif kind == _OP_FLIP or kind == _OP_CFLIP or kind == _OP_Y:
-        c, x = (op[1], op[2]) if kind == _OP_CFLIP else (0, op[1])
+        c, x = (0, mask) if kind == _OP_Y else (mask, arg)
         low, high = _select(v, c, x), _select(v, c | x)
         a, b = low.copy(), high.copy()
         if kind == _OP_Y:
-            _, _, (fr1, _, fi1), (fr0, _, fi0) = op
-            b *= complex(fr1, fi1)
-            a *= complex(fr0, fi0)
+            b *= arg[0]
+            a *= arg[1]
         low[...] = b
         high[...] = a
     elif kind == _OP_CPHASE:
-        fr, _, fi = op[2]
-        hot = _select(v, op[1])
-        hot *= complex(fr, fi)
+        hot = _select(v, mask)
+        hot *= arg
 
 
 def statevector_simulate(

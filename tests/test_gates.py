@@ -142,36 +142,33 @@ def successors(gate, state):
     return [(b.state.bits, repr(b.factor)) for b in branches]
 
 
-def _op_factor(f):
-    fr, column, fi = f
-    assert column.tobytes() == np.array([[-fi], [fi]]).tobytes()
-    return complex(fr, fi)
-
-
 def replay_op(op, bits):
     """Successors of the bitmask ``bits`` under one plan op, shaped as
     ``successors`` shapes them, so zero signs count."""
-    kind = op[0]
+    kind, c, a = op
     factor = 1.0 + 0.0j
     if kind == _kernels._OP_H:
-        assert op[2] == 1 << op[1]
-        high = -INV_SQRT2 if bits & op[2] else INV_SQRT2
-        return [(bits & ~op[2], repr(complex(INV_SQRT2))),
-                (bits | op[2], repr(complex(high)))]
+        assert a == 1 << c
+        high = -INV_SQRT2 if bits & a else INV_SQRT2
+        return [(bits & ~a, repr(complex(INV_SQRT2))),
+                (bits | a, repr(complex(high)))]
     if kind == _kernels._OP_FLIP:
-        bits ^= op[1]
+        assert c == 0
+        bits ^= a
     elif kind == _kernels._OP_CFLIP:
-        if bits & op[1] == op[1]:
-            bits ^= op[2]
+        if bits & c == c:
+            bits ^= a
     elif kind == _kernels._OP_CPHASE:
-        if bits & op[1] == op[1]:
-            factor = _op_factor(op[2])
+        assert type(a) is complex
+        if bits & c == c:
+            factor = a
     elif kind == _kernels._OP_Y:
-        _, x, f1, f0 = op
-        factor = _op_factor(f1 if bits & x else f0)
-        bits ^= x
+        f1, f0 = a
+        assert type(f1) is complex and type(f0) is complex
+        factor = f1 if bits & c else f0
+        bits ^= c
     else:
-        assert kind == _kernels._OP_SKIP and op == (kind,)
+        assert kind == _kernels._OP_SKIP and op == (kind, 0, 0)
     return [(bits, repr(factor))]
 
 

@@ -7,6 +7,7 @@ counters bit for bit, at every batch cap and every scalar handoff limit.
 """
 import math
 import re
+import struct
 import time
 from dataclasses import astuple
 
@@ -21,7 +22,7 @@ from pathsum.circuit import (
     AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
 )
 from pathsum.engine import packed_circuit
-from pathsum.gates import apply_nonbranching, branch_gate
+from pathsum.gates import INV_SQRT2, apply_nonbranching, branch_gate, phase_factor
 from pathsum._kernels import pack_circuit, traverse
 
 from conftest import random_circuit, random_gate, random_query, reference_walk
@@ -33,6 +34,10 @@ _LIMITS = (0, 1, 2, _kernels.SCALAR_LEAVES, 1 << 62)
 
 # Fold depths: 1 and 2 re-root a batch at nearly every H.
 _FOLD_LEVELS = (1, 2, _kernels.FOLD_LEVELS)
+
+# Gate steps between clock reads in the tests that run ``_check_inputs``,
+# so a short circuit can place a clock read where it wants.
+_CLOCK_STEPS = 32
 
 
 def _drive(circuit, query, prune, deadline=math.inf):
@@ -84,8 +89,13 @@ def _check_inputs(rng):
     distance 3 (cut, d == R + 1).  The random circuits are 6 qubits wide
     and 80-150 gates long, with few H gates: checks start at most 5 gates
     from the end, the scalar walk moves them on by half the slack, and
-    most random end states are cut there.
+    most random end states are cut there.  The last circuit ends in a run
+    of I, P(0) and CP(0) gates, ops the scalar walk leaves out of its runs,
+    where its first and later checks land, and the scalar walk from the
+    root reads the clock inside another such run, ``_CLOCK_STEPS`` gate
+    steps in; the caller sets ``_kernels._CLOCK_STEPS`` to this module's.
     """
+    assert _kernels._CLOCK_STEPS == _CLOCK_STEPS
     circuit = make_circuit(3, [h(0)] + [t(0)] * 70 + [x(1), x(2)])
     yield circuit, AmplitudeQuery(BasisState(0, 3), BasisState(0b110, 3))
     for _ in range(4):
@@ -94,6 +104,16 @@ def _check_inputs(rng):
         yield circuit, random_query(rng, 6)
         yield circuit, random_query(rng, 6)
         yield circuit, _random_path_query(rng, circuit)
+    noops = [identity(0), p(1, 0.0), cp(0, 2, 0.0)]
+    body = [t(0), cnot(0, 2), s(1), x(3)] * ((_CLOCK_STEPS - 16) // 4)
+    circuit = make_circuit(4, [h(0), h(1)] + body + noops * 10
+                           + [cnot(1, 3), y(0)] + noops * 3)
+    # Two H steps and the body: the clock read falls 14 gates into the
+    # first run of no-ops; every bit moves, so the first check sits 3
+    # gates from the end.
+    assert len(body) + 16 == _CLOCK_STEPS
+    yield circuit, random_query(rng, 4)
+    yield circuit, _random_path_query(rng, circuit)
 
 
 def _twin_inputs():
@@ -118,12 +138,33 @@ def test_traversal_twins_agree_bitwise(monkeypatch):
     # The frontier adds in depth-first tree order, on numpy batches and on
     # scalars alike, so it must equal the reference walk exactly, not
     # merely closely.
+    monkeypatch.setattr(_kernels, "_CLOCK_STEPS", _CLOCK_STEPS)
     for circuit, query in _twin_inputs():
         for prune in (False, True):
             expected = reference_walk(circuit, query, prune)
             for limit in _LIMITS:
                 monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
                 assert _drive(circuit, query, prune) == expected
+
+
+def test_python_complex_product_is_the_float_formula():
+    # The scalar walk multiplies its phase by a factor as Python complex
+    # numbers; the batches and the reference walk use the float formula
+    # (re*fr - im*fi, re*fi + im*fr).  They agree only if CPython's product
+    # rounds exactly as that formula does, signed zeros included.
+    parts = [0.0, -0.0, 1.0, -1.0, INV_SQRT2, -INV_SQRT2, 0.3, -2.5,
+             5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+    phases = [complex(a, b) for a in parts for b in parts]
+    fixed = [op[2] for op in pack_circuit(make_circuit(1, [z(0), s(0), t(0)])).ops]
+    fixed += pack_circuit(make_circuit(1, [y(0)])).ops[0][2]
+    assert fixed == [-1.0 + 0j, 1j, phase_factor(math.pi / 4), -1j, 1j]
+    for f in phases + fixed:
+        fr, fi = f.real, f.imag
+        for phase in phases:
+            re, im = phase.real, phase.imag
+            product = phase * f
+            assert struct.pack("<2d", product.real, product.imag) == struct.pack(
+                "<2d", re * fr - im * fi, re * fi + im * fr)
 
 
 def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
@@ -159,6 +200,7 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
     # Tiny caps split at nearly every H, and tiny fold depths re-root at
     # nearly every H, so almost every value crosses batches through the
     # parents' accumulators.
+    monkeypatch.setattr(_kernels, "_CLOCK_STEPS", _CLOCK_STEPS)
     rng = np.random.default_rng(515)
     inputs = []
     for _ in range(60):
@@ -255,8 +297,8 @@ def test_frontier_deadline_is_checked():
     # The scalar walk itself reads the clock once per _CLOCK_STEPS steps;
     # here it evaluates the cut from gate 0 on.
     with pytest.raises(QueryTimeout) as timeout:
-        _kernels._scalar_finish(pack_circuit(circuit), 0, 0, 0, [0], [1.0], [0.0],
-                                0, expired, (0, 0, 0, 0))
+        _kernels._scalar_finish(pack_circuit(circuit), 0, 0, 0, [0], [1 + 0j], 0,
+                                expired, (0, 0, 0, 0))
     assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
     # 256 leaves, and a top of two paths through 6,000 gates before the
     # tree widens: the scalar top reads the clock too.
@@ -301,6 +343,11 @@ def test_packed_rows_mark_only_h_gates():
                     assert (after ^ bits) & ~plan.moves == 0
         assert plan.hleft[-1] == 0
         assert plan.nexth[-1] == length
+        # ``live`` is every op that is neither H nor SKIP, and ``rank``
+        # counts them before each position.
+        doing = [op[0] not in (_kernels._OP_H, _kernels._OP_SKIP) for op in plan.ops]
+        assert plan.live == tuple(op for op, keep in zip(plan.ops, doing) if keep)
+        assert plan.rank == tuple(sum(doing[:i]) for i in range(length + 1))
         # No reachable state is further from ``end`` than the bound D that
         # places the first check.
         for start in range(32):

@@ -1,7 +1,9 @@
-"""benchmarks/record.py's file label: a checkout whose benchmarked paths
-differ from its commit is not filed under that commit."""
+"""benchmarks/record.py: a checkout whose benchmarked paths differ from its
+commit is not filed under that commit, and paired runs against another
+commit alternate sides and are summarized per metric."""
 import hashlib
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -51,3 +53,86 @@ def test_dirty_checkout_needs_a_label(tmp_path):
     (tmp_path / "src" / "new.py").write_text("new\n")
     assert record.checkout_state(tmp_path) == {
         "commit": commit, "dirty": True, "diff_sha1": hashlib.sha1(b"").hexdigest()}
+
+
+def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
+    # Two commits of a checkout; the stubbed runner reports the parent at
+    # 100 + seed queries/s and the change at 110, except in pair 3, a lower-
+    # is-better metric that the change never improves, and 50 + seed
+    # queries per run, of which the change fails one on "two" in pair 5.
+    repo = tmp_path / "repo"
+    (repo / "src" / "pathsum").mkdir(parents=True)
+    (repo / "src" / "pathsum" / "__init__.py").write_text("")
+    spec = {"run_seconds": 7,
+            "workloads": [{"name": "one"}, {"name": "two"}],
+            "end_to_end": [{"name": "queries_per_s", "better": "higher"},
+                           {"name": "peak_rss_mb", "better": "lower"}]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'old'\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    parent = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
+    (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'new'\n")
+    _git(repo, "commit", "-q", "-am", "change")
+    change = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
+
+    calls = []
+
+    def stub(root, workload, seed, seconds, trace):
+        side = "change" if root == repo else "parent"
+        calls.append((seed, workload, side, seconds, trace))
+        rate = 110.0 if side == "change" and seed != 3 else 100.0 + seed
+        metrics = {"queries_per_s": {"value": rate}, "peak_rss_mb": {"value": 40.0}}
+        failed = int(side == "change" and seed == 5 and workload == "two")
+        return {"workload": workload, "trace": trace, "exit_code": 0,
+                "result": {"attempted": 50 + seed, "failed": failed, "metrics": metrics}}
+
+    monkeypatch.setattr(record, "record_run", stub)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    assert record.main(["--root", str(repo), "--against", "HEAD~1"]) == 0
+
+    # Within a pair each workload runs on both sides back to back, and the
+    # side that goes first alternates from pair to pair.
+    firsts = ["parent", "change"] * 5
+    expected = []
+    for seed, first in enumerate(firsts, 1):
+        second = "change" if first == "parent" else "parent"
+        for workload in ("one", "two"):
+            expected += [(seed, workload, first, 7, 0), (seed, workload, second, 7, 0)]
+    assert calls == expected
+
+    out = json.loads((tmp_path / f"BENCH_{change}-vs-{parent}.json").read_text())
+    assert (out["commit"], out["dirty"], out["kernel"]) == (change, False, "new")
+    assert out["against"] == {"rev": "HEAD~1", "commit": parent, "kernel": "old"}
+    assert out["seeds"] == list(range(1, 11))
+    assert [(r["seed"], r["side"], r["workload"]) for r in out["runs"]] == [
+        (seed, side, workload) for seed, workload, side, _, _ in expected]
+    # Parent rates 101..110; the change reads 110 but 100 + 3 in pair 3,
+    # so it wins pairs 1-9 but 3, and pair 10 is a tie.
+    for workload in ("one", "two"):
+        rate = out["summary"][workload]["queries_per_s"]
+        assert rate == {"better": "higher", "pairs": 10, "parent_median": 105.5,
+                        "change_median": 110.0, "parent_iqr": 4.5, "change_wins": 8}
+        rss = out["summary"][workload]["peak_rss_mb"]
+        assert rss["change_wins"] == 0 and rss["parent_iqr"] == 0.0
+        failed = int(workload == "two")
+        assert out["summary"][workload]["queries"] == {
+            "parent": {"attempted": 555, "failed": 0},
+            "change": {"attempted": 555, "failed": failed}}
+
+
+def test_summary_skips_pairs_without_both_results():
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "setup_s", "better": "lower"}]}
+    runs = [{"side": side, "seed": seed, "workload": "w",
+             "result": {"attempted": 9, "failed": 1,
+                        "metrics": {"setup_s": {"value": value}}}}
+            for side, seed, value in (("parent", 1, 2.0), ("change", 1, 1.0),
+                                      ("parent", 2, 3.0))]
+    runs.append({"side": "change", "seed": 2, "workload": "w", "error": "crashed"})
+    assert record.summarize(runs, spec) == {"w": {
+        "queries": {"parent": {"attempted": 18, "failed": 2},
+                    "change": {"attempted": 9, "failed": 1}},
+        "setup_s": {"better": "lower", "pairs": 1, "parent_median": 2.0,
+                    "change_median": 1.0, "parent_iqr": 0.0, "change_wins": 1}}}
