@@ -26,11 +26,15 @@ With ``prune``, both walks cut a path once its Hamming distance d to
 fire.  Every op changes at most one bit, and only bits in ``plan.moves``,
 so d never exceeds D = popcount((start ^ end) | moves): no cut is possible
 before position ``len(ops) - D + 1``, where the frontier starts checking
-at every gate.  The scalar walk also skips ahead: a check that leaves a
-path alive with slack R - d rules out a cut for the next (R - d) // 2
-gates, since each gate lowers R by one and raises d by at most one, so
-its next check comes right after them.  Cuts therefore fire at exactly
-the positions where a check at every gate would fire them.
+at every gate.  So, too, the slack R - d never rises along a path (each
+gate lowers R by one and raises d by at most one), and the scalar walk
+checks it once per run of gates, at the run's end and before an H it
+enters directly.  A run that ends with negative slack steps back, one
+gate at a time through ``plan.state_ops`` (on the state alone every op
+but H undoes itself), to the first position where the slack was
+negative, and cuts there; a leaf that misses ``end`` is a cut only if
+its slack was negative one gate before the end.  Cuts therefore fire at
+exactly the positions where a check at every gate would fire them.
 """
 from __future__ import annotations
 
@@ -97,8 +101,9 @@ class PackedCircuit:
     live ops of a run ``ops[i:j]`` with no H are ``live[rank[i]:rank[j]]``.
     ``hleft[i]`` counts the H gates at positions ``>= i``, so ``hleft[0]``
     is the circuit's H count, and ``nexth[i]`` is the position of the first
-    of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
-    can change.
+    of them (``len(ops)`` if none).  ``state_ops[i]`` is op i's effect on
+    the state alone (``_state_op``), and ``moves`` is the OR of every bit
+    an op can change.
     """
 
     ops: tuple
@@ -107,6 +112,7 @@ class PackedCircuit:
     hleft: tuple  # H gates at or after each position, one entry past the end
     nexth: tuple  # next H at or after each position, one entry past the end
     moves: int
+    state_ops: tuple
 
 
 # Ops.  Every op is ``(kind, mask, arg)``, and every gate is classified by
@@ -149,8 +155,17 @@ _GATE_OPS = {
 }
 
 
-# Where each op that changes a bit keeps that bit's mask.
-_MOVED_BIT = {_OP_H: 2, _OP_FLIP: 2, _OP_CFLIP: 2, _OP_Y: 1}
+def _state_op(op):
+    """The SKIP, FLIP or CFLIP op that does what ``op`` does to the state:
+    a phase does nothing and Y flips its bit.  On the state that undoes
+    itself, so it steps a path back over ``op``.  An H gets a FLIP of its
+    bit, the one bit its children differ in."""
+    kind, c, a = op
+    if kind == _OP_CPHASE:
+        return _SKIP
+    if kind == _OP_Y:
+        return _OP_FLIP, 0, c
+    return (_OP_FLIP, 0, a) if kind == _OP_H else op
 
 
 def pack_circuit(circuit: Circuit) -> PackedCircuit:
@@ -160,14 +175,13 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
     is_live = [op[0] != _OP_H and op[0] != _OP_SKIP for op in ops]
     live = tuple(op for op, keep in zip(ops, is_live) if keep)
     rank = tuple(accumulate(is_live, initial=0))
+    state_ops = tuple(map(_state_op, ops))
     nexth = [length] * (length + 1)
     moves = 0
     for i in reversed(range(length)):
-        kind = ops[i][0]
-        nexth[i] = i if kind == _OP_H else nexth[i + 1]
-        if kind in _MOVED_BIT:
-            moves |= ops[i][_MOVED_BIT[kind]]
-    return PackedCircuit(ops, live, rank, hleft, tuple(nexth), moves)
+        nexth[i] = i if ops[i][0] == _OP_H else nexth[i + 1]
+        moves |= state_ops[i][2]
+    return PackedCircuit(ops, live, rank, hleft, tuple(nexth), moves, state_ops)
 
 
 def _first_check(plan, start, end, prune):
@@ -256,87 +270,8 @@ def _fold_batch(idx, P, levels):
     return complex(D[0, 0], D[1, 0])
 
 
-def _scalar_finish(plan, pos, depth, check, states, phases, end, deadline, counters):
-    """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
-
-    Each path (Python int state, complex phase) walks its subtree on plain
-    Python scalars over ``plan.ops``, recursing once per H, with the same
-    cut and the same products in the same order as the batches (CPython's
-    ``z * f`` is ``(re*fr - im*fi, re*fi + im*fr)``), and
-    ``(0j + left) + right`` at every H.  ``check`` (at least ``pos``;
-    ``len(plan.ops)`` without pruning) is where the cut is first
-    evaluated; a check that keeps a path alive with slack R - d moves the
-    next one (R - d) // 2 + 1 gates on.
-    Between H gates, checks and clock reads, the gates run as one run over
-    ``plan.live``, which leaves SKIP ops out, and are counted once.
-    ``counters`` is the walk's ``(calls, edges, prunes, max_depth)``.
-    Returns each path's subtree value, or None where no leaf reached
-    ``end`` (a complex zero is falsy, so test with ``is None``), and the
-    updated counters.  The clock is read once every ``_CLOCK_STEPS`` gate
-    steps.
-    """
-    ops, live, rank, nexth = plan.ops, plan.live, plan.rank, plan.nexth
-    length = len(ops)
-    calls, edges, prunes, max_depth = counters
-    countdown = _CLOCK_STEPS
-
-    def walk(pos, state, z, depth, check):
-        nonlocal calls, edges, prunes, max_depth, countdown
-        while pos < length:
-            if pos == check:
-                slack = length - pos - (state ^ end).bit_count()
-                if slack < 0:
-                    prunes += 1
-                    return None
-                check = pos + (slack >> 1) + 1
-            if not countdown:
-                if time.perf_counter() > deadline:
-                    raise _timeout(calls, edges, prunes, max_depth)
-                countdown = _CLOCK_STEPS
-            if nexth[pos] == pos:
-                bit = ops[pos][2]
-                countdown -= 1
-                calls += 2
-                edges += 2
-                depth += 1
-                if depth > max_depth:
-                    max_depth = depth
-                # Each part times 1/sqrt2 (``z * INV_SQRT2`` would multiply by
-                # ``INV_SQRT2 + 0j``, which can flip the sign of a zero part);
-                # the high child's -1/sqrt2 is exactly its negation.
-                z = complex(z.real * INV_SQRT2, z.imag * INV_SQRT2)
-                low = walk(pos + 1, state & ~bit, z, depth, check)
-                high = walk(pos + 1, state | bit, -z if state & bit else z, depth, check)
-                # (0j + low) + high; a missing child is +0, which adds nothing.
-                if low is None:
-                    return high if high is None else 0j + high
-                if high is None:
-                    return 0j + low
-                return (0j + low) + high
-            # The run up to the next H, check or clock read: no H in it.
-            # This is ``_run`` inlined: a call per run cost 5% on query-stream.
-            stop = min(nexth[pos], check, pos + countdown)
-            for kind, c, a in live[rank[pos]:rank[stop]]:
-                if kind == _OP_CPHASE:
-                    if state & c == c:
-                        z *= a
-                elif kind == _OP_Y:
-                    z *= a[0] if state & c else a[1]
-                    state ^= c
-                elif state & c == c:
-                    state ^= a
-            edges += stop - pos
-            countdown -= stop - pos
-            pos = stop
-        return z if state == end else None
-
-    values = [walk(pos, state, z, depth, check) for state, z in zip(states, phases)]
-    return values, (calls, edges, prunes, max_depth)
-
-
 def _run(run, state, z):
-    """One path through ``run``, live ops with no H, as ``_scalar_finish``
-    runs them."""
+    """One path through ``run``, live ops with no H, on Python scalars."""
     for kind, c, a in run:
         if kind == _OP_CPHASE:
             if state & c == c:
@@ -347,6 +282,86 @@ def _run(run, state, z):
         elif state & c == c:
             state ^= a
     return state, z
+
+
+def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, counters):
+    """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
+
+    Each path (Python int state, complex phase) walks its subtree on plain
+    Python scalars over ``plan.ops``, recursing once per H, with the same
+    cut and the same products in the same order as the batches (CPython's
+    ``z * f`` is ``(re*fr - im*fi, re*fi + im*fr)``), and
+    ``(0j + left) + right`` at every H.  Between H gates and clock reads
+    the gates run as one ``_run`` over ``plan.live``, which leaves SKIP
+    ops out, and are counted once.  The cut is checked from ``first`` on
+    (``_first_check``; without pruning it is ``len(plan.ops)``, where
+    nothing is cut) at each run's end and before an H the walk enters
+    directly: the root, an H right after an H, a handoff at an H.
+    ``counters`` is the walk's ``(calls, edges, prunes, max_depth)``.
+    Returns each path's subtree value, or None where no leaf reached
+    ``end`` (a complex zero is falsy, so test with ``is None``), and the
+    updated counters.  The clock is read once every ``_CLOCK_STEPS`` gate
+    steps.
+    """
+    ops, live, rank, nexth, state_ops = plan.ops, plan.live, plan.rank, plan.nexth, plan.state_ops
+    length = len(ops)
+    calls, edges, prunes, max_depth = counters
+    countdown = _CLOCK_STEPS
+
+    def walk(pos, state, z, depth):
+        nonlocal calls, edges, prunes, max_depth, countdown
+        while True:
+            if countdown <= 0:
+                if time.perf_counter() > deadline:
+                    raise _timeout(calls, edges, prunes, max_depth)
+                countdown = _CLOCK_STEPS
+            # The run up to the next H or clock read, empty at an H.
+            begin, pos = pos, min(nexth[pos], pos + countdown)
+            state, z = _run(live[rank[begin]:rank[pos]], state, z)
+            edges += pos - begin
+            countdown -= pos - begin
+            if pos >= first and (state ^ end).bit_count() > length - pos:
+                # Negative slack: step back, undoing one gate at a time,
+                # to the first position from max(begin, first) where the
+                # slack is negative.  At len(ops) nothing is cut: a leaf
+                # cut nowhere before it is a miss.
+                cut, floor = pos, max(begin, first)
+                while cut > floor:
+                    _, c, x = state_ops[cut - 1]
+                    back = state ^ x if state & c == c else state
+                    if (back ^ end).bit_count() <= length - cut + 1:
+                        break
+                    state, cut = back, cut - 1
+                if cut < length:
+                    prunes += 1
+                    edges -= pos - cut
+                return None
+            if pos < nexth[pos]:
+                continue  # the clock is due
+            if pos == length:
+                return z
+            bit = ops[pos][2]
+            countdown -= 1
+            calls += 2
+            edges += 2
+            depth += 1
+            if depth > max_depth:
+                max_depth = depth
+            # Each part times 1/sqrt2 (``z * INV_SQRT2`` would multiply by
+            # ``INV_SQRT2 + 0j``, which can flip the sign of a zero part);
+            # the high child's -1/sqrt2 is exactly its negation.
+            z = complex(z.real * INV_SQRT2, z.imag * INV_SQRT2)
+            low = walk(pos + 1, state & ~bit, z, depth)
+            high = walk(pos + 1, state | bit, -z if state & bit else z, depth)
+            # (0j + low) + high; a missing child is +0, which adds nothing.
+            if low is None:
+                return high if high is None else 0j + high
+            if high is None:
+                return 0j + low
+            return (0j + low) + high
+
+    values = [walk(pos, state, z, depth) for state, z in zip(states, phases)]
+    return values, (calls, edges, prunes, max_depth)
 
 
 def _scalar_top(plan, start, first, deadline):
@@ -409,10 +424,10 @@ def traverse(plan, start, end, prune, deadline):
     value that closes the tree's root is the amplitude.
 
     With ``prune``, a path is cut once the Hamming distance to ``end``
-    exceeds the gates left, checked at every gate from ``_first_check``'s
-    position on (see the module docstring).  Past ``deadline`` (a
-    ``perf_counter`` time) it raises QueryTimeout with the counters
-    reached.
+    exceeds the gates left, checked from ``_first_check``'s position on:
+    at every gate in the batches, once per run in ``_scalar_finish`` (see
+    the module docstring).  Past ``deadline`` (a ``perf_counter`` time)
+    it raises QueryTimeout with the counters reached.
     """
     cap = FRONTIER_CAP
     limit = SCALAR_LEAVES
@@ -491,7 +506,7 @@ def traverse(plan, start, end, prune, deadline):
             pos += 1
         if pos < length and state.size:
             values, (calls, edges, prunes, max_depth) = _scalar_finish(
-                plan, pos, depth, max(pos, first), state.tolist(), _phases(P),
+                plan, pos, depth, first, state.tolist(), _phases(P),
                 end, deadline, (calls, edges, prunes, max_depth))
             P = _pairs([0j if value is None else value for value in values])
         else:

@@ -80,20 +80,59 @@ def _random_path_query(rng, circuit):
     return AmplitudeQuery(start, state)
 
 
+def _cut_inputs():
+    """Hand-made inputs, each with a cut at a planned position.
+
+    Yields ``(circuit, query, counters)``, ``counters`` being the pruned
+    reference walk's.  The scalar walk checks the cut at the end of each
+    run and before an H it enters directly, and steps back from a run's end
+    to the first position where the slack went negative; these pin where
+    that search must land.  With ``_CLOCK_STEPS`` = 32 no clock read falls
+    inside their runs, except in the last input, where one is meant to.
+    """
+    def query(n, start, end):
+        return AmplitudeQuery(BasisState(start, n), BasisState(end, n))
+
+    # A cut seven gates before the end of a 20-gate run: the low path has
+    # bits 1-7 set at gate 14, distance 8 with 7 gates left.
+    circuit = make_circuit(8, [h(0)] + [t(0)] * 4 + [x(1), t(1), x(2), x(3), s(2)]
+                           + [x(q) for q in range(4, 8)] + [x(q) for q in range(1, 8)])
+    yield circuit, query(8, 0, 1), (2, 35, 1, 1)
+    # Cuts on the first gate below an H: h(0) meets the bit-4 path with
+    # slack 0, so both its children are cut at gate 2; the high child's
+    # state would have negative slack at gate 1 already, so the step back
+    # must stop at its run's start.  The bit-4-clear path's high child is
+    # cut at gate 2 too.
+    circuit = make_circuit(5, [h(4), h(0), x(1), x(2), x(3)])
+    yield circuit, query(5, 0, 0b01110), (6, 9, 3, 2)
+    # Cuts at an H the walk enters directly: the root, and the low child of
+    # h(0) at h(1).  At limit 2 the frontier hands the survivor over at h(1).
+    yield make_circuit(3, [h(0), x(1)]), query(3, 0, 0b111), (0, 0, 1, 0)
+    yield make_circuit(3, [h(0), h(1), x(2)]), query(3, 0, 0b111), (4, 5, 2, 2)
+    # A cut at len(ops) - 1 (state 0b10, distance 2 with 1 gate left) next
+    # to leaves that end one bit from ``end`` with no cut: misses.
+    yield make_circuit(2, [h(0), h(1), t(0)]), query(2, 0, 0b01), (6, 9, 1, 2)
+    # A run ended by a clock read: the low path's first run stops at gate
+    # 32, six gates past its cut at gate 26, where bits 1-15 are set.
+    circuit = make_circuit(16, [h(0)] + [t(0)] * 10 + [x(q) for q in range(1, 16)]
+                           + [x(q) for q in range(15, 0, -1)])
+    yield circuit, query(16, 0, 1), (2, 67, 1, 1)
+
+
 def _check_inputs(rng):
     """Inputs whose cuts fire only after the stretches the walk skips.
 
     The first check sits at ``len(ops) - D + 1`` (see ``_kernels``).  In
-    the hand-made circuit D = 3, so it sits at x(1), 2 gates from the end:
-    the low path is at distance 2 there (kept, d == R) and the high path at
-    distance 3 (cut, d == R + 1).  The random circuits are 6 qubits wide
-    and 80-150 gates long, with few H gates: checks start at most 5 gates
-    from the end, the scalar walk moves them on by half the slack, and
-    most random end states are cut there.  The last circuit ends in a run
-    of I, P(0) and CP(0) gates, ops the scalar walk leaves out of its runs,
-    where its first and later checks land, and the scalar walk from the
-    root reads the clock inside another such run, ``_CLOCK_STEPS`` gate
-    steps in; the caller sets ``_kernels._CLOCK_STEPS`` to this module's.
+    the first hand-made circuit D = 3, so it sits at x(1), 2 gates from the
+    end: the low path is at distance 2 there (kept, d == R) and the high
+    path at distance 3 (cut, d == R + 1).  The random circuits are 6 qubits
+    wide and 80-150 gates long, with few H gates: checks start at most 5
+    gates from the end, and most random end states are cut there.  Then
+    come ``_cut_inputs``.  The last circuit ends in a run of I, P(0) and
+    CP(0) gates, ops the scalar walk leaves out of its runs, where the
+    first check sits, and the scalar walk from the root reads the clock
+    inside another such run, ``_CLOCK_STEPS`` gate steps in; the caller
+    sets ``_kernels._CLOCK_STEPS`` to this module's.
     """
     assert _kernels._CLOCK_STEPS == _CLOCK_STEPS
     circuit = make_circuit(3, [h(0)] + [t(0)] * 70 + [x(1), x(2)])
@@ -104,6 +143,8 @@ def _check_inputs(rng):
         yield circuit, random_query(rng, 6)
         yield circuit, random_query(rng, 6)
         yield circuit, _random_path_query(rng, circuit)
+    for circuit, query, _ in _cut_inputs():
+        yield circuit, query
     noops = [identity(0), p(1, 0.0), cp(0, 2, 0.0)]
     body = [t(0), cnot(0, 2), s(1), x(3)] * ((_CLOCK_STEPS - 16) // 4)
     circuit = make_circuit(4, [h(0), h(1)] + body + noops * 10
@@ -145,6 +186,42 @@ def test_traversal_twins_agree_bitwise(monkeypatch):
             for limit in _LIMITS:
                 monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
                 assert _drive(circuit, query, prune) == expected
+
+
+def test_hand_made_cuts_land_where_planned():
+    # The counters pin each input's planned cut positions (the agreement
+    # tests then hold the kernel to them): a cut at gate p counts p gates
+    # of its path.
+    for circuit, query, counters in _cut_inputs():
+        assert reference_walk(circuit, query, True)[1] == counters
+
+
+def test_ops_never_raise_slack_and_undo_themselves():
+    # What checking the cut once per run rests on: after any op the slack
+    # R - d to any end state is no larger than before it (R falls by one,
+    # d rises by at most one), so a run whose end has slack >= 0 had it
+    # everywhere.  And every op but H, applied to its own output state,
+    # gives back its input state; the walk steps back with the plan's
+    # ``state_ops``, which must do to the state what the op does.  An H's
+    # entry flips the one bit its children may differ in.
+    rng = np.random.default_rng(12)
+    gates = [random_gate(rng, 5) for _ in range(300)] + [p(0, 0.0), cp(1, 2, 0.0)]
+    kinds = set()
+    for gate in gates:
+        plan = pack_circuit(make_circuit(5, [gate]))
+        op, state_op = plan.ops[0], plan.state_ops[0]
+        kinds.add(op[0])
+        assert state_op[0] in (_kernels._OP_SKIP, _kernels._OP_FLIP, _kernels._OP_CFLIP)
+        for bits in range(32):
+            for after, _ in replay_op(op, bits):
+                for end in range(32):
+                    assert (after ^ end).bit_count() <= (bits ^ end).bit_count() + 1
+                (back, _), = replay_op(state_op, after)
+                if op[0] == _kernels._OP_H:
+                    assert bits in (after, back)
+                else:
+                    assert [state for state, _ in replay_op(op, after)] == [back] == [bits]
+    assert kinds == set(range(6))
 
 
 def test_python_complex_product_is_the_float_formula():
@@ -321,6 +398,25 @@ def test_scalar_walk_deadline_overshoot_is_bounded():
     with pytest.raises(QueryTimeout):
         path_sum_amplitude(circuit, query, EngineOptions(deadline_s=0.05))
     assert time.perf_counter() - began < 1.0
+
+
+def test_scalar_walk_deadline_holds_while_stepping_back():
+    # 64 leaves of 40,006 gates from 0 to the all-ones state: every path is
+    # cut, at gate 39,945 or later (62 qubits allow no earlier cut), so
+    # each leaf runs to the end and steps back up to 61 gates to its cut.
+    # About 2.6M gate steps, every one of them on the scalar walk; the
+    # deadline must still stop it, after some leaves were cut.
+    n = 62
+    circuit = make_circuit(n, [h(q) for q in range(6)]
+                           + [t(0), cp(1, 2, 0.3), s(3), y(6), y(6), cnot(7, 8), cnot(7, 8),
+                              x(9), x(9)] * 4444 + [z(4), z(5), t(1), s(2)])
+    packed_circuit(circuit)  # compile outside the timed call
+    query = AmplitudeQuery(BasisState.zeros(n), BasisState((1 << n) - 1, n))
+    began = time.perf_counter()
+    with pytest.raises(QueryTimeout) as timeout:
+        path_sum_amplitude(circuit, query, EngineOptions(deadline_s=0.05))
+    assert time.perf_counter() - began < 1.0
+    assert timeout.value.stats.prunes > 0
 
 
 def test_packed_rows_mark_only_h_gates():
