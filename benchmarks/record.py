@@ -7,8 +7,9 @@ For every workload ``BENCHMARK.json`` lists, this runs
 
 with R the ``run_seconds`` of ``BENCHMARK.json``, so every file's runs
 are as long as the benchmark's, and T = 0 (the end-to-end metrics) and
-T = 1 (the per-layer ones), one run at a time, and writes each run's report line and result line to one
-JSON file.  From the root of a checkout:
+T = 1 (the per-layer ones), one run at a time, and writes each run's
+report line and result line to one JSON file.  From the root of a
+checkout:
 
     python3 benchmarks/record.py [--seed 1] [--label L]
 
@@ -24,15 +25,17 @@ code is 1 if any run failed, after the file is written.
 
 A speed claim rests on paired runs, not on one run per side:
 
-    python3 benchmarks/record.py --against REV [--label L]
+    python3 benchmarks/record.py --against REV [--seed 1] [--label L]
 
 clones REV into a temporary directory and runs it (the parent) and this
 checkout (the change) back to back, ``--trace 0`` only, once per workload
-and seed 1..PAIRS, the first side alternating from pair to pair.  The file
-``BENCH_<label>-vs-<REV's short commit>.json`` holds every run and, per
-workload, each side's attempted and failed queries and, per end-to-end
-metric, both sides' medians over the pairs, the parent's interquartile
-range and the number of pairs the change wins.
+in each of PAIRS pairs, all at the one seed, the first side alternating
+from pair to pair.  One seed means one circuit set, so the spread between
+pairs is the host's alone.  The file ``BENCH_<label>-vs-<REV's short
+commit>.json`` holds every run, keyed by pair number, and, per workload,
+each side's attempted and failed queries and, per end-to-end metric, both
+sides' medians over the pairs, the parent's interquartile range and the
+number of pairs the change wins.
 """
 from __future__ import annotations
 
@@ -108,20 +111,21 @@ def record_run(root: Path, workload: str, seed: int, seconds: float, trace: int)
     return run
 
 
-def paired_runs(change: Path, parent: Path, spec: dict) -> list:
-    """``--trace 0`` runs of both checkouts for seeds 1..PAIRS: in each
-    pair every workload runs on one side, then at once on the other, and
-    the side that runs first alternates, the parent first in pair 1."""
+def paired_runs(change: Path, parent: Path, spec: dict, seed: int) -> list:
+    """``--trace 0`` runs of both checkouts at ``seed`` in pairs 1..PAIRS:
+    in each pair every workload runs on one side, then at once on the
+    other, and the side that runs first alternates, the parent first in
+    pair 1."""
     runs = []
-    for seed in range(1, PAIRS + 1):
+    for pair in range(1, PAIRS + 1):
         sides = [("parent", parent), ("change", change)]
-        if seed % 2 == 0:
+        if pair % 2 == 0:
             sides.reverse()
         for workload in spec["workloads"]:
             for side, root in sides:
-                print(f"pair {seed}: {workload['name']} {side}", file=sys.stderr, flush=True)
+                print(f"pair {pair}: {workload['name']} {side}", file=sys.stderr, flush=True)
                 run = record_run(root, workload["name"], seed, spec["run_seconds"], 0)
-                runs.append({"side": side, "seed": seed, **run})
+                runs.append({"side": side, "pair": pair, **run})
     return runs
 
 
@@ -149,7 +153,7 @@ def summarize(runs: list, spec: dict) -> dict:
         count["failed"] += result["failed"]
         for name, metric in result["metrics"].items():
             key = (run["workload"], name)
-            values.setdefault(key, {}).setdefault(run["seed"], {})[run["side"]] = metric["value"]
+            values.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = metric["value"]
     summary = {}
     for workload in spec["workloads"]:
         name = workload["name"]
@@ -157,8 +161,8 @@ def summarize(runs: list, spec: dict) -> dict:
             side: queries.get((name, side), {"attempted": 0, "failed": 0})
             for side in ("parent", "change")}}
         for metric in spec["end_to_end"]:
-            by_seed = values.get((name, metric["name"]), {})
-            both = [v for v in by_seed.values() if len(v) == 2]
+            by_pair = values.get((name, metric["name"]), {})
+            both = [v for v in by_pair.values() if len(v) == 2]
             parent = [v["parent"] for v in both]
             change = [v["change"] for v in both]
             sign = 1 if metric["better"] == "higher" else -1
@@ -174,7 +178,7 @@ def summarize(runs: list, spec: dict) -> dict:
 
 
 def record_pairs(root: Path, spec: dict, state: dict, label: str,
-                 against: str) -> tuple[Path, dict]:
+                 against: str, seed: int) -> tuple[Path, dict]:
     """Clone ``against`` from ``root``'s repository, run the pairs and
     return the file to write and its record."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -185,13 +189,14 @@ def record_pairs(root: Path, spec: dict, state: dict, label: str,
                        check=True, capture_output=True)
         parent_state = checkout_state(parent)
         parent_kernel = kernel_name(parent)
-        runs = paired_runs(root, parent, spec)
+        runs = paired_runs(root, parent, spec, seed)
     record = {
         "label": label,
         **state,
         "kernel": kernel_name(root),
         "against": {"rev": against, "commit": parent_state["commit"], "kernel": parent_kernel},
-        "seeds": list(range(1, PAIRS + 1)),
+        "seed": seed,
+        "pairs": PAIRS,
         "seconds": spec["run_seconds"],
         "summary": summarize(runs, spec),
         "runs": runs,
@@ -204,9 +209,9 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to benchmark")
     parser.add_argument("--label", help="file label (default: the short commit; "
                         "required when the checkout is dirty)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of a single run")
+    parser.add_argument("--seed", type=int, default=1, help="seed of every run")
     parser.add_argument("--against", metavar="REV",
-                        help=f"run paired against this commit, seeds 1..{PAIRS}")
+                        help=f"run {PAIRS} pairs against this commit")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
     state = checkout_state(root)
     label = file_label(state, args.label)
     if args.against:
-        out, record = record_pairs(root, spec, state, label, args.against)
+        out, record = record_pairs(root, spec, state, label, args.against, args.seed)
     else:
         out = ROOT / f"BENCH_{label}.json"
         runs = []

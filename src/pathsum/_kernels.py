@@ -2,9 +2,11 @@
 
 ``pack_circuit`` turns each gate into one ``(kind, mask, arg)`` op, read
 from ``_GATE_OPS``, the table of what every gate kind does to a basis-state
-bit mask; its factors are Python complex numbers.  The engine keeps the
-plan on the circuit, so each circuit is packed once, and the state-vector
-backend runs the same ops on all ``2**n`` amplitudes.
+bit mask.  Every op but H and CPHASE moves the state as ``if state & mask
+== mask: state ^= arg``; a CPHASE's arg is its Python complex factor, and
+Y's two factors are module constants.  The engine keeps the plan on the
+circuit, so each circuit is packed once, and the state-vector backend runs
+the same ops on all ``2**n`` amplitudes.
 
 ``traverse(plan, start, end, prune, deadline)`` is the numpy frontier
 walk: it runs whole batches of paths per gate and adds their values in
@@ -29,12 +31,13 @@ before position ``len(ops) - D + 1``, where the frontier starts checking
 at every gate.  So, too, the slack R - d never rises along a path (each
 gate lowers R by one and raises d by at most one), and the scalar walk
 checks it once per run of gates, at the run's end and before an H it
-enters directly.  A run that ends with negative slack steps back, one
-gate at a time through ``plan.state_ops`` (on the state alone every op
-but H undoes itself), to the first position where the slack was
-negative, and cuts there; a leaf that misses ``end`` is a cut only if
-its slack was negative one gate before the end.  Cuts therefore fire at
-exactly the positions where a check at every gate would fire them.
+enters directly.  A run that ends with negative slack steps back over
+its ops' state moves one gate at a time (on the state alone every op but
+H undoes itself, and a CPHASE does nothing) to the first position where
+the slack was negative, and cuts there; a leaf that misses ``end`` is a
+cut only if its slack was negative one gate before the end.  Cuts
+therefore fire at exactly the positions where a check at every gate
+would fire them.
 """
 from __future__ import annotations
 
@@ -101,9 +104,8 @@ class PackedCircuit:
     live ops of a run ``ops[i:j]`` with no H are ``live[rank[i]:rank[j]]``.
     ``hleft[i]`` counts the H gates at positions ``>= i``, so ``hleft[0]``
     is the circuit's H count, and ``nexth[i]`` is the position of the first
-    of them (``len(ops)`` if none).  ``state_ops[i]`` is op i's effect on
-    the state alone (``_state_op``), and ``moves`` is the OR of every bit
-    an op can change.
+    of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
+    can change: the arg of every op but a CPHASE.
     """
 
     ops: tuple
@@ -112,26 +114,25 @@ class PackedCircuit:
     hleft: tuple  # H gates at or after each position, one entry past the end
     nexth: tuple  # next H at or after each position, one entry past the end
     moves: int
-    state_ops: tuple
 
 
 # Ops.  Every op is ``(kind, mask, arg)``, and every gate is classified by
 # what it can change, so it runs only the operations it needs:
 #   (_OP_H, q, 1 << q)            branch on qubit q
 #   (_OP_SKIP, 0, 0)              identity: no state change, factor 1
-#   (_OP_FLIP, 0, x)              state ^= x on every path, factor 1
 #   (_OP_CFLIP, c, x)             state ^= x where (state & c) == c, factor 1
+#                                 (X is the CFLIP with c = 0)
 #   (_OP_CPHASE, c, f)            factor f where (state & c) == c
-#   (_OP_Y, x, (f1, f0))          state ^= x on every path, factor f1 where
-#                                 the old bit x was set, else f0
-# A factor is a Python complex, never exactly 1.  SKIP, FLIP and CFLIP
-# share one scalar step, ``if state & c == c: state ^= x``.
-_OP_H, _OP_SKIP, _OP_FLIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(6)
+#   (_OP_Y, 0, x)                 state ^= x, factor _Y1 where the old bit
+#                                 x was set, else _Y0
+# A factor is a Python complex, never exactly 1.  SKIP, CFLIP and Y move the
+# state alike, ``if state & c == c: state ^= x``.
+_OP_H, _OP_SKIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(5)
 
 _SKIP = (_OP_SKIP, 0, 0)
 _T = phase_factor(math.pi / 4)
 # Y|0> = i|1>, Y|1> = -i|0>: flip either way, sign from the old bit.
-_Y = (-1j, 1j)
+_Y1, _Y0 = -1j, 1j
 
 
 def _phase(c: int, theta: float) -> tuple:
@@ -143,8 +144,8 @@ def _phase(c: int, theta: float) -> tuple:
 _GATE_OPS = {
     GateKind.H: lambda qs, theta: (_OP_H, qs[0], 1 << qs[0]),
     GateKind.I: lambda qs, theta: _SKIP,
-    GateKind.X: lambda qs, theta: (_OP_FLIP, 0, 1 << qs[0]),
-    GateKind.Y: lambda qs, theta: (_OP_Y, 1 << qs[0], _Y),
+    GateKind.X: lambda qs, theta: (_OP_CFLIP, 0, 1 << qs[0]),
+    GateKind.Y: lambda qs, theta: (_OP_Y, 0, 1 << qs[0]),
     GateKind.Z: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], -1.0 + 0j),
     GateKind.S: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], 1j),
     GateKind.T: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _T),
@@ -155,19 +156,6 @@ _GATE_OPS = {
 }
 
 
-def _state_op(op):
-    """The SKIP, FLIP or CFLIP op that does what ``op`` does to the state:
-    a phase does nothing and Y flips its bit.  On the state that undoes
-    itself, so it steps a path back over ``op``.  An H gets a FLIP of its
-    bit, the one bit its children differ in."""
-    kind, c, a = op
-    if kind == _OP_CPHASE:
-        return _SKIP
-    if kind == _OP_Y:
-        return _OP_FLIP, 0, c
-    return (_OP_FLIP, 0, a) if kind == _OP_H else op
-
-
 def pack_circuit(circuit: Circuit) -> PackedCircuit:
     ops = tuple(_GATE_OPS[gate.kind](gate.qubits, gate.theta) for gate in circuit.gates)
     length = len(ops)
@@ -175,13 +163,14 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
     is_live = [op[0] != _OP_H and op[0] != _OP_SKIP for op in ops]
     live = tuple(op for op, keep in zip(ops, is_live) if keep)
     rank = tuple(accumulate(is_live, initial=0))
-    state_ops = tuple(map(_state_op, ops))
     nexth = [length] * (length + 1)
     moves = 0
     for i in reversed(range(length)):
-        nexth[i] = i if ops[i][0] == _OP_H else nexth[i + 1]
-        moves |= state_ops[i][2]
-    return PackedCircuit(ops, live, rank, hleft, tuple(nexth), moves, state_ops)
+        kind, _, arg = ops[i]
+        nexth[i] = i if kind == _OP_H else nexth[i + 1]
+        if kind != _OP_CPHASE:
+            moves |= arg
+    return PackedCircuit(ops, live, rank, hleft, tuple(nexth), moves)
 
 
 def _first_check(plan, start, end, prune):
@@ -196,9 +185,9 @@ def _first_check(plan, start, end, prune):
 
 
 # Most paths one frontier batch holds (a lone path's two children always
-# fit), the scalar top's too.  One batch per branching level waits on the
-# stack at most, and a fold takes 2**FOLD_LEVELS slots at most, so the walk
-# needs O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS) memory, independent of 2**n.
+# fit).  One batch per branching level waits on the stack at most, and a
+# fold takes 2**FOLD_LEVELS slots at most, so the walk needs
+# O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS) memory, independent of 2**n.
 FRONTIER_CAP = 1024
 
 # A batch whose live paths times 2**(H gates left) is at most this many
@@ -209,6 +198,9 @@ FRONTIER_CAP = 1024
 # 48-qubit circuits of 100-1,000 gates the scalar walk was 1.8-3.2x faster
 # at 16-32 leaves, 1.0-1.3x at 64 and 0.2-0.8x from 128 on; on the circuit
 # families it was 1.7-4.1x faster at 64-256 leaves and 0.3-0.9x from 1,024.
+# The scalar top hands the frontier up to SCALAR_LEAVES paths below one
+# root, so the memory bound needs SCALAR_LEAVES <= FRONTIER_CAP and
+# SCALAR_LEAVES <= 2**FOLD_LEVELS.
 SCALAR_LEAVES = 64
 
 # Most branch levels below a batch root: a batch is re-rooted before an H
@@ -277,8 +269,8 @@ def _run(run, state, z):
             if state & c == c:
                 z *= a
         elif kind == _OP_Y:
-            z *= a[0] if state & c else a[1]
-            state ^= c
+            z *= _Y1 if state & a else _Y0
+            state ^= a
         elif state & c == c:
             state ^= a
     return state, z
@@ -296,14 +288,15 @@ def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, count
     ops out, and are counted once.  The cut is checked from ``first`` on
     (``_first_check``; without pruning it is ``len(plan.ops)``, where
     nothing is cut) at each run's end and before an H the walk enters
-    directly: the root, an H right after an H, a handoff at an H.
+    directly: the root, an H right after an H, a handoff at an H.  A run
+    that fails it steps back over ``plan.ops`` to the exact cut, leaving
+    CPHASE ops out and moving the state as every other op does.
     ``counters`` is the walk's ``(calls, edges, prunes, max_depth)``.
-    Returns each path's subtree value, or None where no leaf reached
-    ``end`` (a complex zero is falsy, so test with ``is None``), and the
-    updated counters.  The clock is read once every ``_CLOCK_STEPS`` gate
-    steps.
+    Returns each path's subtree value, +0j where no leaf reached ``end``,
+    and the updated counters.  The clock is read once every
+    ``_CLOCK_STEPS`` gate steps.
     """
-    ops, live, rank, nexth, state_ops = plan.ops, plan.live, plan.rank, plan.nexth, plan.state_ops
+    ops, live, rank, nexth = plan.ops, plan.live, plan.rank, plan.nexth
     length = len(ops)
     calls, edges, prunes, max_depth = counters
     countdown = _CLOCK_STEPS
@@ -321,21 +314,22 @@ def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, count
             edges += pos - begin
             countdown -= pos - begin
             if pos >= first and (state ^ end).bit_count() > length - pos:
-                # Negative slack: step back, undoing one gate at a time,
-                # to the first position from max(begin, first) where the
-                # slack is negative.  At len(ops) nothing is cut: a leaf
-                # cut nowhere before it is a miss.
+                # Negative slack: step back, undoing one gate's state move
+                # at a time (a run holds no H), to the first position from
+                # max(begin, first) where the slack is negative.  At
+                # len(ops) nothing is cut: a leaf cut nowhere before it is
+                # a miss.
                 cut, floor = pos, max(begin, first)
                 while cut > floor:
-                    _, c, x = state_ops[cut - 1]
-                    back = state ^ x if state & c == c else state
+                    kind, c, x = ops[cut - 1]
+                    back = state ^ x if kind != _OP_CPHASE and state & c == c else state
                     if (back ^ end).bit_count() <= length - cut + 1:
                         break
                     state, cut = back, cut - 1
                 if cut < length:
                     prunes += 1
                     edges -= pos - cut
-                return None
+                return 0j
             if pos < nexth[pos]:
                 continue  # the clock is due
             if pos == length:
@@ -351,14 +345,9 @@ def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, count
             # ``INV_SQRT2 + 0j``, which can flip the sign of a zero part);
             # the high child's -1/sqrt2 is exactly its negation.
             z = complex(z.real * INV_SQRT2, z.imag * INV_SQRT2)
+            # A subtree no leaf reaches is +0j, which adds nothing.
             low = walk(pos + 1, state & ~bit, z, depth)
-            high = walk(pos + 1, state | bit, -z if state & bit else z, depth)
-            # (0j + low) + high; a missing child is +0, which adds nothing.
-            if low is None:
-                return high if high is None else 0j + high
-            if high is None:
-                return 0j + low
-            return (0j + low) + high
+            return (0j + low) + walk(pos + 1, state | bit, -z if state & bit else z, depth)
 
     values = [walk(pos, state, z, depth) for state, z in zip(states, phases)]
     return values, (calls, edges, prunes, max_depth)
@@ -369,16 +358,17 @@ def _scalar_top(plan, start, first, deadline):
 
     The root's paths run one by one on Python scalars with the batches'
     products; an H puts a path's two children side by side, so the branch
-    bits are ``arange``.  It stops at ``first`` (nothing above it is cut, so it meets no narrow
-    bottom), at SCALAR_LEAVES paths, and before an H that would pass
-    FRONTIER_CAP paths or FOLD_LEVELS levels.  It reads the clock before
-    each run of about ``_CLOCK_STEPS`` gate steps.
+    bits are ``arange``.  It stops at ``first`` (nothing above it is cut,
+    so it meets no narrow bottom) and at SCALAR_LEAVES paths; the frontier
+    splits the batch at its next H if it is over FRONTIER_CAP paths or
+    FOLD_LEVELS levels.  It reads the clock before each run of about
+    ``_CLOCK_STEPS`` gate steps.
     """
     ops, live, rank, nexth = plan.ops, plan.live, plan.rank, plan.nexth
-    limit, cap = SCALAR_LEAVES, FRONTIER_CAP
+    limit = SCALAR_LEAVES
     paths = [(start, 1 + 0j)]
     pos = depth = edges = 0
-    while pos < first and 1 << depth < limit and 2 << depth <= cap and depth < FOLD_LEVELS:
+    while pos < first and 1 << depth < limit:
         if time.perf_counter() > deadline:
             raise _timeout((2 << depth) - 2, edges, 0, depth)
         if nexth[pos] == pos:
@@ -439,7 +429,7 @@ def traverse(plan, start, end, prune, deadline):
         # The whole tree is narrow: the scalar walk takes it from the root.
         (value,), counters = _scalar_finish(plan, 0, 0, first, [start], [1 + 0j],
                                             end, deadline, (0, 0, 0, 0))
-        return 0j if value is None else value, TraversalStats(*counters)
+        return value, TraversalStats(*counters)
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
     batch, (calls, edges, prunes, max_depth) = _scalar_top(plan, start, first, deadline)
@@ -467,8 +457,6 @@ def traverse(plan, start, end, prune, deadline):
                 P = np.where((state & c) == c, _times(P, a.real, a.imag), P)
             elif kind == _OP_CFLIP:
                 state = state ^ ((state & c) == c) * a
-            elif kind == _OP_FLIP:
-                state = state ^ a
             elif kind == _OP_H:
                 # Split at the root until the doubled batch fits (a lone
                 # path always fits) and its branch bits fit the fold.
@@ -498,17 +486,16 @@ def traverse(plan, start, end, prune, deadline):
                 pos += 1
                 continue
             elif kind == _OP_Y:
-                hot = (state & c) != 0
-                state = state ^ c
-                f1, f0 = a
-                P = _times(P, np.where(hot, f1.real, f0.real), np.where(hot, f1.imag, f0.imag))
+                hot = (state & a) != 0
+                state = state ^ a
+                P = _times(P, np.where(hot, _Y1.real, _Y0.real), np.where(hot, _Y1.imag, _Y0.imag))
             edges += state.size
             pos += 1
         if pos < length and state.size:
             values, (calls, edges, prunes, max_depth) = _scalar_finish(
                 plan, pos, depth, first, state.tolist(), _phases(P),
                 end, deadline, (calls, edges, prunes, max_depth))
-            P = _pairs([0j if value is None else value for value in values])
+            P = _pairs(values)
         else:
             # A missing leaf counts as +0.0 in the fold.
             P = np.where(state == end, P, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _OP_CFLIP, _OP_CPHASE, _OP_FLIP, _OP_H, _OP_Y, QueryTimeout, deadline_at
+from ._kernels import _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_Y, _Y0, _Y1, QueryTimeout, deadline_at
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
 from .engine import packed_circuit
 from .gates import INV_SQRT2
@@ -94,13 +94,12 @@ def _apply_gate(v, op):
         a -= b
         a *= INV_SQRT2
         high[...] = a
-    elif kind == _OP_FLIP or kind == _OP_CFLIP or kind == _OP_Y:
-        c, x = (0, mask) if kind == _OP_Y else (mask, arg)
-        low, high = _select(v, c, x), _select(v, c | x)
+    elif kind == _OP_CFLIP or kind == _OP_Y:
+        low, high = _select(v, mask, arg), _select(v, mask | arg)
         a, b = low.copy(), high.copy()
         if kind == _OP_Y:
-            b *= arg[0]
-            a *= arg[1]
+            b *= _Y1
+            a *= _Y0
         low[...] = b
         high[...] = a
     elif kind == _OP_CPHASE:

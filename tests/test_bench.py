@@ -4,11 +4,12 @@ import importlib.util
 import math
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathsum import _kernels
+from pathsum import _kernels, bench
 from pathsum.bench import (
     CSV_COLUMNS,
     MEMORY_NOTE,
@@ -20,6 +21,7 @@ from pathsum.bench import (
     write_plot_data,
 )
 from pathsum.circuit import CircuitError
+from pathsum.engine import QueryTimeout
 
 
 def test_plan_validation():
@@ -202,3 +204,40 @@ def test_peak_memory_is_plausible():
     assert by_method["statevector"].peak_mem_bytes >= 2 * 16 * 2**8
     # The path sum touches only O(n + h) state.
     assert by_method["pathsum"].peak_mem_bytes < 1_000_000
+
+
+def test_failed_query_becomes_an_error_row_and_the_sweep_goes_on(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(bench, "path_sum_amplitude", failing)
+    failed, dense = run_benchmark(_small_plan(trials=1))
+    assert failed.method == "pathsum" and not failed.ran
+    assert failed.note == "error: synthetic failure"
+    assert failed.amplitude is None and not failed.timed_out
+    assert failed.peak_mem_bytes == 0
+    # The sweep went on to the next method.
+    assert dense.method == "statevector" and dense.ran and dense.amplitude is not None
+
+
+def test_traced_rerun_timeout_keeps_the_timed_run(monkeypatch):
+    # The timed query finishes; its traced re-run then times out, so the
+    # row keeps the timed run's amplitude, time and counters.
+    plan = _small_plan(methods=("pathsum",), trials=1)
+    expected, = run_benchmark(plan)
+    query = bench._query
+    calls = []
+
+    def timing_out_when_traced(*args):
+        calls.append(tracemalloc.is_tracing())
+        if tracemalloc.is_tracing():
+            raise QueryTimeout("tracing slowed it past the cap")
+        return query(*args)
+
+    monkeypatch.setattr(bench, "_query", timing_out_when_traced)
+    row, = run_benchmark(plan)
+    assert calls == [False, True]
+    assert row.ran and not row.timed_out
+    assert row.amplitude == expected.amplitude
+    assert (row.recursion_calls, row.prunes) == (expected.recursion_calls, expected.prunes)
+    assert row.wall_time_s > 0.0

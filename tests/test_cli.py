@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from pathsum.bench import CSV_COLUMNS
-from pathsum.cli import main
+from pathsum.bench import CSV_COLUMNS, BenchRecord
+from pathsum.cli import _progress_line, main
 from pathsum.textio import parse_circuit
 
 INV_SQRT2 = 2 ** -0.5
@@ -189,3 +189,13 @@ def test_installed_entry_points(tmp_path):
     )
     assert by_script.returncode == 0
     assert by_script.stdout == f"{-INV_SQRT2!r} 0.0\n"
+
+
+def test_progress_lines_for_skipped_and_timed_out_rows():
+    def row(wall, timed_out, note=""):
+        return BenchRecord("hsp", 30, 1, "statevector", 2, wall, 0, None, None, None,
+                           timed_out, note)
+
+    head = "hsp n=30 seed=1 statevector trial=2:"
+    assert _progress_line(row(0.0, False, "skipped: too wide")) == f"{head} skipped: too wide"
+    assert _progress_line(row(3.14159, True)) == f"{head} timed out after 3.142s"

@@ -152,23 +152,23 @@ def replay_op(op, bits):
         high = -INV_SQRT2 if bits & a else INV_SQRT2
         return [(bits & ~a, repr(complex(INV_SQRT2))),
                 (bits | a, repr(complex(high)))]
-    if kind == _kernels._OP_FLIP:
-        assert c == 0
-        bits ^= a
-    elif kind == _kernels._OP_CFLIP:
-        if bits & c == c:
-            bits ^= a
-    elif kind == _kernels._OP_CPHASE:
+    if kind == _kernels._OP_CPHASE:
         assert type(a) is complex
         if bits & c == c:
             factor = a
-    elif kind == _kernels._OP_Y:
-        f1, f0 = a
+        return [(bits, repr(factor))]
+    # Every other op moves the state as ``if state & c == c: state ^= a``.
+    if kind == _kernels._OP_Y:
+        f1, f0 = _kernels._Y1, _kernels._Y0
         assert type(f1) is complex and type(f0) is complex
-        factor = f1 if bits & c else f0
-        bits ^= c
+        assert c == 0
+        factor = f1 if bits & a else f0
+    elif kind == _kernels._OP_SKIP:
+        assert op == (kind, 0, 0)
     else:
-        assert kind == _kernels._OP_SKIP and op == (kind, 0, 0)
+        assert kind == _kernels._OP_CFLIP
+    if bits & c == c:
+        bits ^= a
     return [(bits, repr(factor))]
 
 
@@ -187,7 +187,7 @@ def test_packed_encoding_matches_reference_semantics():
         for _ in range(4):
             state = random_state(rng, n)
             assert replay_op(op, state.bits) == successors(gate, state)
-    assert kinds == set(range(6))  # every op kind is pinned
+    assert kinds == set(range(5))  # every op kind is pinned
 
 
 def test_packed_hadamard_marked():

@@ -201,27 +201,29 @@ def test_ops_never_raise_slack_and_undo_themselves():
     # R - d to any end state is no larger than before it (R falls by one,
     # d rises by at most one), so a run whose end has slack >= 0 had it
     # everywhere.  And every op but H, applied to its own output state,
-    # gives back its input state; the walk steps back with the plan's
-    # ``state_ops``, which must do to the state what the op does.  An H's
-    # entry flips the one bit its children may differ in.
+    # gives back its input state; the walk steps back over an op with its
+    # state move, none for a CPHASE and ``if state & c == c: state ^= x``
+    # for the rest, which must do to the state what the op does.  An H's
+    # children differ from its input at most in its arg, the bit ``moves``
+    # takes from it.
     rng = np.random.default_rng(12)
     gates = [random_gate(rng, 5) for _ in range(300)] + [p(0, 0.0), cp(1, 2, 0.0)]
     kinds = set()
     for gate in gates:
         plan = pack_circuit(make_circuit(5, [gate]))
-        op, state_op = plan.ops[0], plan.state_ops[0]
-        kinds.add(op[0])
-        assert state_op[0] in (_kernels._OP_SKIP, _kernels._OP_FLIP, _kernels._OP_CFLIP)
+        op = plan.ops[0]
+        kind, c, x = op
+        kinds.add(kind)
         for bits in range(32):
             for after, _ in replay_op(op, bits):
                 for end in range(32):
                     assert (after ^ end).bit_count() <= (bits ^ end).bit_count() + 1
-                (back, _), = replay_op(state_op, after)
-                if op[0] == _kernels._OP_H:
-                    assert bits in (after, back)
-                else:
-                    assert [state for state, _ in replay_op(op, after)] == [back] == [bits]
-    assert kinds == set(range(6))
+                if kind == _kernels._OP_H:
+                    assert after ^ bits in (0, x)
+                    continue
+                back = after ^ x if kind != _kernels._OP_CPHASE and after & c == c else after
+                assert [state for state, _ in replay_op(op, after)] == [back] == [bits]
+    assert kinds == set(range(5))
 
 
 def test_python_complex_product_is_the_float_formula():
@@ -233,7 +235,8 @@ def test_python_complex_product_is_the_float_formula():
              5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
     phases = [complex(a, b) for a in parts for b in parts]
     fixed = [op[2] for op in pack_circuit(make_circuit(1, [z(0), s(0), t(0)])).ops]
-    fixed += pack_circuit(make_circuit(1, [y(0)])).ops[0][2]
+    assert pack_circuit(make_circuit(1, [y(0)])).ops[0] == (_kernels._OP_Y, 0, 1)
+    fixed += [_kernels._Y1, _kernels._Y0]
     assert fixed == [-1.0 + 0j, 1j, phase_factor(math.pi / 4), -1j, 1j]
     for f in phases + fixed:
         fr, fi = f.real, f.imag
@@ -417,6 +420,23 @@ def test_scalar_walk_deadline_holds_while_stepping_back():
         path_sum_amplitude(circuit, query, EngineOptions(deadline_s=0.05))
     assert time.perf_counter() - began < 1.0
     assert timeout.value.stats.prunes > 0
+
+
+def test_frontier_deadline_fires_on_a_deep_tree():
+    # 1,200 H gates on 20 qubits: the frontier descends past a thousand
+    # branching levels, more than Python's default recursion limit, so a
+    # walk that recursed once per level or per split would raise
+    # RecursionError long before its deadline.  It must keep one batch per
+    # level on its stack instead and stop at the deadline with counters.
+    n = 20
+    circuit = make_circuit(n, [h(i % n) for i in range(1200)])
+    packed_circuit(circuit)  # compile outside the timed call
+    query = AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
+    began = time.perf_counter()
+    with pytest.raises(QueryTimeout) as timeout:
+        path_sum_amplitude(circuit, query, EngineOptions(deadline_s=1.0))
+    assert time.perf_counter() - began < 2.0
+    assert timeout.value.stats.max_depth_reached > 1000
 
 
 def test_packed_rows_mark_only_h_gates():

@@ -56,10 +56,11 @@ def test_dirty_checkout_needs_a_label(tmp_path):
 
 
 def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
-    # Two commits of a checkout; the stubbed runner reports the parent at
-    # 100 + seed queries/s and the change at 110, except in pair 3, a lower-
-    # is-better metric that the change never improves, and 50 + seed
-    # queries per run, of which the change fails one on "two" in pair 5.
+    # Two commits of a checkout; every run is at seed 4, and the stubbed
+    # runner reports the parent at 100 + pair queries/s and the change at
+    # 110, except in pair 3, a lower-is-better metric that the change never
+    # improves, and 50 + pair queries per run, of which the change fails
+    # one on "two" in pair 5.
     repo = tmp_path / "repo"
     (repo / "src" / "pathsum").mkdir(parents=True)
     (repo / "src" / "pathsum" / "__init__.py").write_text("")
@@ -81,33 +82,35 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
 
     def stub(root, workload, seed, seconds, trace):
         side = "change" if root == repo else "parent"
-        calls.append((seed, workload, side, seconds, trace))
-        rate = 110.0 if side == "change" and seed != 3 else 100.0 + seed
+        pair = len(calls) // 4 + 1  # two workloads on two sides per pair
+        calls.append((pair, seed, workload, side, seconds, trace))
+        rate = 110.0 if side == "change" and pair != 3 else 100.0 + pair
         metrics = {"queries_per_s": {"value": rate}, "peak_rss_mb": {"value": 40.0}}
-        failed = int(side == "change" and seed == 5 and workload == "two")
+        failed = int(side == "change" and pair == 5 and workload == "two")
         return {"workload": workload, "trace": trace, "exit_code": 0,
-                "result": {"attempted": 50 + seed, "failed": failed, "metrics": metrics}}
+                "result": {"attempted": 50 + pair, "failed": failed, "metrics": metrics}}
 
     monkeypatch.setattr(record, "record_run", stub)
     monkeypatch.setattr(record, "ROOT", tmp_path)
-    assert record.main(["--root", str(repo), "--against", "HEAD~1"]) == 0
+    assert record.main(["--root", str(repo), "--against", "HEAD~1", "--seed", "4"]) == 0
 
-    # Within a pair each workload runs on both sides back to back, and the
-    # side that goes first alternates from pair to pair.
+    # Within a pair each workload runs on both sides back to back, all at
+    # the one seed, and the side that goes first alternates from pair to
+    # pair.
     firsts = ["parent", "change"] * 5
     expected = []
-    for seed, first in enumerate(firsts, 1):
+    for pair, first in enumerate(firsts, 1):
         second = "change" if first == "parent" else "parent"
         for workload in ("one", "two"):
-            expected += [(seed, workload, first, 7, 0), (seed, workload, second, 7, 0)]
+            expected += [(pair, 4, workload, first, 7, 0), (pair, 4, workload, second, 7, 0)]
     assert calls == expected
 
     out = json.loads((tmp_path / f"BENCH_{change}-vs-{parent}.json").read_text())
     assert (out["commit"], out["dirty"], out["kernel"]) == (change, False, "new")
     assert out["against"] == {"rev": "HEAD~1", "commit": parent, "kernel": "old"}
-    assert out["seeds"] == list(range(1, 11))
-    assert [(r["seed"], r["side"], r["workload"]) for r in out["runs"]] == [
-        (seed, side, workload) for seed, workload, side, _, _ in expected]
+    assert (out["seed"], out["pairs"]) == (4, 10)
+    assert [(r["pair"], r["side"], r["workload"]) for r in out["runs"]] == [
+        (pair, side, workload) for pair, _, workload, side, _, _ in expected]
     # Parent rates 101..110; the change reads 110 but 100 + 3 in pair 3,
     # so it wins pairs 1-9 but 3, and pair 10 is a tie.
     for workload in ("one", "two"):
@@ -125,12 +128,12 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
 def test_summary_skips_pairs_without_both_results():
     spec = {"workloads": [{"name": "w"}],
             "end_to_end": [{"name": "setup_s", "better": "lower"}]}
-    runs = [{"side": side, "seed": seed, "workload": "w",
+    runs = [{"side": side, "pair": pair, "workload": "w",
              "result": {"attempted": 9, "failed": 1,
                         "metrics": {"setup_s": {"value": value}}}}
-            for side, seed, value in (("parent", 1, 2.0), ("change", 1, 1.0),
+            for side, pair, value in (("parent", 1, 2.0), ("change", 1, 1.0),
                                       ("parent", 2, 3.0))]
-    runs.append({"side": "change", "seed": 2, "workload": "w", "error": "crashed"})
+    runs.append({"side": "change", "pair": 2, "workload": "w", "error": "crashed"})
     assert record.summarize(runs, spec) == {"w": {
         "queries": {"parent": {"attempted": 18, "failed": 2},
                     "change": {"attempted": 9, "failed": 1}},
