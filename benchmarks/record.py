@@ -11,9 +11,11 @@ T = 1 (the per-layer ones), one run at a time, and writes each run's
 report line and result line to one JSON file.  From the root of a
 checkout:
 
-    python3 benchmarks/record.py [--seed 1] [--label L]
+    python3 benchmarks/record.py [--seed 1] [--label L] [--workload W ...]
 
-The file goes to the root of the checkout this script is in.  The label
+``--workload W``, which may be repeated, runs only the named workloads, in
+the order ``BENCHMARK.json`` lists them, here and with ``--against``.  The
+file goes to the root of the checkout this script is in.  The label
 defaults to the benchmarked checkout's short commit.  When ``src/``,
 ``perfbench/`` or ``BENCHMARK.json`` differ from that commit, what runs is
 not the commit, so the script refuses to run without ``--label``, and the
@@ -25,7 +27,7 @@ code is 1 if any run failed, after the file is written.
 
 A speed claim rests on paired runs, not on one run per side:
 
-    python3 benchmarks/record.py --against REV [--seed 1] [--label L]
+    python3 benchmarks/record.py --against REV [--seed 1] [--label L] [--workload W ...]
 
 clones REV into a temporary directory and runs it (the parent) and this
 checkout (the change) back to back, ``--trace 0`` only, once per workload
@@ -212,9 +214,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of every run")
     parser.add_argument("--against", metavar="REV",
                         help=f"run {PAIRS} pairs against this commit")
+    parser.add_argument("--workload", action="append", metavar="W",
+                        help="run only this workload; repeatable (default: "
+                        "every workload BENCHMARK.json lists)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
+    if args.workload:
+        names = [workload["name"] for workload in spec["workloads"]]
+        unknown = sorted(set(args.workload) - set(names))
+        if unknown:
+            parser.error(f"unknown workload {', '.join(unknown)}; "
+                         f"BENCHMARK.json lists {', '.join(names)}")
+        spec["workloads"] = [w for w in spec["workloads"] if w["name"] in args.workload]
     seconds = spec["run_seconds"]
     state = checkout_state(root)
     label = file_label(state, args.label)

@@ -14,7 +14,11 @@ depth-first tree order, so its amplitude is the depth-first sum bit for bit.
 Python scalars run the tree's narrow top (the root's paths, until they
 number ``SCALAR_LEAVES`` = 64) and bottom (each batch with at most 64
 leaves left, depth first, at most 6 calls deep), one complex phase per
-path, over the plan's ops with the no-op gates left out.  CPython's complex
+path, over the plan's ops with the no-op gates left out.  Up to the first
+position where the cut can fire, the top depends on ``start`` alone, so
+the plan keeps its last top of SCALAR_LEAVES paths, O(SCALAR_LEAVES)
+memory, and a later query from the same start reuses it (see
+``traverse``).  CPython's complex
 product rounds as ``(re*fr - im*fi, re*fi + im*fr)``; numpy's need not, so
 the batches keep each phase as a float pair and use that formula.  A
 finished batch is summed in one dense pass over at most 2**FOLD_LEVELS
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -105,7 +109,10 @@ class PackedCircuit:
     ``hleft[i]`` counts the H gates at positions ``>= i``, so ``hleft[0]``
     is the circuit's H count, and ``nexth[i]`` is the position of the first
     of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
-    can change: the arg of every op but a CPHASE.
+    can change: the arg of every op but a CPHASE.  ``top`` is a one-slot
+    memo, ``[(start, batch, counters)]`` of the last scalar top that reached
+    SCALAR_LEAVES paths (see ``traverse``), or ``[None]``; equality and
+    ``repr`` leave it out.
     """
 
     ops: tuple
@@ -114,6 +121,7 @@ class PackedCircuit:
     hleft: tuple  # H gates at or after each position, one entry past the end
     nexth: tuple  # next H at or after each position, one entry past the end
     moves: int
+    top: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
 
 # Ops.  Every op is ``(kind, mask, arg)``, and every gate is classified by
@@ -388,8 +396,11 @@ def _scalar_top(plan, start, first, deadline):
             edges += (stop - pos) << depth
             pos = stop
     states, phases = zip(*paths)
-    batch = (pos, depth, 0, np.array(states, dtype=np.int64), _pairs(phases),
-             np.arange(len(paths)))
+    arrays = np.array(states, dtype=np.int64), _pairs(phases), np.arange(len(paths))
+    # The plan may keep the batch for later queries: a write into it raises.
+    for array in arrays:
+        array.flags.writeable = False
+    batch = (pos, depth, 0, *arrays)
     # Level d of the top descended into 2**(d + 1) children.
     return batch, ((2 << depth) - 2, edges, 0, depth)
 
@@ -402,7 +413,16 @@ def traverse(plan, start, end, prune, deadline):
     float64 array ``P`` of phase real and imaginary parts.  Each gate runs
     its op from ``plan.ops``, a few array operations on the whole batch;
     at an H the two children of a path are placed next to each other.
-    The first batch comes from ``_scalar_top``.  Before an H would double
+    The first batch comes from ``_scalar_top``, or from ``plan.top``: the
+    last top that stopped at SCALAR_LEAVES paths, with its start and
+    counters.  The top reads ``end`` and ``prune`` only through ``first``,
+    where it stops because no cut can fire before it, and the clock only
+    splits its runs.  So a top from ``start`` that stopped at SCALAR_LEAVES
+    paths at position p is, products and counters alike, the top of every
+    query from ``start`` whose ``first`` is at least p.  A top that stopped
+    at ``first`` is not kept, since a later ``first`` would let it run
+    further.  The kept arrays are read-only; the frontier only makes new
+    arrays or views of them.  Before an H would double
     a batch past FRONTIER_CAP paths, or its branch bits past FOLD_LEVELS
     levels, the batch is split at its root: the later half waits on a
     stack and the walk goes on with the earlier one.  Once the batch's
@@ -432,7 +452,14 @@ def traverse(plan, start, end, prune, deadline):
         return value, TraversalStats(*counters)
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
-    batch, (calls, edges, prunes, max_depth) = _scalar_top(plan, start, first, deadline)
+    memo = plan.top[0]  # read once: other threads may replace it
+    if memo is not None and memo[0] == start and memo[1][0] <= first:
+        _, batch, (calls, edges, prunes, max_depth) = memo
+    else:
+        batch, counters = _scalar_top(plan, start, first, deadline)
+        if batch[3].size >= limit:
+            plan.top[0] = (start, batch, counters)
+        calls, edges, prunes, max_depth = counters
     amp = [0j] * (hleft[0] + 1)
     pending = []
     while True:

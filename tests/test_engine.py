@@ -306,18 +306,35 @@ def test_concurrent_queries_share_circuit():
     rng = np.random.default_rng(111)
     c = random_circuit(rng, 6, 18)
     queries = [random_query(rng, 6) for _ in range(8)]
-    expected = [path_sum_amplitude(c, q)[0] for q in queries]
-    results = [None] * len(queries)
+    # 4,096 leaves, so each query starts from a scalar top, which the plan
+    # keeps for one start: threads querying from two starts in turn
+    # replace it while others read it.
+    wide = gen_layered_hadamard(6, 1)
+    starts = (0, 0b101101)
+    tops = [(wide, _query(6, starts[i % 2], int(rng.integers(64)))) for i in range(8)]
+    cases = [(c, q) for q in queries] + tops
+    # Expected values from a copy, so the shared circuit starts unpacked.
+    expected = [path_sum_amplitude(make_circuit(6, circuit.gates), q) for circuit, q in cases]
+    results = [[] for _ in cases]
 
     def worker(i):
-        results[i] = path_sum_amplitude(c, queries[i])[0]
+        circuit, query = cases[i]
+        for _ in range(20):
+            results[i].append(path_sum_amplitude(circuit, query))
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(queries))]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert results == expected
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside queries too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [[value] * 20 for value in expected]
+    assert engine.packed_circuit(wide).top[0][0] in starts
 
 
 def test_circuit_is_packed_once(monkeypatch):

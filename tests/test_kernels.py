@@ -16,7 +16,7 @@ import pytest
 
 from pathsum import (
     EngineOptions, QueryTimeout, _kernels, gen_hsp_standard, gen_layered_hadamard,
-    make_circuit, path_sum_amplitude,
+    gen_layered_qft, make_circuit, path_sum_amplitude,
 )
 from pathsum.circuit import (
     AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
@@ -46,8 +46,13 @@ def _drive(circuit, query, prune, deadline=math.inf):
     The amplitude comes back as its ``repr``, so a zero of the other sign
     counts as a difference.
     """
-    amplitude, stats = traverse(pack_circuit(circuit), query.start.bits, query.end.bits,
-                                prune, deadline)
+    return _drive_plan(pack_circuit(circuit), query, prune, deadline)
+
+
+def _drive_plan(plan, query, prune, deadline=math.inf):
+    """``_drive`` on a packed plan, which may keep a scalar top from
+    earlier queries."""
+    amplitude, stats = traverse(plan, query.start.bits, query.end.bits, prune, deadline)
     return repr(amplitude), astuple(stats)
 
 
@@ -68,10 +73,13 @@ def _stream_circuit(rng, n=48, hs=5, others=300):
     return make_circuit(n, gates)
 
 
-def _random_path_query(rng, circuit):
-    """A random start state and the end state of one random path from it."""
+def _random_path_query(rng, circuit, start=None):
+    """A random start state, or ``start``, and the end state of one random
+    path from it."""
     n = circuit.num_qubits
-    start = state = BasisState(int(rng.integers(1 << n)), n)
+    if start is None:
+        start = BasisState(int(rng.integers(1 << n)), n)
+    state = start
     for gate in circuit.gates:
         if gate.kind.is_branching:
             state = branch_gate(gate, state)[int(rng.integers(2))].state
@@ -338,6 +346,115 @@ def test_scalar_top_hands_the_frontier_a_full_first_batch(monkeypatch):
     monkeypatch.setattr(_kernels, "SCALAR_LEAVES", 0)
     assert _drive(circuit, query, True) == expected
     assert tops == [(0, 1, [0], (0, 0, 0, 0))]
+
+
+def test_plan_keeps_its_top_for_one_start(monkeypatch):
+    # One plan answers queries from one start to several ends, prune on and
+    # off, then from a second start, then from that start with a first
+    # check before the kept top's stop.  Every answer equals the reference
+    # walk, and the top runs only when the kept one cannot serve: on a new
+    # start, where it is kept, and on a first check before the kept top's
+    # stop, where it runs to that check and is not kept.  The family
+    # circuits move all their qubits, so their first check never moves;
+    # ``idle`` extra qubits, which no gate touches, let an end that differs
+    # from the start on k of them move it k gates earlier, to position
+    # ``idle - k``.
+    tops = []
+    top = _kernels._scalar_top
+
+    def recording(plan, start, first, deadline):
+        tops.append((start, first))
+        return top(plan, start, first, deadline)
+
+    monkeypatch.setattr(_kernels, "_scalar_top", recording)
+    rng = np.random.default_rng(14)
+    expected = {}
+    for family in (gen_layered_hadamard(6, 1), gen_hsp_standard(12, 5), gen_layered_qft(5, 1)):
+        n = family.num_qubits
+        idle = len(family.gates) - n + 1
+        circuit = make_circuit(n + idle, family.gates)
+        a = BasisState.zeros(n + idle)
+        b = BasisState(int(rng.integers(1, 1 << n)), n + idle)
+        # (start, end, prune); the reference walk of hsp takes a second
+        # unpruned, so only one query is.
+        a_ends = [_random_path_query(rng, circuit, a).end for _ in range(2)]
+        b_ends = [_random_path_query(rng, circuit, b).end,
+                  BasisState(int(rng.integers(1 << n)), n + idle)]
+        queries = ([(a, a, True), (a, a, False)] + [(a, end, True) for end in a_ends]
+                   + [(b, end, True) for end in b_ends])
+
+        def check(plan, start, end, prune):
+            query = AmplitudeQuery(start, end)
+            key = (circuit, query, prune)
+            if key not in expected:
+                expected[key] = reference_walk(circuit, query, prune)
+            assert _drive_plan(plan, query, prune) == expected[key]
+
+        for limit in _LIMITS:
+            monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+            plan = pack_circuit(circuit)
+            tops.clear()
+            for start, end, prune in queries:
+                check(plan, start, end, prune)
+            if 1 << plan.hleft[0] <= limit:
+                # The scalar walk takes the whole tree: no top to keep.
+                assert tops == [] and plan.top == [None]
+                continue
+            assert tops == [(a.bits, idle), (b.bits, idle)]
+            kept = plan.top[0]
+            start, (stop, _, _, states, P, idx), _ = kept
+            assert start == b.bits and states.size == max(limit, 1)
+            for array in (states, P, idx):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            # First check at stop - 1 where there is one: the top runs to
+            # it and is not kept.
+            k = min(idle, idle - stop + 1)
+            early = BasisState(b_ends[0].bits ^ (((1 << k) - 1) << n), n + idle)
+            tops.clear()
+            check(plan, b, early, True)
+            check(plan, b, b_ends[0], True)
+            assert tops == ([(b.bits, idle - k)] if idle - k < stop else [])
+            assert plan.top[0] is kept
+
+
+def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
+    # At an H both scalar walks multiply each part of a phase by 1/sqrt2 on
+    # its own: ``z * INV_SQRT2`` multiplies by ``INV_SQRT2 + 0j``, which
+    # turns (1, -0.0) into (INV_SQRT2, +0.0).  The sums at an H clear every
+    # zero's sign, so this reads the phases where they are made: the
+    # top's batch, and the phases ``_scalar_finish`` runs below the H.
+    def parts(phases):
+        return [struct.pack("<2d", z.real, z.imag) for z in phases]
+
+    # Y then Z on |0> leave (-0.0, -1); h(0) then scales it, and the high
+    # child, whose bit 0 was set, is negated.
+    plan = pack_circuit(make_circuit(2, [y(0), z(0), h(0), h(1)]))
+    pos, depth, root, states, P, idx = _kernels._scalar_top(plan, 0, 3, math.inf)[0]
+    assert (pos, depth, root, states.tolist(), idx.tolist()) == (3, 1, 0, [0, 1], [0, 1])
+    low = complex(-0.0, -INV_SQRT2)
+    assert parts(_kernels._phases(P)) == parts([low, -low])
+
+    runs = []
+    run = _kernels._run
+
+    def recording(ops, state, z):
+        runs.append((state, z))
+        return run(ops, state, z)
+
+    monkeypatch.setattr(_kernels, "_run", recording)
+    plan = pack_circuit(make_circuit(2, [h(0), t(1)]))
+    for state, phase in ((0, complex(1.0, -0.0)), (1, complex(0.5, -0.0))):
+        runs.clear()
+        values, counters = _kernels._scalar_finish(
+            plan, 0, 0, 2, [state], [phase], 0, math.inf, (0, 0, 0, 0))
+        low = complex(phase.real * INV_SQRT2, phase.imag * INV_SQRT2)
+        high = -low if state else low
+        # The root's empty run, then one run per child.
+        assert [s for s, _ in runs] == [state, 0, 1]
+        assert parts([z for _, z in runs]) == parts([phase, low, high])
+        assert parts(values) == parts([(0j + low) + 0j])
+        assert counters == (2, 4, 0, 1)
 
 
 def test_default_walk_hands_only_narrow_trees_to_scalars(monkeypatch):

@@ -1,6 +1,7 @@
 """benchmarks/record.py: a checkout whose benchmarked paths differ from its
 commit is not filed under that commit, and paired runs against another
-commit alternate sides and are summarized per metric."""
+commit alternate sides and are summarized per metric; ``--workload``
+narrows either kind of recording to the named workloads."""
 import hashlib
 import importlib.util
 import json
@@ -55,17 +56,14 @@ def test_dirty_checkout_needs_a_label(tmp_path):
         "commit": commit, "dirty": True, "diff_sha1": hashlib.sha1(b"").hexdigest()}
 
 
-def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
-    # Two commits of a checkout; every run is at seed 4, and the stubbed
-    # runner reports the parent at 100 + pair queries/s and the change at
-    # 110, except in pair 3, a lower-is-better metric that the change never
-    # improves, and 50 + pair queries per run, of which the change fails
-    # one on "two" in pair 5.
+def _two_commits(tmp_path, workloads):
+    """A checkout of two commits whose BENCHMARK.json lists ``workloads``,
+    7 s runs and two end-to-end metrics; returns it and both short commits."""
     repo = tmp_path / "repo"
     (repo / "src" / "pathsum").mkdir(parents=True)
     (repo / "src" / "pathsum" / "__init__.py").write_text("")
     spec = {"run_seconds": 7,
-            "workloads": [{"name": "one"}, {"name": "two"}],
+            "workloads": [{"name": name} for name in workloads],
             "end_to_end": [{"name": "queries_per_s", "better": "higher"},
                            {"name": "peak_rss_mb", "better": "lower"}]}
     (repo / "BENCHMARK.json").write_text(json.dumps(spec))
@@ -77,6 +75,16 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'new'\n")
     _git(repo, "commit", "-q", "-am", "change")
     change = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
+    return repo, parent, change
+
+
+def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
+    # Two commits of a checkout; every run is at seed 4, and the stubbed
+    # runner reports the parent at 100 + pair queries/s and the change at
+    # 110, except in pair 3, a lower-is-better metric that the change never
+    # improves, and 50 + pair queries per run, of which the change fails
+    # one on "two" in pair 5.
+    repo, parent, change = _two_commits(tmp_path, ("one", "two"))
 
     calls = []
 
@@ -123,6 +131,37 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         assert out["summary"][workload]["queries"] == {
             "parent": {"attempted": 555, "failed": 0},
             "change": {"attempted": 555, "failed": failed}}
+
+
+def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
+    repo, parent, change = _two_commits(tmp_path, ("one", "two", "three"))
+    calls = []
+
+    def stub(root, workload, seed, seconds, trace):
+        calls.append((root == repo, workload, trace))
+        metrics = {"queries_per_s": {"value": 1.0}, "peak_rss_mb": {"value": 1.0}}
+        return {"workload": workload, "trace": trace, "exit_code": 0,
+                "result": {"attempted": 1, "failed": 0, "metrics": metrics}}
+
+    monkeypatch.setattr(record, "record_run", stub)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    # One checkout: both traces of each named workload, in BENCHMARK.json's
+    # order.
+    assert record.main(["--root", str(repo), "--workload", "three", "--workload", "one"]) == 0
+    assert calls == [(True, "one", 0), (True, "one", 1), (True, "three", 0), (True, "three", 1)]
+    out = json.loads((tmp_path / f"BENCH_{change}.json").read_text())
+    assert [run["workload"] for run in out["runs"]] == ["one", "one", "three", "three"]
+    # Pairs: the named workload on both sides, ten times, and nothing else.
+    calls.clear()
+    assert record.main(["--root", str(repo), "--against", "HEAD~1", "--workload", "two"]) == 0
+    assert sorted(set(calls)) == [(False, "two", 0), (True, "two", 0)] and len(calls) == 20
+    out = json.loads((tmp_path / f"BENCH_{change}-vs-{parent}.json").read_text())
+    assert list(out["summary"]) == ["two"]
+    # A name BENCHMARK.json does not list is refused before anything runs.
+    calls.clear()
+    with pytest.raises(SystemExit):
+        record.main(["--root", str(repo), "--workload", "one", "--workload", "four"])
+    assert calls == []
 
 
 def test_summary_skips_pairs_without_both_results():
