@@ -23,15 +23,9 @@ from .engine import (
     EngineOptions,
     QueryTimeout,
     TraversalStats,
-    end_state_reachable,
     path_sum_amplitude,
 )
-from .gates import (
-    Branch,
-    apply_nonbranching,
-    branch_gate,
-    phase_factor,
-)
+from .gates import phase_factor
 from .generators import (
     gen_hsp_standard,
     gen_layered_hadamard,
@@ -69,7 +63,6 @@ __all__ = [
     "BasisState",
     "BenchPlan",
     "BenchRecord",
-    "Branch",
     "Circuit",
     "CircuitError",
     "CircuitParseError",
@@ -80,9 +73,6 @@ __all__ = [
     "StateVector",
     "StateVectorLimitError",
     "TraversalStats",
-    "apply_nonbranching",
-    "branch_gate",
-    "end_state_reachable",
     "format_basis_state",
     "gen_hsp_standard",
     "gen_layered_hadamard",

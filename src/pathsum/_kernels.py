@@ -11,21 +11,20 @@ the same ops on all ``2**n`` amplitudes.
 ``traverse(plan, start, end, prune, deadline)`` is the numpy frontier
 walk: it runs whole batches of paths per gate and adds their values in
 depth-first tree order, so its amplitude is the depth-first sum bit for bit.
-Python scalars run the tree's narrow top (the root's paths, until they
-number ``SCALAR_LEAVES`` = 64) and bottom (each batch with at most 64
-leaves left, depth first, at most 6 calls deep), one complex phase per
-path, over the plan's ops with the no-op gates left out.  Up to the first
-position where the cut can fire, the top depends on ``start`` alone, so
-the plan keeps its last top of SCALAR_LEAVES paths, O(SCALAR_LEAVES)
-memory, and a later query from the same start reuses it (see
-``traverse``).  CPython's complex
-product rounds as ``(re*fr - im*fi, re*fi + im*fr)``; numpy's need not, so
-the batches keep each phase as a float pair and use that formula.  A
-finished batch is summed in one dense pass over at most 2**FOLD_LEVELS
-slots, so memory stays O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS),
-independent of 2**n.  The walk returns ``(amplitude, TraversalStats)``
-or raises ``QueryTimeout`` with the counters it reached.  ``deadline_at``
-gives both backends their deadline as a ``perf_counter`` time.
+Python scalars run the tree's narrow bottom (each batch with at most
+``SCALAR_LEAVES`` = 64 leaves left, depth first, at most 6 calls deep), one
+complex phase per path, over the plan's ops with the no-op gates left out.
+Up to the first position where the cut can fire, the tree's first batch
+depends on ``start`` alone, so once it holds SCALAR_LEAVES paths the plan
+keeps it, O(SCALAR_LEAVES) memory, and a later query from the same start
+goes on from it (see ``traverse``).  CPython's complex product rounds as
+``(re*fr - im*fi, re*fi + im*fr)``; numpy's need not, so the batches keep
+each phase as a float pair and use that formula.  A finished batch is
+summed in one dense pass over at most 2**FOLD_LEVELS slots, so memory
+stays O(n + h * FRONTIER_CAP + 2**FOLD_LEVELS), independent of 2**n.  The
+walk returns ``(amplitude, TraversalStats)`` or raises ``QueryTimeout``
+with the counters it reached.  ``deadline_at`` gives both backends their
+deadline as a ``perf_counter`` time.
 
 With ``prune``, both walks cut a path once its Hamming distance d to
 ``end`` exceeds the R gates left, and evaluate that cut only where it can
@@ -110,9 +109,9 @@ class PackedCircuit:
     is the circuit's H count, and ``nexth[i]`` is the position of the first
     of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
     can change: the arg of every op but a CPHASE.  ``top`` is a one-slot
-    memo, ``[(start, batch, counters)]`` of the last scalar top that reached
-    SCALAR_LEAVES paths (see ``traverse``), or ``[None]``; equality and
-    ``repr`` leave it out.
+    memo, ``[(start, batch, counters)]`` of the last first batch the walk
+    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``; equality
+    and ``repr`` leave it out.
     """
 
     ops: tuple
@@ -199,16 +198,14 @@ def _first_check(plan, start, end, prune):
 FRONTIER_CAP = 1024
 
 # A batch whose live paths times 2**(H gates left) is at most this many
-# leaves is finished path by path on Python scalars (``_scalar_finish``),
-# as is the top until it holds this many paths (``_scalar_top``): below it
-# numpy's fixed cost per call outweighs the batching.  Measured
+# leaves is finished path by path on Python scalars (``_scalar_finish``):
+# below it numpy's fixed cost per call outweighs the batching.  Measured
 # crossover, whole queries on one path or the other (2-core VM): on random
 # 48-qubit circuits of 100-1,000 gates the scalar walk was 1.8-3.2x faster
 # at 16-32 leaves, 1.0-1.3x at 64 and 0.2-0.8x from 128 on; on the circuit
 # families it was 1.7-4.1x faster at 64-256 leaves and 0.3-0.9x from 1,024.
-# The scalar top hands the frontier up to SCALAR_LEAVES paths below one
-# root, so the memory bound needs SCALAR_LEAVES <= FRONTIER_CAP and
-# SCALAR_LEAVES <= 2**FOLD_LEVELS.
+# It is also the size at which the walk keeps the tree's first batch on the
+# plan for later queries from the same start.
 SCALAR_LEAVES = 64
 
 # Most branch levels below a batch root: a batch is re-rooted before an H
@@ -361,50 +358,6 @@ def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, count
     return values, (calls, edges, prunes, max_depth)
 
 
-def _scalar_top(plan, start, first, deadline):
-    """The frontier's first batch and the counters, from the tree's narrow top.
-
-    The root's paths run one by one on Python scalars with the batches'
-    products; an H puts a path's two children side by side, so the branch
-    bits are ``arange``.  It stops at ``first`` (nothing above it is cut,
-    so it meets no narrow bottom) and at SCALAR_LEAVES paths; the frontier
-    splits the batch at its next H if it is over FRONTIER_CAP paths or
-    FOLD_LEVELS levels.  It reads the clock before each run of about
-    ``_CLOCK_STEPS`` gate steps.
-    """
-    ops, live, rank, nexth = plan.ops, plan.live, plan.rank, plan.nexth
-    limit = SCALAR_LEAVES
-    paths = [(start, 1 + 0j)]
-    pos = depth = edges = 0
-    while pos < first and 1 << depth < limit:
-        if time.perf_counter() > deadline:
-            raise _timeout((2 << depth) - 2, edges, 0, depth)
-        if nexth[pos] == pos:
-            bit = ops[pos][2]
-            # As in ``_scalar_finish``: parts times 1/sqrt2, the high child's
-            # phase negated where the bit was set.
-            paths = [(state, complex(z.real * INV_SQRT2, z.imag * INV_SQRT2)) for state, z in paths]
-            paths = [child for state, z in paths
-                     for child in ((state & ~bit, z), (state | bit, -z if state & bit else z))]
-            depth += 1
-            edges += 1 << depth
-            pos += 1
-        else:
-            stop = min(nexth[pos], first, pos + (_CLOCK_STEPS >> depth) + 1)
-            run = live[rank[pos]:rank[stop]]
-            paths = [_run(run, *path) for path in paths]
-            edges += (stop - pos) << depth
-            pos = stop
-    states, phases = zip(*paths)
-    arrays = np.array(states, dtype=np.int64), _pairs(phases), np.arange(len(paths))
-    # The plan may keep the batch for later queries: a write into it raises.
-    for array in arrays:
-        array.flags.writeable = False
-    batch = (pos, depth, 0, *arrays)
-    # Level d of the top descended into 2**(d + 1) children.
-    return batch, ((2 << depth) - 2, edges, 0, depth)
-
-
 def traverse(plan, start, end, prune, deadline):
     """Sum the paths from ``start`` to ``end`` over ``plan`` in batches.
 
@@ -413,25 +366,29 @@ def traverse(plan, start, end, prune, deadline):
     float64 array ``P`` of phase real and imaginary parts.  Each gate runs
     its op from ``plan.ops``, a few array operations on the whole batch;
     at an H the two children of a path are placed next to each other.
-    The first batch comes from ``_scalar_top``, or from ``plan.top``: the
-    last top that stopped at SCALAR_LEAVES paths, with its start and
-    counters.  The top reads ``end`` and ``prune`` only through ``first``,
-    where it stops because no cut can fire before it, and the clock only
-    splits its runs.  So a top from ``start`` that stopped at SCALAR_LEAVES
-    paths at position p is, products and counters alike, the top of every
-    query from ``start`` whose ``first`` is at least p.  A top that stopped
-    at ``first`` is not kept, since a later ``first`` would let it run
-    further.  The kept arrays are read-only; the frontier only makes new
-    arrays or views of them.  Before an H would double
-    a batch past FRONTIER_CAP paths, or its branch bits past FOLD_LEVELS
-    levels, the batch is split at its root: the later half waits on a
-    stack and the walk goes on with the earlier one.  Once the batch's
-    live paths times 2**(H gates left) is at most SCALAR_LEAVES, each path
-    is finished by ``_scalar_finish`` instead, at most log2(SCALAR_LEAVES)
-    calls deep; a tree that narrow from the root goes to it whole, with no
-    batch.  A finished batch is folded to its root's value, which is added
-    into ``amp[depth - 1]``, the accumulator of the root's parent; the
-    value that closes the tree's root is the amplitude.
+    The walk starts from the root, one path of phase 1, or from
+    ``plan.top``: a top it kept earlier, with its start and counters.  The
+    top is the tree's first batch from the root until it holds
+    SCALAR_LEAVES paths or reaches ``first``, the first position where a
+    cut can fire, so it reads ``end`` and ``prune`` only through
+    ``first``.  A top from ``start`` that holds SCALAR_LEAVES paths at a
+    position p <= ``first`` and was never split is therefore, products and
+    counters alike, the first batch of every query from ``start`` whose
+    ``first`` is at least p, and the plan keeps it (one slot, the last such
+    top).  A top that reached ``first`` with fewer paths is not kept, since
+    a later ``first`` would let it run further.  The kept arrays are
+    read-only; the frontier only makes new arrays or views of them.
+
+    Before an H would double a batch past FRONTIER_CAP paths, or its
+    branch bits past FOLD_LEVELS levels, the batch is split at its root:
+    the later half waits on a stack and the walk goes on with the earlier
+    one.  Once the batch's live paths times 2**(H gates left) is at most
+    SCALAR_LEAVES, each path is finished by ``_scalar_finish`` instead, at
+    most log2(SCALAR_LEAVES) calls deep; a tree that narrow from the root
+    goes to it whole, with no batch.  A finished batch is folded to its
+    root's value, which is added into ``amp[depth - 1]``, the accumulator
+    of the root's parent; the value that closes the tree's root is the
+    amplitude.
 
     With ``prune``, a path is cut once the Hamming distance to ``end``
     exceeds the gates left, checked from ``_first_check``'s position on:
@@ -455,16 +412,27 @@ def traverse(plan, start, end, prune, deadline):
     memo = plan.top[0]  # read once: other threads may replace it
     if memo is not None and memo[0] == start and memo[1][0] <= first:
         _, batch, (calls, edges, prunes, max_depth) = memo
+        keep = False
     else:
-        batch, counters = _scalar_top(plan, start, first, deadline)
-        if batch[3].size >= limit:
-            plan.top[0] = (start, batch, counters)
-        calls, edges, prunes, max_depth = counters
+        batch = (0, 0, 0, np.array([start], dtype=np.int64), _pairs([1 + 0j]),
+                 np.zeros(1, dtype=np.int64))
+        calls = edges = prunes = max_depth = 0
+        keep = True
     amp = [0j] * (hleft[0] + 1)
     pending = []
     while True:
         pos, depth, root, state, P, idx = batch
         while pos < length and state.size:
+            if keep and (pos >= first or state.size >= limit):
+                # The top ends: keep it if it is still the tree's whole
+                # first batch, with no cut and no split behind it.
+                keep = False
+                if state.size >= limit and pos <= first and root == 0:
+                    # A write into a kept array raises.
+                    for array in (state, P, idx):
+                        array.flags.writeable = False
+                    plan.top[0] = (start, (pos, depth, root, state, P, idx),
+                                   (calls, edges, prunes, max_depth))
             if time.perf_counter() > deadline:
                 raise _timeout(calls, edges, prunes, max_depth)
             if pos >= first:

@@ -48,7 +48,11 @@ MEMORY_NOTE = (
     "(tracemalloc), measured from the start of each query; the interpreter's "
     "baseline memory is excluded.  It comes from a second, traced run "
     "of the same query after the timed one, so tracing never runs inside "
-    "the timed region; it is 0 where the timed run timed out or failed."
+    "the timed region; it is 0 where the timed run timed out or failed.  "
+    "That traced rerun, and every trial after the first, reuse the "
+    "circuit's packed plan and, for pathsum, the kept top of its tree (the "
+    "first batch of 64 paths, where the tree is that wide), so their times "
+    "and peaks leave out packing and that top."
 )
 
 

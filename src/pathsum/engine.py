@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ._kernels import (
     PackedCircuit, QueryTimeout, TraversalStats, deadline_at, pack_circuit, traverse,
 )
-from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
+from .circuit import AmplitudeQuery, Circuit, CircuitError
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,6 @@ class EngineOptions:
 
     prune: bool = True
     deadline_s: float | None = None
-
-
-def end_state_reachable(current: BasisState, end: BasisState, gates_remaining: int) -> bool:
-    """Whether ``end`` is still reachable with ``gates_remaining`` gates left.
-
-    Every supported gate flips at most one bit of a basis state, so the
-    Hamming distance to the end state can shrink by at most one per gate.
-    """
-    if gates_remaining < 0:
-        raise CircuitError(f"gates_remaining must be >= 0, got {gates_remaining}")
-    return current.hamming_distance(end) <= gates_remaining
 
 
 def packed_circuit(circuit: Circuit) -> PackedCircuit:

@@ -5,19 +5,20 @@ format.
 The matrix oracle builds dense gate unitaries straight from the textbook
 2x2 / controlled definitions, deliberately not reusing the package's gate
 semantics, so tests can compare three independent routes to the same number.
-The reference walk reads gates only through ``pathsum.gates`` and shares no
-code with the kernels, so it checks their amplitude and counters bit for bit.
+The reference walk reads gates only through the readable per-state
+semantics here (``apply_nonbranching`` and ``branch_gate``) and cuts with
+the distance rule here (``end_state_reachable``); it shares no code with
+the package but the circuit model, so it checks the kernel's amplitude and
+counters bit for bit.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from pathsum import (
-    AmplitudeQuery, BasisState, Gate, GateKind, apply_nonbranching, branch_gate, make_circuit,
-)
-from pathsum.engine import end_state_reachable
+from pathsum import AmplitudeQuery, BasisState, CircuitError, Gate, GateKind, make_circuit
 
 SINGLE_KINDS = [
     GateKind.H,
@@ -55,6 +56,90 @@ def random_state(rng: np.random.Generator, n: int) -> BasisState:
 
 def random_query(rng: np.random.Generator, n: int) -> AmplitudeQuery:
     return AmplitudeQuery(random_state(rng, n), random_state(rng, n))
+
+
+# Correctly rounded sqrt(0.5), as the package spells it, so that the
+# reference walk's floats match the kernel's bit for bit.
+INV_SQRT2 = math.sqrt(0.5)
+
+
+def phase_factor(theta: float) -> complex:
+    """e**(i*theta) from cos/sin, as the package builds it."""
+    return complex(math.cos(theta), math.sin(theta))
+
+
+_T_FACTOR = phase_factor(math.pi / 4)
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One outgoing edge of the computation tree: successor state and factor."""
+
+    state: BasisState
+    factor: complex
+
+
+def apply_nonbranching(gate: Gate, state: BasisState) -> Branch:
+    """The single successor of ``state`` under a non-branching gate."""
+    kind = gate.kind
+    if kind.is_branching:
+        raise CircuitError(f"{kind.value} is a branching gate")
+    qs = gate.qubits
+    if kind is GateKind.I:
+        return Branch(state, 1.0 + 0.0j)
+    if kind is GateKind.X:
+        return Branch(state.with_bit_flipped(qs[0]), 1.0 + 0.0j)
+    if kind is GateKind.Y:
+        # Y|0> = i|1>, Y|1> = -i|0>
+        factor = -1.0j if state.bit(qs[0]) else 1.0j
+        return Branch(state.with_bit_flipped(qs[0]), factor)
+    if kind is GateKind.Z:
+        return Branch(state, -1.0 + 0.0j if state.bit(qs[0]) else 1.0 + 0.0j)
+    if kind is GateKind.S:
+        return Branch(state, 1.0j if state.bit(qs[0]) else 1.0 + 0.0j)
+    if kind is GateKind.T:
+        return Branch(state, _T_FACTOR if state.bit(qs[0]) else 1.0 + 0.0j)
+    if kind is GateKind.P:
+        factor = phase_factor(gate.theta) if state.bit(qs[0]) else 1.0 + 0.0j
+        return Branch(state, factor)
+    if kind is GateKind.CP:
+        hot = state.bit(qs[0]) and state.bit(qs[1])
+        return Branch(state, phase_factor(gate.theta) if hot else 1.0 + 0.0j)
+    if kind is GateKind.CNOT:
+        if state.bit(qs[0]):
+            return Branch(state.with_bit_flipped(qs[1]), 1.0 + 0.0j)
+        return Branch(state, 1.0 + 0.0j)
+    if kind is GateKind.CCX:
+        if state.bit(qs[0]) and state.bit(qs[1]):
+            return Branch(state.with_bit_flipped(qs[2]), 1.0 + 0.0j)
+        return Branch(state, 1.0 + 0.0j)
+    raise CircuitError(f"unhandled gate kind {kind!r}")
+
+
+def branch_gate(gate: Gate, state: BasisState) -> list[Branch]:
+    """Both successors of ``state`` under a branching gate, qubit-cleared first.
+
+    The factors are the H matrix entries for the current bit of the operand
+    qubit: bit 0 gives (1/sqrt2, 1/sqrt2), bit 1 gives (1/sqrt2, -1/sqrt2).
+    """
+    if not gate.kind.is_branching:
+        raise CircuitError(f"{gate.kind.value} is not a branching gate")
+    q = gate.qubits[0]
+    low = BasisState(state.bits & ~(1 << q), state.width)
+    high = BasisState(state.bits | (1 << q), state.width)
+    second = -INV_SQRT2 if state.bit(q) else INV_SQRT2
+    return [Branch(low, complex(INV_SQRT2)), Branch(high, complex(second))]
+
+
+def end_state_reachable(current: BasisState, end: BasisState, gates_remaining: int) -> bool:
+    """Whether ``end`` is still reachable with ``gates_remaining`` gates left.
+
+    Every supported gate flips at most one bit of a basis state, so the
+    Hamming distance to the end state can shrink by at most one per gate.
+    """
+    if gates_remaining < 0:
+        raise CircuitError(f"gates_remaining must be >= 0, got {gates_remaining}")
+    return current.hamming_distance(end) <= gates_remaining
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

@@ -115,6 +115,9 @@ def test_csv_layout(tmp_path):
     meta = (tmp_path / "results.csv.meta").read_text().splitlines()
     assert meta[0] == MEMORY_NOTE
     assert "tracemalloc" in meta[0]
+    # The traced rerun and later trials start from the plan and its top.
+    assert ("That traced rerun, and every trial after the first, reuse the "
+            "circuit's packed plan and, for pathsum, the kept top of its tree") in meta[0]
     fields = dict(line.split(": ", 1) for line in meta[1:])
     assert fields == {
         "kernel": _kernels.KERNEL,

@@ -12,14 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import circuit_unitary, random_circuit, random_query, random_state
+from conftest import (
+    circuit_unitary, end_state_reachable, random_circuit, random_query, random_state,
+)
 from pathsum import (
     AmplitudeQuery,
     BasisState,
     CircuitError,
     EngineOptions,
     QueryTimeout,
-    end_state_reachable,
     gen_layered_hadamard,
     invert_circuit,
     make_circuit,
@@ -306,9 +307,9 @@ def test_concurrent_queries_share_circuit():
     rng = np.random.default_rng(111)
     c = random_circuit(rng, 6, 18)
     queries = [random_query(rng, 6) for _ in range(8)]
-    # 4,096 leaves, so each query starts from a scalar top, which the plan
-    # keeps for one start: threads querying from two starts in turn
-    # replace it while others read it.
+    # 4,096 leaves, so each query's walk keeps the tree's first batch on
+    # the plan, for one start: threads querying from two starts in turn
+    # replace it while others go on from it.
     wide = gen_layered_hadamard(6, 1)
     starts = (0, 0b101101)
     tops = [(wide, _query(6, starts[i % 2], int(rng.integers(64)))) for i in range(8)]

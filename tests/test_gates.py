@@ -7,14 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_gate, random_state
+from conftest import apply_nonbranching, branch_gate, random_gate, random_state
 from pathsum import (
     BasisState,
     CircuitError,
-    Gate,
     GateKind,
-    apply_nonbranching,
-    branch_gate,
     invert_gate,
     make_circuit,
     phase_factor,

@@ -10,6 +10,8 @@ import re
 import struct
 import time
 from dataclasses import astuple
+from itertools import count
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,10 +24,12 @@ from pathsum.circuit import (
     AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
 )
 from pathsum.engine import packed_circuit
-from pathsum.gates import INV_SQRT2, apply_nonbranching, branch_gate, phase_factor
+from pathsum.gates import INV_SQRT2, phase_factor
 from pathsum._kernels import pack_circuit, traverse
 
-from conftest import random_circuit, random_gate, random_query, reference_walk
+from conftest import (
+    apply_nonbranching, branch_gate, random_circuit, random_gate, random_query, reference_walk,
+)
 from test_gates import replay_op, successors
 
 # Scalar handoff limits: 0 never hands off (numpy only), 1 << 62 hands off
@@ -54,6 +58,15 @@ def _drive_plan(plan, query, prune, deadline=math.inf):
     earlier queries."""
     amplitude, stats = traverse(plan, query.start.bits, query.end.bits, prune, deadline)
     return repr(amplitude), astuple(stats)
+
+
+def _drive_twice(circuit, query, prune):
+    """``_drive`` twice on one plan, where the second query goes on from
+    the top the first one kept, if it kept one; the two must agree."""
+    plan = pack_circuit(circuit)
+    result = _drive_plan(plan, query, prune)
+    assert _drive_plan(plan, query, prune) == result
+    return result
 
 
 def _stream_circuit(rng, n=48, hs=5, others=300):
@@ -280,14 +293,15 @@ def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
                     signed_zeros += re.search(r"-0(?![.\de])", expected[0]) is not None
                     for limit in _LIMITS:
                         monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-                        assert _drive(circuit, query, prune) == expected
+                        assert _drive_twice(circuit, query, prune) == expected
     assert signed_zeros > 0
 
 
 def test_frontier_small_batches_agree_bitwise(monkeypatch):
     # Tiny caps split at nearly every H, and tiny fold depths re-root at
     # nearly every H, so almost every value crosses batches through the
-    # parents' accumulators.
+    # parents' accumulators.  Each query runs twice on one plan, so a top
+    # kept before the first split is split again on reuse.
     monkeypatch.setattr(_kernels, "_CLOCK_STEPS", _CLOCK_STEPS)
     rng = np.random.default_rng(515)
     inputs = []
@@ -303,13 +317,14 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
                     monkeypatch.setattr(_kernels, "FRONTIER_CAP", cap)
                     for limit in _LIMITS:
                         monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-                        assert _drive(circuit, query, prune) == expected
+                        assert _drive_twice(circuit, query, prune) == expected
 
 
 def test_frontier_deep_narrow_walk(monkeypatch):
     # 66 H gates but few live paths: the branch bits below one batch root
     # would pass FOLD_LEVELS, so the frontier splits to re-root the batch;
-    # at one level it re-roots at every H.
+    # at one level it re-roots at every H.  Each query runs twice on one
+    # plan, the second from the first one's kept top where it kept one.
     n = 62
     circuit = make_circuit(n, [h(0)] * 4 + [h(q) for q in range(n)])
     query = AmplitudeQuery(BasisState.zeros(n), BasisState((1 << n) - 1, n))
@@ -319,54 +334,39 @@ def test_frontier_deep_narrow_walk(monkeypatch):
         monkeypatch.setattr(_kernels, "FOLD_LEVELS", levels)
         for limit in _LIMITS:
             monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
-            assert _drive(circuit, query, True) == expected
+            assert _drive_twice(circuit, query, True) == expected
 
 
-def test_scalar_top_hands_the_frontier_a_full_first_batch(monkeypatch):
-    # The top runs the root's paths on scalars until they number
-    # SCALAR_LEAVES; at limit 0 the frontier starts from the root.
-    tops = []
-    top = _kernels._scalar_top
-
-    def recording(*args):
-        batch, counters = top(*args)
-        tops.append((batch[0], batch[3].size, list(batch[5]), counters))
-        return batch, counters
-
-    monkeypatch.setattr(_kernels, "_scalar_top", recording)
+def test_walk_keeps_its_full_first_batch(monkeypatch):
+    # The walk keeps the tree's first batch on the plan once it holds
+    # SCALAR_LEAVES paths, branch bits ``arange``; at limit 0 the kept
+    # batch is the root.
     circuit = gen_layered_hadamard(6, 1)
     query = AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6))
     expected = reference_walk(circuit, query, True)
-    assert _drive(circuit, query, True) == expected
-    (pos, size, idx, counters), = tops
-    assert size >= _kernels.SCALAR_LEAVES and idx == list(range(size))
+    tops = []
+    for limit in (_kernels.SCALAR_LEAVES, 0):
+        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+        plan = pack_circuit(circuit)
+        assert _drive_plan(plan, query, True) == expected
+        start, (pos, depth, root, states, P, idx), counters = plan.top[0]
+        assert (start, root) == (0, 0) and states.size >= limit
+        assert idx.tolist() == list(range(states.size)) == list(range(1 << depth))
+        tops.append((pos, states.size, counters))
     # The circuit opens with its six H gates; the top ends right after them.
-    assert (pos, size, counters) == (6, 64, (126, 126, 0, 6))
-    tops.clear()
-    monkeypatch.setattr(_kernels, "SCALAR_LEAVES", 0)
-    assert _drive(circuit, query, True) == expected
-    assert tops == [(0, 1, [0], (0, 0, 0, 0))]
+    assert tops == [(6, 64, (126, 126, 0, 6)), (0, 1, (0, 0, 0, 0))]
 
 
 def test_plan_keeps_its_top_for_one_start(monkeypatch):
     # One plan answers queries from one start to several ends, prune on and
     # off, then from a second start, then from that start with a first
     # check before the kept top's stop.  Every answer equals the reference
-    # walk, and the top runs only when the kept one cannot serve: on a new
-    # start, where it is kept, and on a first check before the kept top's
-    # stop, where it runs to that check and is not kept.  The family
-    # circuits move all their qubits, so their first check never moves;
-    # ``idle`` extra qubits, which no gate touches, let an end that differs
-    # from the start on k of them move it k gates earlier, to position
-    # ``idle - k``.
-    tops = []
-    top = _kernels._scalar_top
-
-    def recording(plan, start, first, deadline):
-        tops.append((start, first))
-        return top(plan, start, first, deadline)
-
-    monkeypatch.setattr(_kernels, "_scalar_top", recording)
+    # walk.  A top is kept once per start (a later query from that start
+    # goes on from it and keeps it), and a first check before the kept
+    # top's stop neither uses nor replaces it.  The family circuits move
+    # all their qubits, so their first check never moves; ``idle`` extra
+    # qubits, which no gate touches, let an end that differs from the start
+    # on k of them move it k gates earlier, to position ``idle - k``.
     rng = np.random.default_rng(14)
     expected = {}
     for family in (gen_layered_hadamard(6, 1), gen_hsp_standard(12, 5), gen_layered_qft(5, 1)):
@@ -383,54 +383,64 @@ def test_plan_keeps_its_top_for_one_start(monkeypatch):
         queries = ([(a, a, True), (a, a, False)] + [(a, end, True) for end in a_ends]
                    + [(b, end, True) for end in b_ends])
 
-        def check(plan, start, end, prune):
+        def reference(start, end, prune):
             query = AmplitudeQuery(start, end)
             key = (circuit, query, prune)
             if key not in expected:
                 expected[key] = reference_walk(circuit, query, prune)
-            assert _drive_plan(plan, query, prune) == expected[key]
+            return expected[key]
 
         for limit in _LIMITS:
             monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
             plan = pack_circuit(circuit)
-            tops.clear()
+            tops = []  # each top the plan kept, in turn
             for start, end, prune in queries:
-                check(plan, start, end, prune)
+                assert _drive_plan(plan, AmplitudeQuery(start, end), prune) == reference(
+                    start, end, prune)
+                if plan.top[0] is not None and (not tops or plan.top[0] is not tops[-1]):
+                    tops.append(plan.top[0])
             if 1 << plan.hleft[0] <= limit:
                 # The scalar walk takes the whole tree: no top to keep.
                 assert tops == [] and plan.top == [None]
                 continue
-            assert tops == [(a.bits, idle), (b.bits, idle)]
-            kept = plan.top[0]
-            start, (stop, _, _, states, P, idx), _ = kept
-            assert start == b.bits and states.size == max(limit, 1)
+            assert [top[0] for top in tops] == [a.bits, b.bits]
+            start, batch, counters = tops[-1]
+            stop, _, _, states, P, idx = batch
+            assert stop <= idle and states.size == max(limit, 1)
             for array in (states, P, idx):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
-            # First check at stop - 1 where there is one: the top runs to
-            # it and is not kept.
+            # The kept top, marked with one call too many, shows which
+            # query goes on from it.  First check at stop - 1 where there
+            # is one: that query runs its own top and keeps none.
+            kept = plan.top[0] = (start, batch, (counters[0] + 1, *counters[1:]))
             k = min(idle, idle - stop + 1)
             early = BasisState(b_ends[0].bits ^ (((1 << k) - 1) << n), n + idle)
-            tops.clear()
-            check(plan, b, early, True)
-            check(plan, b, b_ends[0], True)
-            assert tops == ([(b.bits, idle - k)] if idle - k < stop else [])
-            assert plan.top[0] is kept
+            for end in (early, b_ends[0]):
+                amplitude, (calls, *rest) = reference(b, end, True)
+                used = end is b_ends[0] or idle - k >= stop
+                assert _drive_plan(plan, AmplitudeQuery(b, end), True) == (
+                    amplitude, (calls + used, *rest))
+                assert plan.top[0] is kept
 
 
 def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
-    # At an H both scalar walks multiply each part of a phase by 1/sqrt2 on
-    # its own: ``z * INV_SQRT2`` multiplies by ``INV_SQRT2 + 0j``, which
-    # turns (1, -0.0) into (INV_SQRT2, +0.0).  The sums at an H clear every
-    # zero's sign, so this reads the phases where they are made: the
-    # top's batch, and the phases ``_scalar_finish`` runs below the H.
+    # At an H the batches and the scalar walk multiply each part of a phase
+    # by 1/sqrt2 on its own: ``z * INV_SQRT2`` multiplies by
+    # ``INV_SQRT2 + 0j``, which turns (1, -0.0) into (INV_SQRT2, +0.0).
+    # The sums at an H clear every zero's sign, so this reads the phases
+    # where they are made: the kept top's batch, and the phases
+    # ``_scalar_finish`` runs below the H.
     def parts(phases):
         return [struct.pack("<2d", z.real, z.imag) for z in phases]
 
     # Y then Z on |0> leave (-0.0, -1); h(0) then scales it, and the high
     # child, whose bit 0 was set, is negated.
     plan = pack_circuit(make_circuit(2, [y(0), z(0), h(0), h(1)]))
-    pos, depth, root, states, P, idx = _kernels._scalar_top(plan, 0, 3, math.inf)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "SCALAR_LEAVES", 2)
+        _drive_plan(plan, AmplitudeQuery(BasisState.zeros(2), BasisState.zeros(2)), False)
+    pos, depth, root, states, P, idx = plan.top[0][1]
     assert (pos, depth, root, states.tolist(), idx.tolist()) == (3, 1, 0, [0, 1], [0, 1])
     low = complex(-0.0, -INV_SQRT2)
     assert parts(_kernels._phases(P)) == parts([low, -low])
@@ -498,13 +508,38 @@ def test_frontier_deadline_is_checked():
                                 expired, (0, 0, 0, 0))
     assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
     # 256 leaves, and a top of two paths through 6,000 gates before the
-    # tree widens: the scalar top reads the clock too.
+    # tree widens: the walk reads the clock while it runs the top too.
     circuit = make_circuit(8, [h(0)] + [t(0), cnot(0, 2)] * 3000 + [h(q) for q in range(1, 8)])
     query = AmplitudeQuery(BasisState.zeros(8), BasisState.zeros(8))
     with pytest.raises(QueryTimeout) as timeout:
         _drive(circuit, query, True, deadline=expired)
     assert timeout.value.stats is not None
     assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
+
+
+def test_timeout_leaves_the_kept_top_usable(monkeypatch):
+    # A query that times out after its walk kept the tree's first batch,
+    # and one that times out going on from it, leave the plan a top that
+    # the next query from that start reuses to the reference walk's answer.
+    circuit = gen_layered_hadamard(6, 1)
+    rng = np.random.default_rng(16)
+    queries = [AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6)),
+               _random_path_query(rng, circuit, BasisState.zeros(6))]
+    plan = pack_circuit(circuit)
+    kept = None
+    # A clock that reads 0, 1, 2, ...: the batches read it once per gate,
+    # so deadline 10 fires at gate 11, five gates below the top, which
+    # ends at gate 6.
+    for deadline in (10, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "time", SimpleNamespace(perf_counter=count().__next__))
+            with pytest.raises(QueryTimeout):
+                _drive_plan(plan, queries[0], True, deadline)
+        kept = kept or plan.top[0]
+        assert kept[1][0] == 6 and plan.top[0] is kept
+    for query in queries:
+        assert _drive_plan(plan, query, True) == reference_walk(circuit, query, True)
+    assert plan.top[0] is kept
 
 
 def test_scalar_walk_deadline_overshoot_is_bounded():
