@@ -21,6 +21,8 @@ defaults to the benchmarked checkout's short commit.  When ``src/``,
 not the commit, so the script refuses to run without ``--label``, and the
 file records ``"dirty": true`` and the SHA-1 of ``git diff HEAD`` over
 those paths (untracked files count as dirty but are not in the diff).
+``src_lines`` is the line count of the checkout's ``src/pathsum/*.py``, as
+``wc -l`` totals it.
 ``--root DIR`` benchmarks another checkout, such as a clone at the parent
 commit, whose benchmark and source are then the ones that run.  The exit
 code is 1 if any run failed, after the file is written.
@@ -37,7 +39,8 @@ pairs is the host's alone.  The file ``BENCH_<label>-vs-<REV's short
 commit>.json`` holds every run, keyed by pair number, and, per workload,
 each side's attempted and failed queries and, per end-to-end metric, both
 sides' medians over the pairs, the parent's interquartile range and the
-number of pairs the change wins.
+number of pairs the change wins.  ``src_lines`` is recorded for both
+sides: the change's at the top level and the parent's in ``against``.
 """
 from __future__ import annotations
 
@@ -94,6 +97,11 @@ def kernel_name(root: Path) -> str:
     return subprocess.run(
         [sys.executable, "-c", "import pathsum._kernels as k; print(k.KERNEL)"],
         cwd=root, env=env, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def src_lines(root: Path) -> int:
+    """The ``wc -l`` total of the checkout's ``src/pathsum/*.py``."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "pathsum").glob("*.py"))
 
 
 def record_run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -191,12 +199,15 @@ def record_pairs(root: Path, spec: dict, state: dict, label: str,
                        check=True, capture_output=True)
         parent_state = checkout_state(parent)
         parent_kernel = kernel_name(parent)
+        parent_lines = src_lines(parent)
         runs = paired_runs(root, parent, spec, seed)
     record = {
         "label": label,
         **state,
         "kernel": kernel_name(root),
-        "against": {"rev": against, "commit": parent_state["commit"], "kernel": parent_kernel},
+        "src_lines": src_lines(root),
+        "against": {"rev": against, "commit": parent_state["commit"], "kernel": parent_kernel,
+                    "src_lines": parent_lines},
         "seed": seed,
         "pairs": PAIRS,
         "seconds": spec["run_seconds"],
@@ -243,6 +254,7 @@ def main(argv=None) -> int:
             "label": label,
             **state,
             "kernel": kernel_name(root),
+            "src_lines": src_lines(root),
             "seed": args.seed,
             "seconds": seconds,
             "runs": runs,

@@ -7,6 +7,7 @@ count.  :func:`statevector_amplitude` is the dense exponential-space
 reference backend used to cross-check it at small widths.
 """
 
+from ._kernels import phase_factor
 from .circuit import (
     MAX_QUBITS,
     AmplitudeQuery,
@@ -15,8 +16,6 @@ from .circuit import (
     CircuitError,
     Gate,
     GateKind,
-    invert_circuit,
-    invert_gate,
     make_circuit,
 )
 from .engine import (
@@ -25,7 +24,6 @@ from .engine import (
     TraversalStats,
     path_sum_amplitude,
 )
-from .gates import phase_factor
 from .generators import (
     gen_hsp_standard,
     gen_layered_hadamard,
@@ -34,7 +32,6 @@ from .generators import (
 )
 from .statevector import (
     MAX_STATEVECTOR_QUBITS,
-    StateVector,
     StateVectorLimitError,
     statevector_amplitude,
     statevector_simulate,
@@ -70,7 +67,6 @@ __all__ = [
     "Gate",
     "GateKind",
     "QueryTimeout",
-    "StateVector",
     "StateVectorLimitError",
     "TraversalStats",
     "format_basis_state",
@@ -78,8 +74,6 @@ __all__ = [
     "gen_layered_hadamard",
     "gen_layered_qft",
     "gen_qft",
-    "invert_circuit",
-    "invert_gate",
     "make_circuit",
     "parse_basis_state",
     "parse_circuit",

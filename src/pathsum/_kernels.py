@@ -52,7 +52,6 @@ from itertools import accumulate
 import numpy as np
 
 from .circuit import Circuit, CircuitError, GateKind
-from .gates import INV_SQRT2, phase_factor
 
 KERNEL = "frontier"
 
@@ -135,6 +134,17 @@ class PackedCircuit:
 # A factor is a Python complex, never exactly 1.  SKIP, CFLIP and Y move the
 # state alike, ``if state & c == c: state ^= x``.
 _OP_H, _OP_SKIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(5)
+
+# H's factor, correctly rounded sqrt(0.5), and the phase factors of the
+# table below: both walks and the state vector use these, so identical
+# queries produce bit-identical floats on either backend.
+INV_SQRT2 = math.sqrt(0.5)
+
+
+def phase_factor(theta: float) -> complex:
+    """e**(i*theta) built from cos/sin so all backends agree bitwise."""
+    return complex(math.cos(theta), math.sin(theta))
+
 
 _SKIP = (_OP_SKIP, 0, 0)
 _T = phase_factor(math.pi / 4)

@@ -114,10 +114,6 @@ class BenchRecord:
     timed_out: bool
     note: str = ""
 
-    @property
-    def ran(self) -> bool:
-        return not self.note
-
 
 def _query(plan: BenchPlan, circuit, query, method: str):
     """One query: (amplitude, recursion calls, prunes); None counters for the state vector."""

@@ -83,6 +83,15 @@ class Gate:
         return " ".join(parts)
 
 
+def _check_qubit_count(value, noun: str):
+    """Refuse ``value`` unless it is an int, not a bool, from 1 to
+    MAX_QUBITS; ``noun`` names it in the message."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CircuitError(f"{noun} {value!r} is not an integer")
+    if value < 1 or value > MAX_QUBITS:
+        raise CircuitError(f"{noun} must be between 1 and {MAX_QUBITS}, got {value}")
+
+
 def _gate_problem(gate: Gate, num_qubits: int):
     """Return (message, arg_index) for the first rule ``gate`` breaks, else None."""
     if not isinstance(gate.kind, GateKind):
@@ -124,12 +133,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if not isinstance(self.num_qubits, int) or isinstance(self.num_qubits, bool):
-            raise CircuitError(f"qubit count {self.num_qubits!r} is not an integer")
-        if self.num_qubits < 1 or self.num_qubits > MAX_QUBITS:
-            raise CircuitError(
-                f"qubit count must be between 1 and {MAX_QUBITS}, got {self.num_qubits}"
-            )
+        _check_qubit_count(self.num_qubits, "qubit count")
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, gate in enumerate(self.gates):
             if not isinstance(gate, Gate):
@@ -159,24 +163,6 @@ def make_circuit(num_qubits: int, gates) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-# The self-inverse kinds map to themselves; S and T are replaced by explicit
-# phase rotations of the opposite angle, P and CP negate theta.
-def invert_gate(gate: Gate) -> Gate:
-    kind = gate.kind
-    if kind is GateKind.S:
-        return Gate(GateKind.P, gate.qubits, -math.pi / 2)
-    if kind is GateKind.T:
-        return Gate(GateKind.P, gate.qubits, -math.pi / 4)
-    if kind.takes_angle:
-        return Gate(kind, gate.qubits, -gate.theta)
-    return gate
-
-
-def invert_circuit(circuit: Circuit) -> Circuit:
-    """The inverse circuit: inverted gates in reverse order."""
-    return Circuit(circuit.num_qubits, tuple(invert_gate(g) for g in reversed(circuit.gates)))
-
-
 @dataclass(frozen=True)
 class BasisState:
     """A computational basis state of ``width`` qubits, stored as a bit mask."""
@@ -185,12 +171,7 @@ class BasisState:
     width: int
 
     def __post_init__(self):
-        if not isinstance(self.width, int) or isinstance(self.width, bool):
-            raise CircuitError(f"width {self.width!r} is not an integer")
-        if self.width < 1 or self.width > MAX_QUBITS:
-            raise CircuitError(
-                f"width must be between 1 and {MAX_QUBITS}, got {self.width}"
-            )
+        _check_qubit_count(self.width, "width")
         if not isinstance(self.bits, int) or isinstance(self.bits, bool):
             raise CircuitError(f"bits {self.bits!r} is not an integer")
         if self.bits < 0 or self.bits >> self.width:
@@ -206,18 +187,6 @@ class BasisState:
         if qubit < 0 or qubit >= self.width:
             raise CircuitError(f"qubit {qubit} out of range for width {self.width}")
         return (self.bits >> qubit) & 1
-
-    def with_bit_flipped(self, qubit: int) -> "BasisState":
-        if qubit < 0 or qubit >= self.width:
-            raise CircuitError(f"qubit {qubit} out of range for width {self.width}")
-        return BasisState(self.bits ^ (1 << qubit), self.width)
-
-    def hamming_distance(self, other: "BasisState") -> int:
-        if self.width != other.width:
-            raise CircuitError(
-                f"width mismatch: {self.width} vs {other.width}"
-            )
-        return (self.bits ^ other.bits).bit_count()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Command line front end: simulate, generate, bench.
 
 Exit codes: 0 on success, 1 for usage and input-validation problems, 2 for
-runtime failures (missing files, backend refusals, timeouts).
+runtime failures (missing files, backend refusals).
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .bench import BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
 from .circuit import AmplitudeQuery, BasisState, CircuitError
-from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
+from .engine import EngineOptions, path_sum_amplitude
 from .generators import FAMILIES
 from .statevector import StateVectorLimitError, statevector_amplitude
 from .textio import parse_basis_state, parse_circuit, serialize_circuit
@@ -32,15 +32,9 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_simulate(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
     width = circuit.num_qubits
-    start = (
-        parse_basis_state(args.start, width)
-        if args.start is not None
-        else BasisState.zeros(width)
-    )
-    end = (
-        parse_basis_state(args.end, width)
-        if args.end is not None
-        else BasisState.zeros(width)
+    start, end = (
+        BasisState.zeros(width) if text is None else parse_basis_state(text, width)
+        for text in (args.start, args.end)
     )
     query = AmplitudeQuery(start, end)
     if args.method == "pathsum":
@@ -195,16 +189,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, CircuitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StateVectorLimitError, QueryTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StateVectorLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

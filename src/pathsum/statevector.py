@@ -12,35 +12,20 @@ rather than attempt an allocation that would not fit on a desk machine.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_Y, _Y0, _Y1, QueryTimeout, deadline_at
+from ._kernels import (
+    _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_Y, _Y0, _Y1, INV_SQRT2, QueryTimeout, deadline_at,
+)
 from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
 from .engine import packed_circuit
-from .gates import INV_SQRT2
 
 # 2**26 complex128 amplitudes are 1 GiB.  A run holds the vector and, while
 # one op runs, at most two half-vector copies: its traced peak at n=14 and
 # n=16 is 32 bytes per amplitude on h-layer, qft-layer and hsp and with a Y
 # gate, so about 2.1 GB at this cap.
 MAX_STATEVECTOR_QUBITS = 26
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """All 2**num_qubits amplitudes of one pure state, basis index order."""
-
-    amplitudes: np.ndarray
-    num_qubits: int
-
-    def amplitude_of(self, state: BasisState) -> complex:
-        if state.width != self.num_qubits:
-            raise CircuitError(
-                f"state width {state.width} does not match vector width {self.num_qubits}"
-            )
-        return complex(self.amplitudes[state.bits])
 
 
 class StateVectorLimitError(ValueError):
@@ -111,8 +96,8 @@ def statevector_simulate(
     circuit: Circuit,
     start: BasisState,
     deadline_s: float | None = None,
-) -> StateVector:
-    """The full final state C|start>."""
+) -> np.ndarray:
+    """The full final state C|start>: all 2**n amplitudes, basis index order."""
     if start.width != circuit.num_qubits:
         raise CircuitError(
             f"start width {start.width} does not match circuit width {circuit.num_qubits}"
@@ -126,7 +111,7 @@ def statevector_simulate(
         if time.perf_counter() > deadline:
             raise QueryTimeout("state-vector run exceeded its deadline")
         _apply_gate(v, op)
-    return StateVector(psi, circuit.num_qubits)
+    return psi
 
 
 def statevector_amplitude(
@@ -135,8 +120,4 @@ def statevector_amplitude(
     deadline_s: float | None = None,
 ) -> complex:
     """Amplitude <end| C |start> read out of a full state-vector run."""
-    if query.width != circuit.num_qubits:
-        raise CircuitError(
-            f"query width {query.width} does not match circuit width {circuit.num_qubits}"
-        )
-    return statevector_simulate(circuit, query.start, deadline_s).amplitude_of(query.end)
+    return complex(statevector_simulate(circuit, query.start, deadline_s)[query.end.bits])

@@ -14,12 +14,12 @@ import math
 import re
 
 from .circuit import (
-    MAX_QUBITS,
     BasisState,
     Circuit,
     CircuitError,
     Gate,
     GateKind,
+    _check_qubit_count,
     make_circuit,
 )
 
@@ -67,12 +67,10 @@ def _parse_header(tokens, line_no: int) -> int:
             "unexpected argument after the qubit count", line_no, tokens[2][1]
         )
     count = int(count_text)
-    if count < 1 or count > MAX_QUBITS:
-        raise CircuitParseError(
-            f"qubit count must be between 1 and {MAX_QUBITS}, got {count}",
-            line_no,
-            count_col,
-        )
+    try:
+        _check_qubit_count(count, "qubit count")
+    except CircuitError as exc:
+        raise CircuitParseError(str(exc), line_no, count_col) from None
     return count
 
 

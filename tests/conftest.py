@@ -1,6 +1,6 @@
-"""Shared test helpers: random circuits, an independent matrix oracle, a
-reference depth-first walk, and the malformed-input corpus for the text
-format.
+"""Shared test helpers: random circuits, circuit inversion, an independent
+matrix oracle, a reference depth-first walk, and the malformed-input corpus
+for the text format.
 
 The matrix oracle builds dense gate unitaries straight from the textbook
 2x2 / controlled definitions, deliberately not reusing the package's gate
@@ -58,6 +58,24 @@ def random_query(rng: np.random.Generator, n: int) -> AmplitudeQuery:
     return AmplitudeQuery(random_state(rng, n), random_state(rng, n))
 
 
+# The self-inverse kinds map to themselves; S and T are replaced by explicit
+# phase rotations of the opposite angle, P and CP negate theta.
+def invert_gate(gate: Gate) -> Gate:
+    kind = gate.kind
+    if kind is GateKind.S:
+        return Gate(GateKind.P, gate.qubits, -math.pi / 2)
+    if kind is GateKind.T:
+        return Gate(GateKind.P, gate.qubits, -math.pi / 4)
+    if kind.takes_angle:
+        return Gate(kind, gate.qubits, -gate.theta)
+    return gate
+
+
+def invert_circuit(circuit):
+    """The inverse circuit: inverted gates in reverse order."""
+    return make_circuit(circuit.num_qubits, [invert_gate(g) for g in reversed(circuit.gates)])
+
+
 # Correctly rounded sqrt(0.5), as the package spells it, so that the
 # reference walk's floats match the kernel's bit for bit.
 INV_SQRT2 = math.sqrt(0.5)
@@ -69,6 +87,10 @@ def phase_factor(theta: float) -> complex:
 
 
 _T_FACTOR = phase_factor(math.pi / 4)
+
+
+def _flipped(state: BasisState, q: int) -> BasisState:
+    return BasisState(state.bits ^ (1 << q), state.width)
 
 
 @dataclass(frozen=True)
@@ -88,11 +110,11 @@ def apply_nonbranching(gate: Gate, state: BasisState) -> Branch:
     if kind is GateKind.I:
         return Branch(state, 1.0 + 0.0j)
     if kind is GateKind.X:
-        return Branch(state.with_bit_flipped(qs[0]), 1.0 + 0.0j)
+        return Branch(_flipped(state, qs[0]), 1.0 + 0.0j)
     if kind is GateKind.Y:
         # Y|0> = i|1>, Y|1> = -i|0>
         factor = -1.0j if state.bit(qs[0]) else 1.0j
-        return Branch(state.with_bit_flipped(qs[0]), factor)
+        return Branch(_flipped(state, qs[0]), factor)
     if kind is GateKind.Z:
         return Branch(state, -1.0 + 0.0j if state.bit(qs[0]) else 1.0 + 0.0j)
     if kind is GateKind.S:
@@ -107,11 +129,11 @@ def apply_nonbranching(gate: Gate, state: BasisState) -> Branch:
         return Branch(state, phase_factor(gate.theta) if hot else 1.0 + 0.0j)
     if kind is GateKind.CNOT:
         if state.bit(qs[0]):
-            return Branch(state.with_bit_flipped(qs[1]), 1.0 + 0.0j)
+            return Branch(_flipped(state, qs[1]), 1.0 + 0.0j)
         return Branch(state, 1.0 + 0.0j)
     if kind is GateKind.CCX:
         if state.bit(qs[0]) and state.bit(qs[1]):
-            return Branch(state.with_bit_flipped(qs[2]), 1.0 + 0.0j)
+            return Branch(_flipped(state, qs[2]), 1.0 + 0.0j)
         return Branch(state, 1.0 + 0.0j)
     raise CircuitError(f"unhandled gate kind {kind!r}")
 
@@ -139,7 +161,7 @@ def end_state_reachable(current: BasisState, end: BasisState, gates_remaining: i
     """
     if gates_remaining < 0:
         raise CircuitError(f"gates_remaining must be >= 0, got {gates_remaining}")
-    return current.hamming_distance(end) <= gates_remaining
+    return (current.bits ^ end.bits).bit_count() <= gates_remaining
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

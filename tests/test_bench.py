@@ -67,7 +67,7 @@ def test_run_benchmark_record_shape():
     ]
     for r in records:
         assert (r.family, r.n, r.seed) == ("h-layer", 4, 1)
-        assert r.ran and not r.timed_out
+        assert not r.note and not r.timed_out
         assert r.wall_time_s > 0.0
         assert r.peak_mem_bytes > 0
         assert r.amplitude is not None
@@ -142,7 +142,7 @@ def test_timeout_becomes_a_row_not_an_error(tmp_path):
     records = run_benchmark(plan)
     assert len(records) == 1
     r = records[0]
-    assert r.timed_out and r.ran
+    assert r.timed_out and not r.note
     assert r.wall_time_s >= plan.time_cap_s
     out = tmp_path / "t.csv"
     write_csv(records, out)
@@ -172,7 +172,7 @@ def test_too_wide_statevector_runs_are_skipped(tmp_path):
     records = run_benchmark(plan)
     assert len(records) == 2
     for r in records:
-        assert not r.ran
+        assert r.note
         assert "skipped" in r.note and "26" in r.note
         assert r.amplitude is None and not r.timed_out
         assert r.wall_time_s == 0.0 and r.peak_mem_bytes == 0
@@ -215,12 +215,12 @@ def test_failed_query_becomes_an_error_row_and_the_sweep_goes_on(monkeypatch):
 
     monkeypatch.setattr(bench, "path_sum_amplitude", failing)
     failed, dense = run_benchmark(_small_plan(trials=1))
-    assert failed.method == "pathsum" and not failed.ran
+    assert failed.method == "pathsum" and failed.note
     assert failed.note == "error: synthetic failure"
     assert failed.amplitude is None and not failed.timed_out
     assert failed.peak_mem_bytes == 0
     # The sweep went on to the next method.
-    assert dense.method == "statevector" and dense.ran and dense.amplitude is not None
+    assert dense.method == "statevector" and not dense.note and dense.amplitude is not None
 
 
 def test_traced_rerun_timeout_keeps_the_timed_run(monkeypatch):
@@ -240,7 +240,7 @@ def test_traced_rerun_timeout_keeps_the_timed_run(monkeypatch):
     monkeypatch.setattr(bench, "_query", timing_out_when_traced)
     row, = run_benchmark(plan)
     assert calls == [False, True]
-    assert row.ran and not row.timed_out
+    assert not row.note and not row.timed_out
     assert row.amplitude == expected.amplitude
     assert (row.recursion_calls, row.prunes) == (expected.recursion_calls, expected.prunes)
     assert row.wall_time_s > 0.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_circuit
+from conftest import invert_circuit, invert_gate, random_circuit
 from pathsum import (
     MAX_QUBITS,
     AmplitudeQuery,
@@ -14,8 +14,6 @@ from pathsum import (
     CircuitError,
     Gate,
     GateKind,
-    invert_circuit,
-    invert_gate,
     make_circuit,
     statevector_simulate,
 )
@@ -116,8 +114,8 @@ def test_double_inversion_acts_identically_with_s_t():
     c = make_circuit(2, [s(0), t(1), h(0), cnot(0, 1), s(1)])
     twice = invert_circuit(invert_circuit(c))
     start = BasisState.zeros(2)
-    got = statevector_simulate(twice, start).amplitudes
-    want = statevector_simulate(c, start).amplitudes
+    got = statevector_simulate(twice, start)
+    want = statevector_simulate(c, start)
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
@@ -130,7 +128,7 @@ def test_inversion_undoes_circuit():
         combined = make_circuit(n, list(c.gates) + list(undo.gates))
         for bits in range(min(1 << n, 8)):
             start = BasisState(bits, n)
-            final = statevector_simulate(combined, start).amplitudes
+            final = statevector_simulate(combined, start)
             expected = np.zeros(1 << n, dtype=complex)
             expected[bits] = 1.0
             np.testing.assert_allclose(final, expected, atol=1e-12)
@@ -139,11 +137,7 @@ def test_inversion_undoes_circuit():
 def test_basis_state():
     state = BasisState(0b010, 3)
     assert [state.bit(q) for q in range(3)] == [0, 1, 0]
-    assert state.with_bit_flipped(0).bits == 0b011
-    assert state.with_bit_flipped(1).bits == 0
     assert BasisState.zeros(4).bits == 0
-    assert BasisState(0b101, 3).hamming_distance(BasisState(0b010, 3)) == 3
-    assert state.hamming_distance(state) == 0
 
 
 def test_basis_state_validation():
@@ -157,8 +151,6 @@ def test_basis_state_validation():
         BasisState(0, 63)
     with pytest.raises(CircuitError, match="out of range"):
         BasisState(0, 3).bit(3)
-    with pytest.raises(CircuitError, match="width mismatch"):
-        BasisState(0, 3).hamming_distance(BasisState(0, 4))
 
 
 def test_query_width_checked():
@@ -172,6 +164,5 @@ def test_wide_state_masks():
     # The top of the supported range must still work as plain integers.
     wide = BasisState(1 << 61, 62)
     assert wide.bit(61) == 1
-    assert wide.hamming_distance(BasisState.zeros(62)) == 1
     c = make_circuit(62, [x(61)])
     assert c.num_qubits == 62

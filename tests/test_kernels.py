@@ -24,8 +24,7 @@ from pathsum.circuit import (
     AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
 )
 from pathsum.engine import packed_circuit
-from pathsum.gates import INV_SQRT2, phase_factor
-from pathsum._kernels import pack_circuit, traverse
+from pathsum._kernels import INV_SQRT2, pack_circuit, phase_factor, traverse
 
 from conftest import (
     apply_nonbranching, branch_gate, random_circuit, random_gate, random_query, reference_walk,

@@ -1,7 +1,8 @@
 """benchmarks/record.py: a checkout whose benchmarked paths differ from its
 commit is not filed under that commit, and paired runs against another
 commit alternate sides and are summarized per metric; ``--workload``
-narrows either kind of recording to the named workloads."""
+narrows either kind of recording to the named workloads; every file
+records the benchmarked source's line count."""
 import hashlib
 import importlib.util
 import json
@@ -58,7 +59,9 @@ def test_dirty_checkout_needs_a_label(tmp_path):
 
 def _two_commits(tmp_path, workloads):
     """A checkout of two commits whose BENCHMARK.json lists ``workloads``,
-    7 s runs and two end-to-end metrics; returns it and both short commits."""
+    7 s runs and two end-to-end metrics, and whose ``src/pathsum`` holds one
+    line at the parent and three at the change; returns it and both short
+    commits."""
     repo = tmp_path / "repo"
     (repo / "src" / "pathsum").mkdir(parents=True)
     (repo / "src" / "pathsum" / "__init__.py").write_text("")
@@ -73,6 +76,7 @@ def _two_commits(tmp_path, workloads):
     _git(repo, "commit", "-q", "-m", "parent")
     parent = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
     (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'new'\n")
+    (repo / "src" / "pathsum" / "__init__.py").write_text("# two\n# lines\n")
     _git(repo, "commit", "-q", "-am", "change")
     change = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
     return repo, parent, change
@@ -115,7 +119,9 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
 
     out = json.loads((tmp_path / f"BENCH_{change}-vs-{parent}.json").read_text())
     assert (out["commit"], out["dirty"], out["kernel"]) == (change, False, "new")
-    assert out["against"] == {"rev": "HEAD~1", "commit": parent, "kernel": "old"}
+    assert out["against"] == {"rev": "HEAD~1", "commit": parent, "kernel": "old",
+                              "src_lines": 1}
+    assert out["src_lines"] == 3
     assert (out["seed"], out["pairs"]) == (4, 10)
     assert [(r["pair"], r["side"], r["workload"]) for r in out["runs"]] == [
         (pair, side, workload) for pair, _, workload, side, _, _ in expected]
@@ -151,6 +157,7 @@ def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
     assert calls == [(True, "one", 0), (True, "one", 1), (True, "three", 0), (True, "three", 1)]
     out = json.loads((tmp_path / f"BENCH_{change}.json").read_text())
     assert [run["workload"] for run in out["runs"]] == ["one", "one", "three", "three"]
+    assert out["src_lines"] == 3
     # Pairs: the named workload on both sides, ten times, and nothing else.
     calls.clear()
     assert record.main(["--root", str(repo), "--against", "HEAD~1", "--workload", "two"]) == 0
