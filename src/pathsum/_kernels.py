@@ -14,6 +14,7 @@ depth-first tree order, so its amplitude is the depth-first sum bit for bit.
 Python scalars run the tree's narrow bottom (each batch with at most
 ``SCALAR_LEAVES`` = 64 leaves left, depth first, at most 6 calls deep), one
 complex phase per path, over the plan's ops with the no-op gates left out.
+numpy is imported (``_load_numpy``) only for a tree wider than that.
 Up to the first position where the cut can fire, the tree's first batch
 depends on ``start`` alone, so once it holds SCALAR_LEAVES paths the plan
 keeps it, O(SCALAR_LEAVES) memory, and a later query from the same start
@@ -48,8 +49,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import accumulate
-
-import numpy as np
 
 from .circuit import Circuit, CircuitError, GateKind
 
@@ -226,11 +225,19 @@ FOLD_LEVELS = 14
 # Gate steps the scalar walk takes between two looks at the clock.
 _CLOCK_STEPS = 4096
 
-# The column that turns ``fi`` into ``[[-fi], [fi]]``, exactly.
-_SIGNED = np.array([[-1.0], [1.0]])
+np = _SIGNED = _SIGNS = None  # bound by ``_load_numpy``
 
-# Phase sign of an H's second child, by the old value of the H's bit.
-_SIGNS = np.array([1.0, -1.0])
+
+def _load_numpy():
+    """Bind numpy and the arrays, arrays first: a thread that sees ``np``
+    sees them too, and two threads that both see None bind equal ones."""
+    global np, _SIGNED, _SIGNS
+    if np is None:
+        import numpy
+        # The column that turns ``fi`` into ``[[-fi], [fi]]``, exactly, and
+        # the phase sign of an H's second child, by the old value of its bit.
+        _SIGNED, _SIGNS = numpy.array([[-1.0], [1.0]]), numpy.array([1.0, -1.0])
+        np = numpy
 
 
 def _times(P, fr, fi):
@@ -417,6 +424,7 @@ def traverse(plan, start, end, prune, deadline):
         (value,), counters = _scalar_finish(plan, 0, 0, first, [start], [1 + 0j],
                                             end, deadline, (0, 0, 0, 0))
         return value, TraversalStats(*counters)
+    _load_numpy()
     # A batch: (gate position, depth, root depth, states, phases, branch
     # bits below the root).
     memo = plan.top[0]  # read once: other threads may replace it

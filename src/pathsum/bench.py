@@ -17,8 +17,6 @@ import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import _kernels
 from .circuit import AmplitudeQuery, BasisState, CircuitError
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
@@ -169,6 +167,7 @@ def _run_one(plan: BenchPlan, circuit, family: str, n: int, seed: int,
 
 def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
     """Execute a plan and return one record per (family, n, seed, method, trial)."""
+    _kernels._load_numpy()  # here, so that no trial times numpy's import
     records = []
     for family in plan.families:
         generate = FAMILIES[family][0]
@@ -220,6 +219,7 @@ def write_csv_rows(records, handle):
 def _environment() -> dict:
     """What the sweep ran on: the walk ``traverse`` is, the Python and numpy
     versions, whether numba can be imported, and the core count."""
+    import numpy as np
     return {
         "kernel": _kernels.KERNEL,
         "python": platform.python_version(),

@@ -26,8 +26,9 @@ class EngineOptions:
     ``prune`` cuts a path as soon as the end state is out of reach (each
     remaining gate can fix at most one wrong bit); the cut subtree would have
     summed to zero, so the amplitude is unchanged.  ``deadline_s`` caps the
-    wall-clock time of one query; exceeding it raises QueryTimeout, whose
-    ``stats`` holds the counters reached.
+    wall-clock time of one query, numpy's import included on a process's
+    first tree wider than SCALAR_LEAVES; exceeding it raises QueryTimeout,
+    whose ``stats`` holds the counters reached.
     """
 
     prune: bool = True

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ._kernels import (
     _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_Y, _Y0, _Y1, INV_SQRT2, QueryTimeout, deadline_at,
 )
@@ -103,6 +101,7 @@ def statevector_simulate(
             f"start width {start.width} does not match circuit width {circuit.num_qubits}"
         )
     _check_width(circuit.num_qubits)
+    import numpy as np
     deadline = deadline_at(deadline_s)
     psi = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     psi[start.bits] = 1.0

@@ -1,6 +1,6 @@
 """Shared test helpers: random circuits, circuit inversion, an independent
-matrix oracle, a reference depth-first walk, and the malformed-input corpus
-for the text format.
+matrix oracle, a reference depth-first walk, the malformed-input corpus
+for the text format, and a runner for code that needs a fresh interpreter.
 
 The matrix oracle builds dense gate unitaries straight from the textbook
 2x2 / controlled definitions, deliberately not reusing the package's gate
@@ -13,11 +13,17 @@ counters bit for bit.
 """
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import pathsum
 from pathsum import AmplitudeQuery, BasisState, CircuitError, Gate, GateKind, make_circuit
 
 SINGLE_KINDS = [
@@ -315,3 +321,20 @@ BAD_CIRCUIT_CORPUS = [
     ("qubits 2\nx0\n", 2, 1, "unknown gate 'x0'"),
     ("qubits 2\nh 0 # fine\nccx 0 1\n", 3, 1, "expects 3 qubit operand"),
 ]
+
+
+def fresh_env() -> dict:
+    """The environment for a new interpreter that imports the pathsum this
+    process imported."""
+    src = str(Path(pathsum.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(code: str, *args: str):
+    """Run ``code`` in a new interpreter (``sys.argv[1:]`` is ``args``) and
+    return its last line of output, read as JSON."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=fresh_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])

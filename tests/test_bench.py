@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from pathsum import _kernels, bench
 from pathsum.bench import (
     CSV_COLUMNS,
@@ -244,3 +245,30 @@ def test_traced_rerun_timeout_keeps_the_timed_run(monkeypatch):
     assert row.amplitude == expected.amplitude
     assert (row.recursion_calls, row.prunes) == (expected.recursion_calls, expected.prunes)
     assert row.wall_time_s > 0.0
+
+
+# A fresh interpreter, so numpy is not loaded when the sweep starts.
+_FIRST_SWEEP = r"""
+import json, sys
+from pathsum import bench
+
+query = bench._query
+loaded = []
+
+
+def recording(*args):
+    loaded.append("numpy" in sys.modules)
+    return query(*args)
+
+
+bench._query = recording
+records = bench.run_benchmark(bench.BenchPlan(("hsp",), 8, 8, trials=1))
+print(json.dumps({"loaded": loaded, "notes": [r.note for r in records]}))
+"""
+
+
+def test_no_trial_times_the_numpy_import():
+    # hsp n=8 is wider than SCALAR_LEAVES leaves: its first path-sum query
+    # would load numpy, and the state vector needs it too.
+    seen = run_fresh(_FIRST_SWEEP)
+    assert seen == {"loaded": [True] * 4, "notes": ["", ""]}

@@ -1,9 +1,11 @@
 """Command line behavior: outputs, option validation, exit codes."""
 import csv
+import importlib
 import io
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,13 @@ def test_installed_entry_points(tmp_path):
     )
     assert by_module.returncode == 0
     assert by_module.stdout == f"{INV_SQRT2!r} 0.0\n"
+    # The console script pyproject.toml declares, read without an install.
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pathsum"]
+    assert target == "pathsum.cli:main"
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
     script = shutil.which("pathsum")
     if script is None:
         pytest.skip("no 'pathsum' console script on PATH: the package is not installed")

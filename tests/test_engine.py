@@ -4,17 +4,19 @@ oracle equivalence against the dense backend and the matrix oracle.
 import importlib.util
 import math
 import pathlib
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from conftest import (
-    circuit_unitary, end_state_reachable, invert_circuit, random_circuit, random_query,
-    random_state,
+    circuit_unitary, end_state_reachable, fresh_env, invert_circuit, random_circuit,
+    random_query, random_state, run_fresh,
 )
 from pathsum import (
     AmplitudeQuery,
@@ -22,12 +24,16 @@ from pathsum import (
     CircuitError,
     EngineOptions,
     QueryTimeout,
+    format_basis_state,
+    gen_hsp_standard,
     gen_layered_hadamard,
     make_circuit,
+    parse_circuit,
     path_sum_amplitude,
+    serialize_circuit,
     statevector_amplitude,
 )
-from pathsum import engine
+from pathsum import _kernels, engine
 from pathsum.circuit import ccx, cnot, h, s, t, x
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -373,3 +379,148 @@ def test_cached_plan_leaves_equality_and_repr_alone():
     assert queried == fresh and fresh == queried
     assert repr(queried) == repr(fresh)
     assert hash(queried) == hash(fresh)
+
+
+# Steps of a fresh interpreter.  argv: the narrow circuit's file, its start
+# and end bits, and a file for ``pathsum generate`` to write.  It prints
+# whether numpy was loaded after each step and each query's amplitude (by
+# repr) and counters.
+_LAZY_STEPS = r"""
+import contextlib, dataclasses, io, json, sys
+import pathsum
+from pathsum import (AmplitudeQuery, BasisState, _kernels, cli, parse_circuit,
+                     path_sum_amplitude, serialize_circuit, statevector_amplitude)
+
+loaded = {"import": "numpy" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["generate", "--family", "hsp", "--n", "8", "--seed", "1", "--out", sys.argv[4]])
+loaded["generate"] = "numpy" in sys.modules
+text = open(sys.argv[1]).read()
+narrow = parse_circuit(text)
+round_trip = serialize_circuit(narrow) == text
+loaded["text"] = "numpy" in sys.modules
+width = narrow.num_qubits
+query = AmplitudeQuery(BasisState(int(sys.argv[2]), width), BasisState(int(sys.argv[3]), width))
+amplitude, stats = path_sum_amplitude(narrow, query)
+loaded["narrow"] = "numpy" in sys.modules
+dense = statevector_amplitude(narrow, query)
+loaded["statevector"] = "numpy" in sys.modules
+kernel_loaded = {"statevector": _kernels.np is not None}
+wide = parse_circuit(open(sys.argv[4]).read())
+zeros = BasisState.zeros(wide.num_qubits)
+wide_amplitude, wide_stats = path_sum_amplitude(wide, AmplitudeQuery(zeros, zeros))
+kernel_loaded["wide"] = _kernels.np is sys.modules["numpy"]
+print(json.dumps({
+    "loaded": loaded, "kernel_loaded": kernel_loaded, "round_trip": round_trip,
+    "narrow": [repr(amplitude), dataclasses.astuple(stats)], "statevector": repr(dense),
+    "wide": [repr(wide_amplitude), dataclasses.astuple(wide_stats)],
+}))
+"""
+
+
+def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
+    # 5 H gates: 32 leaves, within SCALAR_LEAVES, so the scalar walk takes
+    # the whole tree.
+    narrow = make_circuit(12, [h(0), h(1), cnot(0, 6), t(6), h(2), ccx(1, 2, 7), s(7),
+                               h(3), cnot(3, 0), t(0), h(4), x(9)])
+    assert 1 << 5 <= _kernels.SCALAR_LEAVES
+    start, end = 0b101, 0b1011001110
+    query = _query(12, start, end)
+    amplitude, stats = path_sum_amplitude(narrow, query)
+    assert amplitude != 0
+    narrow_file, wide_file = tmp_path / "narrow.txt", tmp_path / "hsp.txt"
+    narrow_file.write_text(serialize_circuit(narrow))
+    seen = run_fresh(_LAZY_STEPS, str(narrow_file), str(start), str(end), str(wide_file))
+    assert seen["loaded"] == {"import": False, "generate": False, "text": False,
+                              "narrow": False, "statevector": True}
+    # The state vector imports numpy itself; the walk's loader runs on the
+    # first wide tree.
+    assert seen["kernel_loaded"] == {"statevector": False, "wide": True}
+    assert seen["round_trip"]
+    assert seen["narrow"] == [repr(amplitude), list(astuple(stats))]
+    assert seen["statevector"] == repr(statevector_amplitude(narrow, query))
+    wide = parse_circuit(wide_file.read_text())
+    assert wide == gen_hsp_standard(8, 1)
+    wide_amplitude, wide_stats = path_sum_amplitude(wide, _query(8, 0, 0))
+    assert seen["wide"] == [repr(wide_amplitude), list(astuple(wide_stats))]
+
+    # ``pathsum simulate`` on the narrow circuit imports no numpy either.
+    bits = [format_basis_state(BasisState(b, 12)) for b in (start, end)]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pathsum.cli", "simulate", "--circuit",
+         str(narrow_file), "--start", bits[0], "--end", bits[1], "--stats"],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "pathsum._kernels" in imported and "numpy" not in imported
+    assert done.stdout.splitlines() == [
+        f"{amplitude.real!r} {amplitude.imag!r}",
+        f"recursion_calls {stats.recursion_calls}",
+        f"edges_traversed {stats.edges_traversed}",
+        f"prunes {stats.prunes}",
+        f"max_depth_reached {stats.max_depth_reached}",
+    ]
+
+
+# Two threads of a fresh interpreter meet at a barrier, then each runs the
+# process's first wide query (hsp n=8, 1,024 leaves).  The first thread is
+# held inside the kernel's numpy loader at the first line where some of
+# ``np``, ``_SIGNED`` and ``_SIGNS`` are bound and some are not, while the
+# second runs its whole query: had ``np`` been bound before the arrays,
+# the second would find it bound and read None for an array.
+_LOADER_RACE = r"""
+import dataclasses, json, sys, threading
+from pathsum import (AmplitudeQuery, BasisState, _kernels, gen_hsp_standard,
+                     path_sum_amplitude)
+
+NAMES = ("np", "_SIGNED", "_SIGNS")
+barrier = threading.Barrier(2)
+held, released = threading.Event(), threading.Event()
+results = [None, None]
+
+
+def hold(frame, event, arg):
+    bound = [frame.f_globals[name] is not None for name in NAMES]
+    if event == "line" and any(bound) and not all(bound) and not held.is_set():
+        held.set()
+        released.wait(60)
+    return hold
+
+
+def calls(frame, event, arg):
+    return hold if frame.f_code.co_name == "_load_numpy" else None
+
+
+def first_wide_query(i):
+    circuit = gen_hsp_standard(8, 1)
+    zeros = BasisState.zeros(circuit.num_qubits)
+    barrier.wait()
+    try:
+        if i == 0:
+            sys.settrace(calls)
+        else:
+            held.wait(60)
+        amplitude, stats = path_sum_amplitude(circuit, AmplitudeQuery(zeros, zeros))
+        results[i] = [repr(amplitude), dataclasses.astuple(stats)]
+    except Exception as exc:
+        results[i] = repr(exc)
+    finally:
+        sys.settrace(None)
+        released.set()
+
+
+threads = [threading.Thread(target=first_wide_query, args=(i,)) for i in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(120)
+print(json.dumps({"held": held.is_set(), "results": results}))
+"""
+
+
+def test_first_wide_queries_race_on_the_numpy_loader():
+    seen = run_fresh(_LOADER_RACE)
+    amplitude, stats = path_sum_amplitude(gen_hsp_standard(8, 1), _query(8, 0, 0))
+    assert seen["held"]
+    assert seen["results"] == [[repr(amplitude), list(astuple(stats))]] * 2
