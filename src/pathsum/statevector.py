@@ -94,8 +94,8 @@ def statevector_simulate(
     circuit: Circuit,
     start: BasisState,
     deadline_s: float | None = None,
-) -> np.ndarray:
-    """The full final state C|start>: all 2**n amplitudes, basis index order."""
+):
+    """The full final state C|start>: a numpy array of all 2**n amplitudes."""
     if start.width != circuit.num_qubits:
         raise CircuitError(
             f"start width {start.width} does not match circuit width {circuit.num_qubits}"

@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-import pathsum
 from pathsum import AmplitudeQuery, BasisState, CircuitError, Gate, GateKind, make_circuit
 
 SINGLE_KINDS = [
@@ -323,18 +320,10 @@ BAD_CIRCUIT_CORPUS = [
 ]
 
 
-def fresh_env() -> dict:
-    """The environment for a new interpreter that imports the pathsum this
-    process imported."""
-    src = str(Path(pathsum.__file__).resolve().parent.parent)
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def run_fresh(code: str, *args: str):
     """Run ``code`` in a new interpreter (``sys.argv[1:]`` is ``args``) and
     return its last line of output, read as JSON."""
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=fresh_env(), timeout=120)
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])

@@ -182,13 +182,6 @@ def test_installed_entry_points(tmp_path):
     )
     assert by_module.returncode == 0
     assert by_module.stdout == f"{INV_SQRT2!r} 0.0\n"
-    # The console script pyproject.toml declares, read without an install.
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
-    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pathsum"]
-    assert target == "pathsum.cli:main"
-    module, _, name = target.partition(":")
-    assert getattr(importlib.import_module(module), name) is main
     script = shutil.which("pathsum")
     if script is None:
         pytest.skip("no 'pathsum' console script on PATH: the package is not installed")
@@ -198,6 +191,16 @@ def test_installed_entry_points(tmp_path):
     )
     assert by_script.returncode == 0
     assert by_script.stdout == f"{-INV_SQRT2!r} 0.0\n"
+
+
+def test_declared_console_script_resolves_to_main():
+    # Read from pyproject.toml, so it is checked without an install.
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pathsum"]
+    assert target == "pathsum.cli:main"
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_progress_lines_for_skipped_and_timed_out_rows():

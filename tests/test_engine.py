@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    circuit_unitary, end_state_reachable, fresh_env, invert_circuit, random_circuit,
+    circuit_unitary, end_state_reachable, invert_circuit, random_circuit,
     random_query, random_state, run_fresh,
 )
 from pathsum import (
@@ -449,7 +449,7 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "pathsum.cli", "simulate", "--circuit",
          str(narrow_file), "--start", bits[0], "--end", bits[1], "--stats"],
-        capture_output=True, text=True, env=fresh_env(), timeout=120,
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
