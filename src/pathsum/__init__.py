@@ -7,6 +7,7 @@ count.  :func:`statevector_amplitude` is the dense exponential-space
 reference backend used to cross-check it at small widths.  numpy is loaded
 on the first tree wider than 64 leaves or the first state-vector run, so
 ``import pathsum``, ``pathsum generate`` and narrow queries never load it.
+The benchmark sweep runner is imported from :mod:`pathsum.bench`.
 """
 
 from ._kernels import phase_factor
@@ -45,13 +46,6 @@ from .textio import (
     parse_circuit,
     serialize_circuit,
 )
-from .bench import (
-    BenchPlan,
-    BenchRecord,
-    run_benchmark,
-    write_csv,
-    write_plot_data,
-)
 
 __version__ = "0.1.0"
 
@@ -60,8 +54,6 @@ __all__ = [
     "MAX_STATEVECTOR_QUBITS",
     "AmplitudeQuery",
     "BasisState",
-    "BenchPlan",
-    "BenchRecord",
     "Circuit",
     "CircuitError",
     "CircuitParseError",
@@ -81,10 +73,7 @@ __all__ = [
     "parse_circuit",
     "path_sum_amplitude",
     "phase_factor",
-    "run_benchmark",
     "serialize_circuit",
     "statevector_amplitude",
     "statevector_simulate",
-    "write_csv",
-    "write_plot_data",
 ]

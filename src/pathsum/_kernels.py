@@ -82,10 +82,10 @@ class QueryTimeout(RuntimeError):
 
 def deadline_at(deadline_s: float | None) -> float:
     """The ``perf_counter`` time ``deadline_s`` seconds from now, or
-    ``math.inf`` for None; NaN, zero and negative values are refused."""
+    ``math.inf`` for None; NaN, zero, negative values and bools are refused."""
     if deadline_s is None:
         return math.inf
-    if not deadline_s > 0:
+    if isinstance(deadline_s, bool) or not deadline_s > 0:
         raise CircuitError(f"deadline_s must be positive, got {deadline_s}")
     return time.perf_counter() + deadline_s
 
@@ -284,20 +284,6 @@ def _fold_batch(idx, P, levels):
     return complex(D[0, 0], D[1, 0])
 
 
-def _run(run, state, z):
-    """One path through ``run``, live ops with no H, on Python scalars."""
-    for kind, c, a in run:
-        if kind == _OP_CPHASE:
-            if state & c == c:
-                z *= a
-        elif kind == _OP_Y:
-            z *= _Y1 if state & a else _Y0
-            state ^= a
-        elif state & c == c:
-            state ^= a
-    return state, z
-
-
 def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, counters):
     """Finish paths at gate ``pos`` and depth ``depth`` one by one, depth first.
 
@@ -306,8 +292,8 @@ def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, count
     cut and the same products in the same order as the batches (CPython's
     ``z * f`` is ``(re*fr - im*fi, re*fi + im*fr)``), and
     ``(0j + left) + right`` at every H.  Between H gates and clock reads
-    the gates run as one ``_run`` over ``plan.live``, which leaves SKIP
-    ops out, and are counted once.  The cut is checked from ``first`` on
+    the gates run as one loop over ``plan.live``, which leaves SKIP ops
+    out, and are counted once.  The cut is checked from ``first`` on
     (``_first_check``; without pruning it is ``len(plan.ops)``, where
     nothing is cut) at each run's end and before an H the walk enters
     directly: the root, an H right after an H, a handoff at an H.  A run
@@ -332,7 +318,15 @@ def _scalar_finish(plan, pos, depth, first, states, phases, end, deadline, count
                 countdown = _CLOCK_STEPS
             # The run up to the next H or clock read, empty at an H.
             begin, pos = pos, min(nexth[pos], pos + countdown)
-            state, z = _run(live[rank[begin]:rank[pos]], state, z)
+            for kind, c, a in live[rank[begin]:rank[pos]]:
+                if kind == _OP_CPHASE:
+                    if state & c == c:
+                        z *= a
+                elif kind == _OP_Y:
+                    z *= _Y1 if state & a else _Y0
+                    state ^= a
+                elif state & c == c:
+                    state ^= a
             edges += pos - begin
             countdown -= pos - begin
             if pos >= first and (state ^ end).bit_count() > length - pos:

@@ -9,7 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
 from .circuit import AmplitudeQuery, BasisState, CircuitError
 from .engine import EngineOptions, path_sum_amplitude
 from .generators import FAMILIES
@@ -88,6 +87,8 @@ def _progress_line(record) -> str:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BenchPlan, run_benchmark, write_csv, write_csv_rows, write_plot_data
+
     try:
         seeds = tuple(int(s) for s in args.seed.split(","))
     except ValueError:

@@ -272,7 +272,7 @@ def test_deadline_enforced():
 def test_deadline_must_be_positive():
     c = make_circuit(2, [h(0), cnot(0, 1)])
     q = _query(2, 0, 0)
-    for deadline_s in (0, -1.0, float("nan")):
+    for deadline_s in (0, -1.0, float("nan"), True):
         with pytest.raises(CircuitError, match="deadline_s must be positive"):
             path_sum_amplitude(c, q, EngineOptions(deadline_s=deadline_s))
         with pytest.raises(CircuitError, match="deadline_s must be positive"):
@@ -297,13 +297,12 @@ def test_package_exports_resolve():
     # outlives the code it named.
     import pathsum
     assert sorted(pathsum.__all__) == [
-        "AmplitudeQuery", "BasisState", "BenchPlan", "BenchRecord", "Circuit",
-        "CircuitError", "CircuitParseError", "EngineOptions", "Gate", "GateKind",
-        "MAX_QUBITS", "MAX_STATEVECTOR_QUBITS", "QueryTimeout", "StateVectorLimitError",
-        "TraversalStats", "format_basis_state", "gen_hsp_standard", "gen_layered_hadamard",
-        "gen_layered_qft", "gen_qft", "make_circuit", "parse_basis_state", "parse_circuit",
-        "path_sum_amplitude", "phase_factor", "run_benchmark", "serialize_circuit",
-        "statevector_amplitude", "statevector_simulate", "write_csv", "write_plot_data",
+        "AmplitudeQuery", "BasisState", "Circuit", "CircuitError", "CircuitParseError",
+        "EngineOptions", "Gate", "GateKind", "MAX_QUBITS", "MAX_STATEVECTOR_QUBITS",
+        "QueryTimeout", "StateVectorLimitError", "TraversalStats", "format_basis_state",
+        "gen_hsp_standard", "gen_layered_hadamard", "gen_layered_qft", "gen_qft",
+        "make_circuit", "parse_basis_state", "parse_circuit", "path_sum_amplitude",
+        "phase_factor", "serialize_circuit", "statevector_amplitude", "statevector_simulate",
     ]
     assert [name for name in pathsum.__all__ if not hasattr(pathsum, name)] == []
 
@@ -383,8 +382,8 @@ def test_cached_plan_leaves_equality_and_repr_alone():
 
 # Steps of a fresh interpreter.  argv: the narrow circuit's file, its start
 # and end bits, and a file for ``pathsum generate`` to write.  It prints
-# whether numpy was loaded after each step and each query's amplitude (by
-# repr) and counters.
+# whether numpy and the sweep runner were loaded after each step and each
+# query's amplitude (by repr) and counters.
 _LAZY_STEPS = r"""
 import contextlib, dataclasses, io, json, sys
 import pathsum
@@ -392,17 +391,21 @@ from pathsum import (AmplitudeQuery, BasisState, _kernels, cli, parse_circuit,
                      path_sum_amplitude, serialize_circuit, statevector_amplitude)
 
 loaded = {"import": "numpy" in sys.modules}
+bench_loaded = {"import": "pathsum.bench" in sys.modules}
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(["generate", "--family", "hsp", "--n", "8", "--seed", "1", "--out", sys.argv[4]])
 loaded["generate"] = "numpy" in sys.modules
+bench_loaded["generate"] = "pathsum.bench" in sys.modules
 text = open(sys.argv[1]).read()
 narrow = parse_circuit(text)
 round_trip = serialize_circuit(narrow) == text
 loaded["text"] = "numpy" in sys.modules
+bench_loaded["text"] = "pathsum.bench" in sys.modules
 width = narrow.num_qubits
 query = AmplitudeQuery(BasisState(int(sys.argv[2]), width), BasisState(int(sys.argv[3]), width))
 amplitude, stats = path_sum_amplitude(narrow, query)
 loaded["narrow"] = "numpy" in sys.modules
+bench_loaded["narrow"] = "pathsum.bench" in sys.modules
 dense = statevector_amplitude(narrow, query)
 loaded["statevector"] = "numpy" in sys.modules
 kernel_loaded = {"statevector": _kernels.np is not None}
@@ -411,7 +414,8 @@ zeros = BasisState.zeros(wide.num_qubits)
 wide_amplitude, wide_stats = path_sum_amplitude(wide, AmplitudeQuery(zeros, zeros))
 kernel_loaded["wide"] = _kernels.np is sys.modules["numpy"]
 print(json.dumps({
-    "loaded": loaded, "kernel_loaded": kernel_loaded, "round_trip": round_trip,
+    "loaded": loaded, "bench_loaded": bench_loaded, "kernel_loaded": kernel_loaded,
+    "round_trip": round_trip,
     "narrow": [repr(amplitude), dataclasses.astuple(stats)], "statevector": repr(dense),
     "wide": [repr(wide_amplitude), dataclasses.astuple(wide_stats)],
 }))
@@ -433,6 +437,8 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     seen = run_fresh(_LAZY_STEPS, str(narrow_file), str(start), str(end), str(wide_file))
     assert seen["loaded"] == {"import": False, "generate": False, "text": False,
                               "narrow": False, "statevector": True}
+    # Nor is the sweep runner, which only ``pathsum bench`` imports.
+    assert seen["bench_loaded"] == dict.fromkeys(("import", "generate", "text", "narrow"), False)
     # The state vector imports numpy itself; the walk's loader runs on the
     # first wide tree.
     assert seen["kernel_loaded"] == {"statevector": False, "wide": True}
@@ -444,7 +450,8 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     wide_amplitude, wide_stats = path_sum_amplitude(wide, _query(8, 0, 0))
     assert seen["wide"] == [repr(wide_amplitude), list(astuple(wide_stats))]
 
-    # ``pathsum simulate`` on the narrow circuit imports no numpy either.
+    # ``pathsum simulate`` on the narrow circuit imports no numpy or sweep
+    # runner either.
     bits = [format_basis_state(BasisState(b, 12)) for b in (start, end)]
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "pathsum.cli", "simulate", "--circuit",
@@ -454,6 +461,7 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     assert done.returncode == 0, done.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "pathsum._kernels" in imported and "numpy" not in imported
+    assert "pathsum.bench" not in imported
     assert done.stdout.splitlines() == [
         f"{amplitude.real!r} {amplitude.imag!r}",
         f"recursion_calls {stats.recursion_calls}",

@@ -8,6 +8,7 @@ counters bit for bit, at every batch cap and every scalar handoff limit.
 import math
 import re
 import struct
+import sys
 import time
 from dataclasses import astuple
 from itertools import count
@@ -428,8 +429,8 @@ def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
     # by 1/sqrt2 on its own: ``z * INV_SQRT2`` multiplies by
     # ``INV_SQRT2 + 0j``, which turns (1, -0.0) into (INV_SQRT2, +0.0).
     # The sums at an H clear every zero's sign, so this reads the phases
-    # where they are made: the kept top's batch, and the phases
-    # ``_scalar_finish`` runs below the H.
+    # where they are made: the kept top's batch, and the state and phase
+    # each call of ``_scalar_finish``'s recursive ``walk`` starts from.
     def parts(phases):
         return [struct.pack("<2d", z.real, z.imag) for z in phases]
 
@@ -445,21 +446,25 @@ def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
     assert parts(_kernels._phases(P)) == parts([low, -low])
 
     runs = []
-    run = _kernels._run
 
-    def recording(ops, state, z):
-        runs.append((state, z))
-        return run(ops, state, z)
+    def recording(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "walk" and code.co_filename == _kernels.__file__:
+            runs.append((frame.f_locals["state"], frame.f_locals["z"]))
 
-    monkeypatch.setattr(_kernels, "_run", recording)
     plan = pack_circuit(make_circuit(2, [h(0), t(1)]))
     for state, phase in ((0, complex(1.0, -0.0)), (1, complex(0.5, -0.0))):
         runs.clear()
-        values, counters = _kernels._scalar_finish(
-            plan, 0, 0, 2, [state], [phase], 0, math.inf, (0, 0, 0, 0))
+        profiler = sys.getprofile()
+        sys.setprofile(recording)
+        try:
+            values, counters = _kernels._scalar_finish(
+                plan, 0, 0, 2, [state], [phase], 0, math.inf, (0, 0, 0, 0))
+        finally:
+            sys.setprofile(profiler)
         low = complex(phase.real * INV_SQRT2, phase.imag * INV_SQRT2)
         high = -low if state else low
-        # The root's empty run, then one run per child.
+        # The root's walk, then one walk per child.
         assert [s for s, _ in runs] == [state, 0, 1]
         assert parts([z for _, z in runs]) == parts([phase, low, high])
         assert parts(values) == parts([(0j + low) + 0j])
