@@ -38,9 +38,12 @@ from pair to pair.  One seed means one circuit set, so the spread between
 pairs is the host's alone.  The file ``BENCH_<label>-vs-<REV's short
 commit>.json`` holds every run, keyed by pair number, and, per workload,
 each side's attempted and failed queries and, per end-to-end metric, both
-sides' medians over the pairs, the parent's interquartile range and the
-number of pairs the change wins.  ``src_lines`` is recorded for both
-sides: the change's at the top level and the parent's in ``against``.
+sides' medians over the pairs, the parent's interquartile range, the
+number of pairs the change wins, the change/parent ratio of the medians
+and whether that ratio is within the metric's ``bound`` in
+``BENCHMARK.json`` (a change worse by more than the bound is a breach).
+``src_lines`` is recorded for both sides: the change's at the top level
+and the parent's in ``against``.
 """
 from __future__ import annotations
 
@@ -150,8 +153,10 @@ def summarize(runs: list, spec: dict) -> dict:
     """Per workload, each side's attempted and failed queries summed over
     the runs that gave a result; and per end-to-end metric, over the pairs
     where both sides gave a result: each side's median, the parent's
-    interquartile range and the pairs in which the change is better (ties
-    count for neither)."""
+    interquartile range, the pairs in which the change is better (ties
+    count for neither), the change/parent ratio of the medians and whether
+    it is within the metric's bound: at most 1 + bound for a lower-is-better
+    metric, at least 1 - bound for a higher-is-better one."""
     values = {}
     queries = {}
     for run in runs:
@@ -176,13 +181,19 @@ def summarize(runs: list, spec: dict) -> dict:
             parent = [v["parent"] for v in both]
             change = [v["change"] for v in both]
             sign = 1 if metric["better"] == "higher" else -1
+            parent_median = statistics.median(parent) if both else None
+            change_median = statistics.median(change) if both else None
+            ratio = change_median / parent_median if parent_median else None
             summary[name][metric["name"]] = {
                 "better": metric["better"],
                 "pairs": len(both),
-                "parent_median": statistics.median(parent) if both else None,
-                "change_median": statistics.median(change) if both else None,
+                "parent_median": parent_median,
+                "change_median": change_median,
                 "parent_iqr": _iqr(parent),
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "ratio": ratio,
+                "within_bound": None if ratio is None
+                else sign * (ratio - 1) >= -metric["bound"],
             }
     return summary
 

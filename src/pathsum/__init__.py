@@ -7,6 +7,7 @@ count.  :func:`statevector_amplitude` is the dense exponential-space
 reference backend used to cross-check it at small widths.  numpy is loaded
 on the first tree wider than 64 leaves or the first state-vector run, so
 ``import pathsum``, ``pathsum generate`` and narrow queries never load it.
+Its records are slot classes, so the import loads no ``dataclasses`` either.
 The benchmark sweep runner is imported from :mod:`pathsum.bench`.
 """
 

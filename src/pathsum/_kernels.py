@@ -47,16 +47,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .circuit import Circuit, CircuitError, GateKind
+from .circuit import Circuit, CircuitError, GateKind, _Record, _set
 
 KERNEL = "frontier"
 
 
-@dataclass(frozen=True)
-class TraversalStats:
+class TraversalStats(_Record):
     """Counters from one traversal.
 
     ``recursion_calls`` counts branch descents (the root does not count);
@@ -65,10 +63,10 @@ class TraversalStats:
     branching level visited; ``prunes`` counts cut subpaths.
     """
 
-    recursion_calls: int
-    edges_traversed: int
-    prunes: int
-    max_depth_reached: int
+    __slots__ = _fields = ("recursion_calls", "edges_traversed", "prunes", "max_depth_reached")
+
+    def __init__(self, recursion_calls, edges_traversed, prunes, max_depth_reached):
+        self._init(recursion_calls, edges_traversed, prunes, max_depth_reached)
 
 
 class QueryTimeout(RuntimeError):
@@ -95,8 +93,7 @@ def _timeout(calls, edges, prunes, max_depth):
                         TraversalStats(calls, edges, prunes, max_depth))
 
 
-@dataclass(frozen=True)
-class PackedCircuit:
+class PackedCircuit(_Record):
     """A circuit compiled for the kernels: one op per gate.
 
     ``ops[i]`` is gate i as a ``(kind, mask, arg)`` tuple whose kind is one
@@ -108,17 +105,16 @@ class PackedCircuit:
     of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
     can change: the arg of every op but a CPHASE.  ``top`` is a one-slot
     memo, ``[(start, batch, counters)]`` of the last first batch the walk
-    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``; equality
-    and ``repr`` leave it out.
+    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``; equality,
+    hashing and ``repr`` leave it out.
     """
 
-    ops: tuple
-    live: tuple  # ops that are neither H nor SKIP
-    rank: tuple  # live ops before each position, one entry past the end
-    hleft: tuple  # H gates at or after each position, one entry past the end
-    nexth: tuple  # next H at or after each position, one entry past the end
-    moves: int
-    top: list = field(default_factory=lambda: [None], compare=False, repr=False)
+    _fields = ("ops", "live", "rank", "hleft", "nexth", "moves")
+    __slots__ = (*_fields, "top")
+
+    def __init__(self, ops, live, rank, hleft, nexth, moves):
+        self._init(ops, live, rank, hleft, nexth, moves)
+        _set(self, "top", [None])
 
 
 # Ops.  Every op is ``(kind, mask, arg)``, and every gate is classified by

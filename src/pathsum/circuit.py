@@ -8,12 +8,14 @@ which lets the simulation backends assume well-formed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 # Masks must stay comfortably inside a signed 64-bit word for the frontier
 # walk's int64 states, hence 62 rather than 63 or 64.
 MAX_QUBITS = 62
+
+_set = object.__setattr__  # sets a record's slot, past _Record.__setattr__
 
 
 class CircuitError(ValueError):
@@ -28,6 +30,42 @@ class CircuitError(ValueError):
         super().__init__(message)
         self.gate_index = gate_index
         self.arg_index = arg_index
+
+
+class _Record:
+    """Base of the immutable records.  ``__slots__`` holds the fields named
+    in ``_fields`` and any cache, which equality, hashing and ``repr`` leave
+    out.  A record equals only a record of its class with equal fields,
+    hashes as their tuple and reprs as ``Name(field=value, ...)``; setting
+    or deleting an attribute raises AttributeError; pickle and copy rebuild
+    a record from its fields through ``__init__``."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))  # 2+ fields: a tuple
+
+    def __eq__(self, other):
+        return self._values == other._values if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
 
 
 class GateKind(Enum):
@@ -64,17 +102,20 @@ class GateKind(Enum):
         return self is GateKind.H
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(_Record):
     """One gate application: a kind, its operand qubits, and an optional angle.
 
     For controlled kinds the controls come first: ``CNOT (control, target)``,
     ``CCX (control, control, target)``, ``CP (control, target)``.
     """
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    theta: float | None = None
+    __slots__ = _fields = ("kind", "qubits", "theta")
+
+    def __init__(self, kind: GateKind, qubits: tuple[int, ...], theta: float | None = None):
+        # Not through _init, whose loop costs a third more per gate parsed.
+        _set(self, "kind", kind)
+        _set(self, "qubits", qubits)
+        _set(self, "theta", theta)
 
     def describe(self) -> str:
         parts = [self.kind.value] + [str(q) for q in self.qubits]
@@ -121,29 +162,29 @@ def _gate_problem(gate: Gate, num_qubits: int):
     return None
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Record):
     """An ordered gate sequence on ``num_qubits`` qubits.  Immutable.
 
     ``branching_count`` (h) and ``nonbranching_count`` (t) are recomputed from
     the gate list on every access so they can never go stale.
     """
 
-    num_qubits: int
-    gates: tuple[Gate, ...]
+    _fields = ("num_qubits", "gates")
+    __slots__ = (*_fields, "_packed")  # the engine's plan, set on first use
 
-    def __post_init__(self):
-        _check_qubit_count(self.num_qubits, "qubit count")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for i, gate in enumerate(self.gates):
+    def __init__(self, num_qubits: int, gates: tuple[Gate, ...]):
+        _check_qubit_count(num_qubits, "qubit count")
+        gates = tuple(gates)
+        for i, gate in enumerate(gates):
             if not isinstance(gate, Gate):
                 raise CircuitError(f"gate {i}: not a Gate: {gate!r}", gate_index=i)
-            problem = _gate_problem(gate, self.num_qubits)
+            problem = _gate_problem(gate, num_qubits)
             if problem is not None:
                 message, arg_index = problem
                 raise CircuitError(
                     f"gate {i}: {message}", gate_index=i, arg_index=arg_index
                 )
+        self._init(num_qubits, gates)
 
     @property
     def num_gates(self) -> int:
@@ -163,21 +204,18 @@ def make_circuit(num_qubits: int, gates) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-@dataclass(frozen=True)
-class BasisState:
+class BasisState(_Record):
     """A computational basis state of ``width`` qubits, stored as a bit mask."""
 
-    bits: int
-    width: int
+    __slots__ = _fields = ("bits", "width")
 
-    def __post_init__(self):
-        _check_qubit_count(self.width, "width")
-        if not isinstance(self.bits, int) or isinstance(self.bits, bool):
-            raise CircuitError(f"bits {self.bits!r} is not an integer")
-        if self.bits < 0 or self.bits >> self.width:
-            raise CircuitError(
-                f"bits {self.bits:#x} out of range for width {self.width}"
-            )
+    def __init__(self, bits: int, width: int):
+        _check_qubit_count(width, "width")
+        if not isinstance(bits, int) or isinstance(bits, bool):
+            raise CircuitError(f"bits {bits!r} is not an integer")
+        if bits < 0 or bits >> width:
+            raise CircuitError(f"bits {bits:#x} out of range for width {width}")
+        self._init(bits, width)
 
     @classmethod
     def zeros(cls, width: int) -> "BasisState":
@@ -189,19 +227,18 @@ class BasisState:
         return (self.bits >> qubit) & 1
 
 
-@dataclass(frozen=True)
-class AmplitudeQuery:
+class AmplitudeQuery(_Record):
     """One amplitude question: <end| C |start> for a circuit C."""
 
-    start: BasisState
-    end: BasisState
+    __slots__ = _fields = ("start", "end")
 
-    def __post_init__(self):
-        if self.start.width != self.end.width:
+    def __init__(self, start: BasisState, end: BasisState):
+        if start.width != end.width:
             raise CircuitError(
                 "query start and end states have different widths: "
-                f"{self.start.width} vs {self.end.width}"
+                f"{start.width} vs {end.width}"
             )
+        self._init(start, end)
 
     @property
     def width(self) -> int:

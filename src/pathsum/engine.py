@@ -11,16 +11,13 @@ the walk runs, and why its memory is independent of 2**n, is in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._kernels import (
     PackedCircuit, QueryTimeout, TraversalStats, deadline_at, pack_circuit, traverse,
 )
-from .circuit import AmplitudeQuery, Circuit, CircuitError
+from .circuit import AmplitudeQuery, Circuit, CircuitError, _Record, _set
 
 
-@dataclass(frozen=True)
-class EngineOptions:
+class EngineOptions(_Record):
     """Traversal knobs.
 
     ``prune`` cuts a path as soon as the end state is out of reach (each
@@ -31,20 +28,23 @@ class EngineOptions:
     whose ``stats`` holds the counters reached.
     """
 
-    prune: bool = True
-    deadline_s: float | None = None
+    __slots__ = _fields = ("prune", "deadline_s")
+
+    def __init__(self, prune: bool = True, deadline_s: float | None = None):
+        self._init(prune, deadline_s)
 
 
 def packed_circuit(circuit: Circuit) -> PackedCircuit:
     """The kernels' plan of ``circuit``: packed on first use, then reused.
 
-    The plan lives in the instance's ``__dict__``, outside the dataclass
+    The plan lives in the circuit's ``_packed`` slot, outside its record
     fields, so equality, hashing and ``repr`` do not see it; a circuit is
     immutable, so the plan cannot go stale.
     """
-    plan = circuit.__dict__.get("_packed")
+    plan = getattr(circuit, "_packed", None)
     if plan is None:
-        plan = circuit.__dict__["_packed"] = pack_circuit(circuit)
+        plan = pack_circuit(circuit)
+        _set(circuit, "_packed", plan)
     return plan
 
 

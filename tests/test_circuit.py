@@ -1,5 +1,4 @@
 """Circuit model: construction, validation, counters, inversion, basis states."""
-import dataclasses
 import math
 
 import numpy as np
@@ -74,11 +73,13 @@ def test_gate_index_attached_to_error():
 
 def test_circuit_is_immutable():
     c = make_circuit(2, [h(0)])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.num_qubits = 3
+    assert c.num_qubits == 2
     assert isinstance(c.gates, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.gates[0].theta = 1.0
+    assert c.gates[0].theta is None
 
 
 def test_invert_examples():

@@ -10,7 +10,6 @@ import re
 import struct
 import sys
 import time
-from dataclasses import astuple
 from itertools import count
 from types import SimpleNamespace
 
@@ -57,7 +56,8 @@ def _drive_plan(plan, query, prune, deadline=math.inf):
     """``_drive`` on a packed plan, which may keep a scalar top from
     earlier queries."""
     amplitude, stats = traverse(plan, query.start.bits, query.end.bits, prune, deadline)
-    return repr(amplitude), astuple(stats)
+    return repr(amplitude), (stats.recursion_calls, stats.edges_traversed, stats.prunes,
+                             stats.max_depth_reached)
 
 
 def _drive_twice(circuit, query, prune):

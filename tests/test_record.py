@@ -59,7 +59,7 @@ def test_dirty_checkout_needs_a_label(tmp_path):
 
 def _two_commits(tmp_path, workloads):
     """A checkout of two commits whose BENCHMARK.json lists ``workloads``,
-    7 s runs and two end-to-end metrics, and whose ``src/pathsum`` holds one
+    7 s runs and two end-to-end metrics with their bounds, and whose ``src/pathsum`` holds one
     line at the parent and three at the change; returns it and both short
     commits."""
     repo = tmp_path / "repo"
@@ -67,8 +67,8 @@ def _two_commits(tmp_path, workloads):
     (repo / "src" / "pathsum" / "__init__.py").write_text("")
     spec = {"run_seconds": 7,
             "workloads": [{"name": name} for name in workloads],
-            "end_to_end": [{"name": "queries_per_s", "better": "higher"},
-                           {"name": "peak_rss_mb", "better": "lower"}]}
+            "end_to_end": [{"name": "queries_per_s", "better": "higher", "bound": 0.25},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}
     (repo / "BENCHMARK.json").write_text(json.dumps(spec))
     (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'old'\n")
     _git(repo, "init", "-q")
@@ -85,9 +85,9 @@ def _two_commits(tmp_path, workloads):
 def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     # Two commits of a checkout; every run is at seed 4, and the stubbed
     # runner reports the parent at 100 + pair queries/s and the change at
-    # 110, except in pair 3, a lower-is-better metric that the change never
-    # improves, and 50 + pair queries per run, of which the change fails
-    # one on "two" in pair 5.
+    # 110, except in pair 3, a lower-is-better metric that the change raises
+    # by 18%, past its 15% bound, and 50 + pair queries per run, of which
+    # the change fails one on "two" in pair 5.
     repo, parent, change = _two_commits(tmp_path, ("one", "two"))
 
     calls = []
@@ -97,7 +97,8 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         pair = len(calls) // 4 + 1  # two workloads on two sides per pair
         calls.append((pair, seed, workload, side, seconds, trace))
         rate = 110.0 if side == "change" and pair != 3 else 100.0 + pair
-        metrics = {"queries_per_s": {"value": rate}, "peak_rss_mb": {"value": 40.0}}
+        rss = 47.2 if side == "change" else 40.0
+        metrics = {"queries_per_s": {"value": rate}, "peak_rss_mb": {"value": rss}}
         failed = int(side == "change" and pair == 5 and workload == "two")
         return {"workload": workload, "trace": trace, "exit_code": 0,
                 "result": {"attempted": 50 + pair, "failed": failed, "metrics": metrics}}
@@ -126,13 +127,16 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     assert [(r["pair"], r["side"], r["workload"]) for r in out["runs"]] == [
         (pair, side, workload) for pair, _, workload, side, _, _ in expected]
     # Parent rates 101..110; the change reads 110 but 100 + 3 in pair 3,
-    # so it wins pairs 1-9 but 3, and pair 10 is a tie.
+    # so it wins pairs 1-9 but 3, and pair 10 is a tie: a gain, within its
+    # bound.  The change's memory is 1.18x the parent's, a breach.
     for workload in ("one", "two"):
         rate = out["summary"][workload]["queries_per_s"]
         assert rate == {"better": "higher", "pairs": 10, "parent_median": 105.5,
-                        "change_median": 110.0, "parent_iqr": 4.5, "change_wins": 8}
+                        "change_median": 110.0, "parent_iqr": 4.5, "change_wins": 8,
+                        "ratio": 110.0 / 105.5, "within_bound": True}
         rss = out["summary"][workload]["peak_rss_mb"]
         assert rss["change_wins"] == 0 and rss["parent_iqr"] == 0.0
+        assert rss["ratio"] == pytest.approx(1.18) and rss["within_bound"] is False
         failed = int(workload == "two")
         assert out["summary"][workload]["queries"] == {
             "parent": {"attempted": 555, "failed": 0},
@@ -173,7 +177,7 @@ def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
 
 def test_summary_skips_pairs_without_both_results():
     spec = {"workloads": [{"name": "w"}],
-            "end_to_end": [{"name": "setup_s", "better": "lower"}]}
+            "end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}
     runs = [{"side": side, "pair": pair, "workload": "w",
              "result": {"attempted": 9, "failed": 1,
                         "metrics": {"setup_s": {"value": value}}}}
@@ -184,4 +188,5 @@ def test_summary_skips_pairs_without_both_results():
         "queries": {"parent": {"attempted": 18, "failed": 2},
                     "change": {"attempted": 9, "failed": 1}},
         "setup_s": {"better": "lower", "pairs": 1, "parent_median": 2.0,
-                    "change_median": 1.0, "parent_iqr": 0.0, "change_wins": 1}}}
+                    "change_median": 1.0, "parent_iqr": 0.0, "change_wins": 1,
+                    "ratio": 0.5, "within_bound": True}}}
