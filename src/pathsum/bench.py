@@ -17,8 +17,10 @@ import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np  # here, so that no trial times its import
+
 from . import _kernels
-from .circuit import AmplitudeQuery, BasisState, CircuitError
+from .circuit import AmplitudeQuery, BasisState, CircuitError, _check_qubit_count
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
 from .generators import FAMILIES
 from .statevector import StateVectorLimitError, statevector_amplitude
@@ -38,6 +40,7 @@ CSV_COLUMNS = [
     "recursion_calls",
     "prunes",
     "timed_out",
+    "note",
 ]
 
 # Written next to every CSV because the CSV cannot say this about itself.
@@ -82,6 +85,7 @@ class BenchPlan:
             raise CircuitError(
                 f"empty n range: n_min={self.n_min}, n_max={self.n_max}"
             )
+        _check_qubit_count(self.n_max, "n_max")
         for method in self.methods:
             if method not in METHODS:
                 raise CircuitError(
@@ -167,7 +171,6 @@ def _run_one(plan: BenchPlan, circuit, family: str, n: int, seed: int,
 
 def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
     """Execute a plan and return one record per (family, n, seed, method, trial)."""
-    _kernels._load_numpy()  # here, so that no trial times numpy's import
     records = []
     for family in plan.families:
         generate = FAMILIES[family][0]
@@ -183,43 +186,32 @@ def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
     return records
 
 
-def _field_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv_rows(records, handle):
     """Write the header and one CSV row per record to an open text handle."""
-    writer = csv.writer(handle)
+    writer = csv.writer(handle)  # None is written as "" and a float as its repr
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        amp_re = None if (r.amplitude is None or r.timed_out) else r.amplitude.real
-        amp_im = None if (r.amplitude is None or r.timed_out) else r.amplitude.imag
+        amplitude = None if r.timed_out else r.amplitude
         writer.writerow([
             r.family,
             r.n,
             r.seed,
             r.method,
             r.trial,
-            _field_text(r.wall_time_s),
+            r.wall_time_s,
             r.peak_mem_bytes,
-            _field_text(amp_re),
-            _field_text(amp_im),
-            _field_text(r.recursion_calls),
-            _field_text(r.prunes),
-            _field_text(r.timed_out),
+            None if amplitude is None else amplitude.real,
+            None if amplitude is None else amplitude.imag,
+            r.recursion_calls,
+            r.prunes,
+            "true" if r.timed_out else "false",
+            r.note,
         ])
 
 
 def _environment() -> dict:
     """What the sweep ran on: the walk ``traverse`` is, the Python and numpy
     versions, whether numba can be imported, and the core count."""
-    import numpy as np
     return {
         "kernel": _kernels.KERNEL,
         "python": platform.python_version(),

@@ -21,15 +21,10 @@ _set = object.__setattr__  # sets a record's slot, past _Record.__setattr__
 class CircuitError(ValueError):
     """Invalid gate, circuit, basis state, or query construction.
 
-    ``gate_index`` and ``arg_index`` locate the offending gate / operand when
-    the error refers to one, so callers that know source positions (the text
-    parser) can turn them into line and column numbers.
+    A circuit names the offending gate by its index (``gate i: ...``).  The
+    text parser checks each gate as it reads it, so its subclass
+    ``CircuitParseError`` gives a line and column instead.
     """
-
-    def __init__(self, message, gate_index=None, arg_index=None):
-        super().__init__(message)
-        self.gate_index = gate_index
-        self.arg_index = arg_index
 
 
 class _Record:
@@ -134,9 +129,13 @@ def _check_qubit_count(value, noun: str):
 
 
 def _gate_problem(gate: Gate, num_qubits: int):
-    """Return (message, arg_index) for the first rule ``gate`` breaks, else None."""
+    """Return (message, position) for the first rule ``gate`` breaks, else
+    None.  ``position`` indexes the argument the rule names (``kind.arity``
+    for the angle, which follows the qubits), or is None."""
     if not isinstance(gate.kind, GateKind):
         return f"unknown gate kind {gate.kind!r}", None
+    if not isinstance(gate.qubits, tuple):  # a list would make the gate unhashable
+        return f"qubits {gate.qubits!r} is not a tuple", None
     kind = gate.kind
     if len(gate.qubits) != kind.arity:
         return (
@@ -156,7 +155,7 @@ def _gate_problem(gate: Gate, num_qubits: int):
         if gate.theta is None:
             return f"{kind.value} requires an angle", None
         if not math.isfinite(gate.theta):
-            return f"angle {gate.theta!r} is not finite", None
+            return f"angle {gate.theta!r} is not finite", kind.arity
     elif gate.theta is not None:
         return f"{kind.value} does not take an angle", None
     return None
@@ -177,13 +176,10 @@ class Circuit(_Record):
         gates = tuple(gates)
         for i, gate in enumerate(gates):
             if not isinstance(gate, Gate):
-                raise CircuitError(f"gate {i}: not a Gate: {gate!r}", gate_index=i)
+                raise CircuitError(f"gate {i}: not a Gate: {gate!r}")
             problem = _gate_problem(gate, num_qubits)
             if problem is not None:
-                message, arg_index = problem
-                raise CircuitError(
-                    f"gate {i}: {message}", gate_index=i, arg_index=arg_index
-                )
+                raise CircuitError(f"gate {i}: {problem[0]}")
         self._init(num_qubits, gates)
 
     @property

@@ -10,7 +10,6 @@ Bitstrings are written qubit 0 first: "011" sets qubits 1 and 2.
 """
 from __future__ import annotations
 
-import math
 import re
 
 from .circuit import (
@@ -20,6 +19,7 @@ from .circuit import (
     Gate,
     GateKind,
     _check_qubit_count,
+    _gate_problem,
     make_circuit,
 )
 
@@ -74,8 +74,10 @@ def _parse_header(tokens, line_no: int) -> int:
     return count
 
 
-def _parse_gate_line(tokens, line_no: int):
-    """One Gate plus the source columns of its mnemonic and arguments."""
+def _parse_gate_line(tokens, line_no: int, num_qubits: int) -> Gate:
+    """The Gate on one line, checked at once by the circuit's gate rule so
+    that a broken rule is reported at its operand's column, or else at the
+    mnemonic's."""
     word, col = tokens[0]
     mnemonic = word.lower()
     if mnemonic == "qubits":
@@ -85,12 +87,6 @@ def _parse_gate_line(tokens, line_no: int):
         raise CircuitParseError(f"unknown gate {word!r}", line_no, col)
     args = tokens[1:]
     expected = kind.arity + (1 if kind.takes_angle else 0)
-    if len(args) < kind.arity:
-        raise CircuitParseError(
-            f"{mnemonic} expects {kind.arity} qubit operand(s), got {len(args)}",
-            line_no,
-            col,
-        )
     if kind.takes_angle and len(args) == kind.arity:
         raise CircuitParseError(f"{mnemonic} is missing its angle", line_no, col)
     if len(args) > expected:
@@ -105,7 +101,7 @@ def _parse_gate_line(tokens, line_no: int):
             )
         operands.append(int(text))
     theta = None
-    if kind.takes_angle:
+    if len(args) > kind.arity:  # the angle: only a p/cp line gets past the check above
         text, arg_col = args[kind.arity]
         try:
             theta = float(text)
@@ -113,18 +109,19 @@ def _parse_gate_line(tokens, line_no: int):
             raise CircuitParseError(
                 f"angle {text!r} is not a number", line_no, arg_col
             ) from None
-        if not math.isfinite(theta):
-            raise CircuitParseError(f"angle {text!r} is not finite", line_no, arg_col)
     gate = Gate(kind, tuple(operands), theta)
-    arg_cols = [arg_col for _, arg_col in args]
-    return gate, (line_no, col, arg_cols)
+    problem = _gate_problem(gate, num_qubits)
+    if problem is not None:
+        message, position = problem
+        column = col if position is None else args[position][1]
+        raise CircuitParseError(message, line_no, column)
+    return gate
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse circuit-file text; raises CircuitParseError with line/column."""
     num_qubits = None
     gates: list[Gate] = []
-    origins = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = _tokens_of(raw)
         if not tokens:
@@ -132,27 +129,12 @@ def parse_circuit(text: str) -> Circuit:
         if num_qubits is None:
             num_qubits = _parse_header(tokens, line_no)
             continue
-        gate, origin = _parse_gate_line(tokens, line_no)
-        gates.append(gate)
-        origins.append(origin)
+        gates.append(_parse_gate_line(tokens, line_no, num_qubits))
     if num_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", 1, 1)
-    try:
-        return make_circuit(num_qubits, gates)
-    except CircuitError as exc:
-        # Structural rules live in one place (circuit validation); here we
-        # only translate the gate/operand indices back to file positions.
-        if exc.gate_index is None:
-            raise
-        line_no, mnemonic_col, arg_cols = origins[exc.gate_index]
-        column = mnemonic_col
-        if exc.arg_index is not None and exc.arg_index < len(arg_cols):
-            column = arg_cols[exc.arg_index]
-        message = str(exc)
-        prefix = f"gate {exc.gate_index}: "
-        if message.startswith(prefix):
-            message = message[len(prefix):]
-        raise CircuitParseError(message, line_no, column) from None
+    # Every gate already passed the rule Circuit applies again here; only
+    # this module knows where in the file a gate sits.
+    return make_circuit(num_qubits, gates)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

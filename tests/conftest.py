@@ -317,6 +317,8 @@ BAD_CIRCUIT_CORPUS = [
     ("qubits 2\ncp 0 1 1.0 2\n", 2, 12, "unexpected extra argument"),
     ("qubits 2\nx0\n", 2, 1, "unknown gate 'x0'"),
     ("qubits 2\nh 0 # fine\nccx 0 1\n", 3, 1, "expects 3 qubit operand"),
+    ("qubits 2\np\n", 2, 1, "expects 1 qubit operand"),
+    ("qubits 2\ncp 0 1 -inf\n", 2, 8, "not finite"),
 ]
 
 

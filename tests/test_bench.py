@@ -34,6 +34,9 @@ def test_plan_validation():
         BenchPlan(families=("hsp",), n_min=4, n_max=6)
     with pytest.raises(CircuitError, match="empty n range"):
         BenchPlan(**{**good, "n_max": 2})
+    # Refused before any trial, not when the sweep reaches n=63.
+    with pytest.raises(CircuitError, match="n_max must be between 1 and 62, got 63"):
+        BenchPlan(("h-layer",), 62, 63)
     with pytest.raises(CircuitError, match="unknown method"):
         BenchPlan(**good, methods=("pathsum", "dense"))
     with pytest.raises(CircuitError, match="at least one seed"):
@@ -106,6 +109,7 @@ def test_csv_layout(tmp_path):
     for row in rows[1:]:
         assert len(row) == len(CSV_COLUMNS)
         assert row[0] == "h-layer" and row[1] == "4" and row[11] == "false"
+        assert row[12] == ""  # no note: the run finished
         float(row[5])  # wall time parses
         assert int(row[6]) > 0
         assert math.isfinite(float(row[7])) and math.isfinite(float(row[8]))
@@ -178,6 +182,12 @@ def test_too_wide_statevector_runs_are_skipped(tmp_path):
         assert r.amplitude is None and not r.timed_out
         assert r.wall_time_s == 0.0 and r.peak_mem_bytes == 0
     assert write_plot_data(records, tmp_path / "plots") == []  # nothing to plot
+    write_csv(records, tmp_path / "s.csv")
+    with (tmp_path / "s.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    for row, r in zip(rows[1:], records, strict=True):
+        # The note tells a refused run from a finished 0-second one.
+        assert row[5:] == ["0.0", "0", "", "", "", "", "false", r.note]
 
 
 def test_plot_data_means_and_units(tmp_path):
@@ -210,7 +220,7 @@ def test_peak_memory_is_plausible():
     assert by_method["pathsum"].peak_mem_bytes < 1_000_000
 
 
-def test_failed_query_becomes_an_error_row_and_the_sweep_goes_on(monkeypatch):
+def test_failed_query_becomes_an_error_row_and_the_sweep_goes_on(monkeypatch, tmp_path):
     def failing(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
@@ -222,6 +232,11 @@ def test_failed_query_becomes_an_error_row_and_the_sweep_goes_on(monkeypatch):
     assert failed.peak_mem_bytes == 0
     # The sweep went on to the next method.
     assert dense.method == "statevector" and not dense.note and dense.amplitude is not None
+    write_csv([failed, dense], tmp_path / "e.csv")
+    with (tmp_path / "e.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[-1] for row in rows] == ["note", "error: synthetic failure", ""]
+    assert rows[1][7:12] == ["", "", "", "", "false"]
 
 
 def test_traced_rerun_timeout_keeps_the_timed_run(monkeypatch):

@@ -102,6 +102,7 @@ def test_pickle_and_copy_round_trip(cls, args, kwargs, text):
     (lambda: Circuit(num_qubits=2, gates=[h(0), "h"]), "gate 1: not a Gate: 'h'"),
     (lambda: Circuit(2, (cnot(1, 1),)), "gate 0: duplicate operand 1"),
     (lambda: Circuit(1, (Gate(GateKind.P, (0,)),)), "gate 0: p requires an angle"),
+    (lambda: Circuit(2, (Gate(GateKind.H, [0]),)), "gate 0: qubits [0] is not a tuple"),
     (lambda: BasisState(4, 2), "bits 0x4 out of range for width 2"),
     (lambda: BasisState(bits=1.0, width=2), "bits 1.0 is not an integer"),
     (lambda: BasisState(0, 63), "width must be between 1 and 62, got 63"),
