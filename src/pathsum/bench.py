@@ -93,6 +93,9 @@ class BenchPlan:
                 )
         if not self.seeds:
             raise CircuitError("plan needs at least one seed")
+        for name, value in (("trials", self.trials), *(("seed", s) for s in self.seeds)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CircuitError(f"{name} {value!r} is not an integer")
         if self.trials < 1:
             raise CircuitError(f"trials must be >= 1, got {self.trials}")
         if not self.time_cap_s > 0:

@@ -64,7 +64,7 @@ class _Record:
 
 
 class GateKind(Enum):
-    """Supported gate set.  Enum values double as the file-format mnemonics."""
+    """Supported gate set.  Values double as file-format mnemonics; shapes are in ``_SHAPES``."""
 
     I = "id"
     X = "x"
@@ -78,23 +78,29 @@ class GateKind(Enum):
     CCX = "ccx"
     H = "h"
 
+    __hash__ = object.__hash__  # by identity, as members compare; Enum hashes in Python
+
     @property
     def arity(self) -> int:
-        if self in (GateKind.CP, GateKind.CNOT):
-            return 2
-        if self is GateKind.CCX:
-            return 3
-        return 1
+        return _SHAPES[self][0]
 
     @property
     def takes_angle(self) -> bool:
-        return self in (GateKind.P, GateKind.CP)
+        return _SHAPES[self][1]
 
     @property
     def is_branching(self) -> bool:
         # H is the only gate that maps a basis state to a superposition; every
         # other supported gate permutes basis states and/or multiplies a phase.
         return self is GateKind.H
+
+
+_SHAPES = {  # GateKind -> (arity, takes_angle): the one table of gate shapes
+    GateKind.I: (1, False), GateKind.X: (1, False), GateKind.Y: (1, False),
+    GateKind.Z: (1, False), GateKind.S: (1, False), GateKind.T: (1, False),
+    GateKind.H: (1, False), GateKind.P: (1, True), GateKind.CP: (2, True),
+    GateKind.CNOT: (2, False), GateKind.CCX: (3, False),
+}
 
 
 class Gate(_Record):
@@ -130,42 +136,39 @@ def _check_qubit_count(value, noun: str):
 
 def _gate_problem(gate: Gate, num_qubits: int):
     """Return (message, position) for the first rule ``gate`` breaks, else
-    None.  ``position`` indexes the argument the rule names (``kind.arity``
-    for the angle, which follows the qubits), or is None."""
-    if not isinstance(gate.kind, GateKind):
-        return f"unknown gate kind {gate.kind!r}", None
-    if not isinstance(gate.qubits, tuple):  # a list would make the gate unhashable
-        return f"qubits {gate.qubits!r} is not a tuple", None
-    kind = gate.kind
-    if len(gate.qubits) != kind.arity:
-        return (
-            f"{kind.value} expects {kind.arity} qubit operand(s), got {len(gate.qubits)}",
-            None,
-        )
-    seen = set()
-    for i, q in enumerate(gate.qubits):
-        if not isinstance(q, int) or isinstance(q, bool):
+    None.  ``position`` indexes the argument the rule names (the arity for
+    the angle, which follows the qubits), or is None.  An operand is an int
+    or an int subclass such as IntEnum, never a bool; exact ints go first."""
+    kind, qubits, theta = gate.kind, gate.qubits, gate.theta
+    if type(kind) is not GateKind:  # an Enum with members has no subclasses
+        return f"unknown gate kind {kind!r}", None
+    if not isinstance(qubits, tuple):  # a list would make the gate unhashable
+        return f"qubits {qubits!r} is not a tuple", None
+    arity, takes_angle = _SHAPES[kind]
+    if len(qubits) != arity:
+        return f"{kind.value} expects {arity} qubit operand(s), got {len(qubits)}", None
+    for i, q in enumerate(qubits):
+        if type(q) is not int and (not isinstance(q, int) or isinstance(q, bool)):
             return f"qubit operand {q!r} is not an integer", i
         if q < 0 or q >= num_qubits:
             return f"qubit {q} out of range for a {num_qubits}-qubit circuit", i
-        if q in seen:
+        if q in qubits[:i]:
             return f"duplicate operand {q}", i
-        seen.add(q)
-    if kind.takes_angle:
-        if gate.theta is None:
+    if theta is None:
+        if takes_angle:
             return f"{kind.value} requires an angle", None
-        if not math.isfinite(gate.theta):
-            return f"angle {gate.theta!r} is not finite", kind.arity
-    elif gate.theta is not None:
+    elif not takes_angle:
         return f"{kind.value} does not take an angle", None
+    elif not math.isfinite(theta):
+        return f"angle {theta!r} is not finite", arity
     return None
 
 
 class Circuit(_Record):
     """An ordered gate sequence on ``num_qubits`` qubits.  Immutable.
 
-    ``branching_count`` (h) and ``nonbranching_count`` (t) are recomputed from
-    the gate list on every access so they can never go stale.
+    Construction checks each gate once, with ``_gate_problem``.  The
+    counts h and t are recomputed on every access so they never go stale.
     """
 
     _fields = ("num_qubits", "gates")

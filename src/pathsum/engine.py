@@ -31,6 +31,8 @@ class EngineOptions(_Record):
     __slots__ = _fields = ("prune", "deadline_s")
 
     def __init__(self, prune: bool = True, deadline_s: float | None = None):
+        if type(prune) is not bool:  # "no" would prune and None would not
+            raise CircuitError(f"prune must be True or False, got {prune!r}")
         self._init(prune, deadline_s)
 
 

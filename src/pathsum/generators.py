@@ -35,11 +35,7 @@ def gen_qft(qubits) -> list[Gate]:
 
 def _random_toffolis(rng: SplitMix64, n: int, count: int) -> list[Gate]:
     """``count`` Toffolis on distinct qubit triples; first two drawn are controls."""
-    gates = []
-    for _ in range(count):
-        c1, c2, target = rng.distinct(n, 3)
-        gates.append(ccx(c1, c2, target))
-    return gates
+    return [ccx(*rng.distinct(n, 3)) for _ in range(count)]
 
 
 def _check_size(family: str, n: int):
@@ -52,21 +48,15 @@ def _check_size(family: str, n: int):
 def gen_layered_hadamard(n: int, seed: int) -> Circuit:
     """H on every qubit, n random Toffolis, H on every qubit again."""
     _check_size("h-layer", n)
-    rng = SplitMix64(seed)
-    gates = [h(q) for q in range(n)]
-    gates.extend(_random_toffolis(rng, n, n))
-    gates.extend(h(q) for q in range(n))
-    return make_circuit(n, gates)
+    layer = [h(q) for q in range(n)]  # gates are immutable, so both layers share it
+    return make_circuit(n, layer + _random_toffolis(SplitMix64(seed), n, n) + layer)
 
 
 def gen_layered_qft(n: int, seed: int) -> Circuit:
     """QFT on every qubit, n random Toffolis, QFT on every qubit again."""
     _check_size("qft-layer", n)
-    rng = SplitMix64(seed)
-    gates = gen_qft(range(n))
-    gates.extend(_random_toffolis(rng, n, n))
-    gates.extend(gen_qft(range(n)))
-    return make_circuit(n, gates)
+    qft = gen_qft(range(n))  # gates are immutable, so both layers share it
+    return make_circuit(n, qft + _random_toffolis(SplitMix64(seed), n, n) + qft)
 
 
 def gen_hsp_standard(n: int, seed: int, a_size: int | None = None) -> Circuit:

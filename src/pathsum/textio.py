@@ -18,9 +18,9 @@ from .circuit import (
     CircuitError,
     Gate,
     GateKind,
+    _SHAPES,
     _check_qubit_count,
     _gate_problem,
-    make_circuit,
 )
 
 _MNEMONICS = {kind.value: kind for kind in GateKind}
@@ -86,13 +86,14 @@ def _parse_gate_line(tokens, line_no: int, num_qubits: int) -> Gate:
     if kind is None:
         raise CircuitParseError(f"unknown gate {word!r}", line_no, col)
     args = tokens[1:]
-    expected = kind.arity + (1 if kind.takes_angle else 0)
-    if kind.takes_angle and len(args) == kind.arity:
+    arity, takes_angle = _SHAPES[kind]
+    expected = arity + takes_angle
+    if takes_angle and len(args) == arity:
         raise CircuitParseError(f"{mnemonic} is missing its angle", line_no, col)
     if len(args) > expected:
         raise CircuitParseError("unexpected extra argument", line_no, args[expected][1])
     operands = []
-    for text, arg_col in args[: kind.arity]:
+    for text, arg_col in args[:arity]:
         if not _UINT.fullmatch(text):
             raise CircuitParseError(
                 f"qubit operand {text!r} is not a non-negative integer",
@@ -101,8 +102,8 @@ def _parse_gate_line(tokens, line_no: int, num_qubits: int) -> Gate:
             )
         operands.append(int(text))
     theta = None
-    if len(args) > kind.arity:  # the angle: only a p/cp line gets past the check above
-        text, arg_col = args[kind.arity]
+    if len(args) > arity:  # the angle: only a p/cp line gets past the check above
+        text, arg_col = args[arity]
         try:
             theta = float(text)
         except ValueError:
@@ -132,9 +133,10 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(_parse_gate_line(tokens, line_no, num_qubits))
     if num_qubits is None:
         raise CircuitParseError("missing 'qubits <n>' header", 1, 1)
-    # Every gate already passed the rule Circuit applies again here; only
-    # this module knows where in the file a gate sits.
-    return make_circuit(num_qubits, gates)
+    # Each gate passed the circuit's rule as its line was read: no second check.
+    circuit = Circuit.__new__(Circuit)
+    circuit._init(num_qubits, tuple(gates))
+    return circuit
 
 
 def serialize_circuit(circuit: Circuit) -> str:
