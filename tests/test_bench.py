@@ -43,6 +43,14 @@ def test_plan_validation():
         BenchPlan(**good, seeds=())
     with pytest.raises(CircuitError, match="trials"):
         BenchPlan(**good, trials=0)
+    # Refused before any trial, not as a TypeError partway through the sweep.
+    for bad, message in ((dict(trials=1.5), "trials 1.5 is not an integer"),
+                         (dict(trials=True), "trials True is not an integer"),
+                         (dict(seeds=("a",)), "seed 'a' is not an integer"),
+                         (dict(seeds=(1, False)), "seed False is not an integer"),
+                         (dict(seeds=(2.0,)), "seed 2.0 is not an integer")):
+        with pytest.raises(CircuitError, match=f"^{message}$"):
+            BenchPlan(**good, **bad)
     for cap in (0.0, float("nan")):
         with pytest.raises(CircuitError, match="time cap"):
             BenchPlan(**good, time_cap_s=cap)

@@ -1,5 +1,7 @@
 """Circuit model: construction, validation, counters, inversion, basis states."""
 import math
+import re
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from pathsum import (
     make_circuit,
     statevector_simulate,
 )
-from pathsum.circuit import ccx, cnot, cp, h, identity, p, s, t, x, y, z
+from pathsum import circuit as circuit_module
+from pathsum import textio
+from pathsum.circuit import _gate_problem, ccx, cnot, cp, h, identity, p, s, t, x, y, z
 
 
 def test_make_circuit_counts():
@@ -59,6 +63,79 @@ def test_gate_validation_names_position():
         make_circuit(1, [Gate(GateKind.H, (0,), 1.0)])
     with pytest.raises(CircuitError, match="not finite"):
         make_circuit(1, [p(0, math.inf)])
+
+
+class _Qubit(IntEnum):
+    A = 0
+    C = 2
+
+
+# Broken gates on 3 qubits and what the gate rule says of each: the message
+# and the position of the argument it names (None for the gate as a whole).
+# Recorded from the rule as it stood before the gate-shape table, so a
+# faster rule must keep every verdict, its wording and its order of checks.
+_GATE_VERDICTS = [
+    (Gate(GateKind.H, (0, 1)), ("h expects 1 qubit operand(s), got 2", None)),
+    (Gate(GateKind.CNOT, (0,)), ("cx expects 2 qubit operand(s), got 1", None)),
+    (Gate(GateKind.CCX, ()), ("ccx expects 3 qubit operand(s), got 0", None)),
+    (Gate(GateKind.CP, (0, 1, 2), 0.5), ("cp expects 2 qubit operand(s), got 3", None)),
+    (Gate(GateKind.H, (True,)), ("qubit operand True is not an integer", 0)),
+    (Gate(GateKind.CNOT, (0, False)), ("qubit operand False is not an integer", 1)),
+    (Gate(GateKind.CCX, (_Qubit.A, 1, _Qubit.C)), None),  # int subclasses pass
+    (Gate(GateKind.CNOT, (_Qubit.C, 2)), ("duplicate operand 2", 1)),
+    (Gate(GateKind.H, (np.int64(0),)), ("qubit operand np.int64(0) is not an integer", 0)),
+    (Gate(GateKind.CNOT, (1, np.int64(0))), ("qubit operand np.int64(0) is not an integer", 1)),
+    (Gate(GateKind.H, (0.0,)), ("qubit operand 0.0 is not an integer", 0)),
+    (Gate(GateKind.CP, (0, 1.5), 0.1), ("qubit operand 1.5 is not an integer", 1)),
+    (Gate(GateKind.X, ("0",)), ("qubit operand '0' is not an integer", 0)),
+    (Gate(GateKind.H, [0]), ("qubits [0] is not a tuple", None)),
+    (Gate(GateKind.CNOT, [0, 0]), ("qubits [0, 0] is not a tuple", None)),
+    (Gate(GateKind.CCX, (0, 1, 0)), ("duplicate operand 0", 2)),
+    (Gate(GateKind.CNOT, (1, 1)), ("duplicate operand 1", 1)),
+    (Gate(GateKind.H, (3,)), ("qubit 3 out of range for a 3-qubit circuit", 0)),
+    (Gate(GateKind.H, (-1,)), ("qubit -1 out of range for a 3-qubit circuit", 0)),
+    (Gate(GateKind.CNOT, (0, 99)), ("qubit 99 out of range for a 3-qubit circuit", 1)),
+    (Gate(GateKind.CNOT, (9, 9)), ("qubit 9 out of range for a 3-qubit circuit", 0)),
+    (Gate(GateKind.CCX, (0, True, 0)), ("qubit operand True is not an integer", 1)),
+    (Gate(GateKind.P, (0,), math.nan), ("angle nan is not finite", 1)),
+    (Gate(GateKind.P, (0,), math.inf), ("angle inf is not finite", 1)),
+    (Gate(GateKind.CP, (0, 1), -math.inf), ("angle -inf is not finite", 2)),
+    (Gate(GateKind.P, (True,), math.nan), ("qubit operand True is not an integer", 0)),
+    (Gate(GateKind.H, (0,), 0.5), ("h does not take an angle", None)),
+    (Gate(GateKind.X, (0,), 0.0), ("x does not take an angle", None)),
+    (Gate(GateKind.H, (0,), math.nan), ("h does not take an angle", None)),
+    (Gate(GateKind.P, (0,)), ("p requires an angle", None)),
+    (Gate(GateKind.CP, (0, 1)), ("cp requires an angle", None)),
+    (Gate("h", (0,)), ("unknown gate kind 'h'", None)),
+    (Gate(None, (0,)), ("unknown gate kind None", None)),
+    (Gate(1, [0]), ("unknown gate kind 1", None)),
+    (Gate(GateKind.CP, (0, 2), -0.0), None),
+]
+
+
+@pytest.mark.parametrize("gate, verdict", _GATE_VERDICTS)
+def test_gate_rule_verdicts(gate, verdict):
+    assert _gate_problem(gate, 3) == verdict
+    if verdict is not None:
+        with pytest.raises(CircuitError, match=f"^gate 1: {re.escape(verdict[0])}$"):
+            make_circuit(3, [h(0), gate])
+
+
+def test_parse_checks_each_gate_once(monkeypatch):
+    calls = []
+
+    def counted(gate, num_qubits):
+        calls.append(gate)
+        return _gate_problem(gate, num_qubits)
+
+    # The rule is reachable from the parser and from Circuit; count both.
+    monkeypatch.setattr(textio, "_gate_problem", counted)
+    monkeypatch.setattr(circuit_module, "_gate_problem", counted)
+    text = "qubits 3\nh 0\ncx 0 1\n# note\nccx 0 1 2\ncp 2 0 0.25\np 1 -1.5\n"
+    parsed = textio.parse_circuit(text)
+    assert calls == list(parsed.gates) and len(calls) == 5
+    calls.clear()
+    assert make_circuit(3, parsed.gates) == parsed and len(calls) == 5
 
 
 def test_gate_index_named_in_error():

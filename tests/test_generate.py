@@ -1,6 +1,7 @@
 """Circuit families: exact gate counts, structure, determinism, and the
 pinned pseudo-random stream the seeds feed.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -199,6 +200,32 @@ def test_determinism_and_seed_sensitivity():
         again = [serialize_circuit(gen(n, 42)) for _ in range(2)]
         assert again[0] == again[1]
         assert serialize_circuit(gen(n, 43)) != again[0]
+
+
+# sha256 of serialize_circuit for (family, n, seed): a triple names the same
+# circuit forever, so these never change.  Recorded before the branching
+# layers were shared between the two sides of a sandwich.
+GENERATED_DIGESTS = {
+    ("h-layer", 3, 1): "66d3195fc73eb70ded14bd0fc2cade4aa4faf98f6dd502107209608cb7f2f230",
+    ("h-layer", 8, 2): "ce2994d643b7a3a6ae19bf07d67c4d3d236a52110276d31b4b7cf291c1f0f373",
+    ("h-layer", 12, 7): "f1d0363bed44d7224c319ad035d51f850612e9e441c989253a5a50cf8d564e98",
+    ("h-layer", 16, 3): "8b70ad713a011f233d95fdafd4d4a58457c3f3766a9139f77cda2a65f03c8bc9",
+    ("qft-layer", 3, 1): "910c7239758154fb9c57db7368d2d3a87cce69afab0541ed5721f6df5b44e1d6",
+    ("qft-layer", 8, 2): "36e2e029fdd53d30fd8d8936e80bcb5fb50917c494d3a572bc3bd953bc2be6a0",
+    ("qft-layer", 12, 7): "f8b152072c165c641bd51593522d0d3773f9c96462c7aa2c5453157801dbf60e",
+    ("qft-layer", 16, 3): "294c32a356b9cbbc8a5dec39883684d30ba242fe760ad5309e623032f18967a1",
+    ("hsp", 5, 1): "5f8ede2653fb8a2b8b37bc5b7f04d90f79814fd0ff178095d7f785f6ea17b8c9",
+    ("hsp", 8, 2): "e19b9eef1a4db564c910feaada6ef486c55361c49d413af478fea9f3c9b59010",
+    ("hsp", 12, 7): "8513be6c05b933bb42b6af27029b1fcc8f6254cf7388249c2ef783c48c2e5e79",
+    ("hsp", 16, 3): "2610343b106fb2ff794b4d1b11ec61e663a3a5d9a637f9717d33844717848eaa",
+}
+
+
+def test_generated_circuits_are_pinned():
+    assert {family for family, _, _ in GENERATED_DIGESTS} == set(FAMILIES)
+    for (family, n, seed), digest in GENERATED_DIGESTS.items():
+        text = serialize_circuit(FAMILIES[family][0](n, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, n, seed)
 
 
 def test_generated_circuits_cross_backend_agreement():

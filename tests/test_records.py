@@ -104,6 +104,10 @@ def test_pickle_and_copy_round_trip(cls, args, kwargs, text):
     (lambda: Circuit(1, (Gate(GateKind.P, (0,)),)), "gate 0: p requires an angle"),
     (lambda: Circuit(2, (Gate(GateKind.H, [0]),)), "gate 0: qubits [0] is not a tuple"),
     (lambda: BasisState(4, 2), "bits 0x4 out of range for width 2"),
+    # Not read by truthiness, which would prune for "no" and not for None.
+    (lambda: EngineOptions(prune="no"), "prune must be True or False, got 'no'"),
+    (lambda: EngineOptions(None), "prune must be True or False, got None"),
+    (lambda: EngineOptions(prune=1), "prune must be True or False, got 1"),
     (lambda: BasisState(bits=1.0, width=2), "bits 1.0 is not an integer"),
     (lambda: BasisState(0, 63), "width must be between 1 and 62, got 63"),
     (lambda: AmplitudeQuery(BasisState(0, 2), BasisState(0, 3)),
