@@ -11,7 +11,6 @@ Its records are slot classes, so the import loads no ``dataclasses`` either.
 The benchmark sweep runner is imported from :mod:`pathsum.bench`.
 """
 
-from ._kernels import phase_factor
 from .circuit import (
     MAX_QUBITS,
     AmplitudeQuery,
@@ -21,6 +20,7 @@ from .circuit import (
     Gate,
     GateKind,
     make_circuit,
+    phase_factor,
 )
 from .engine import (
     EngineOptions,

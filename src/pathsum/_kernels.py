@@ -1,12 +1,13 @@
 """The packed plan of a circuit and the walk that sums its paths.
 
-``pack_circuit`` turns each gate into one ``(kind, mask, arg)`` op, read
-from ``_GATE_OPS``, the table of what every gate kind does to a basis-state
-bit mask.  Every op but H and CPHASE moves the state as ``if state & mask
-== mask: state ^= arg``; a CPHASE's arg is its Python complex factor, and
-Y's two factors are module constants.  The engine keeps the plan on the
-circuit, so each circuit is packed once, and the state-vector backend runs
-the same ops on all ``2**n`` amplitudes.
+``pack_circuit`` turns each gate into one ``(kind, mask, arg)`` op with
+its kind's ``op``, from the one table of gates, ``circuit.GateKind``,
+beside which the op codes and factors that this module and the state
+vector use are defined.  Every op but H and CPHASE moves the state as ``if
+state & mask == mask: state ^= arg``; a CPHASE's arg is its Python complex
+factor, and Y's two factors are constants.  The engine keeps the plan on
+the circuit, so each circuit is packed once, and the state-vector backend
+runs the same ops on all ``2**n`` amplitudes.
 
 ``traverse(plan, start, end, prune, deadline)`` is the numpy frontier
 walk: it runs whole batches of paths per gate and adds their values in
@@ -49,7 +50,10 @@ import math
 import time
 from itertools import accumulate
 
-from .circuit import Circuit, CircuitError, GateKind, _Record, _set
+from .circuit import (
+    _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, INV_SQRT2, Circuit, _check_seconds,
+    _Record, _set,
+)
 
 KERNEL = "frontier"
 
@@ -80,11 +84,10 @@ class QueryTimeout(RuntimeError):
 
 def deadline_at(deadline_s: float | None) -> float:
     """The ``perf_counter`` time ``deadline_s`` seconds from now, or
-    ``math.inf`` for None; NaN, zero, negative values and bools are refused."""
+    ``math.inf`` for None; all but a real number above 0 (a bool too) is refused."""
     if deadline_s is None:
         return math.inf
-    if isinstance(deadline_s, bool) or not deadline_s > 0:
-        raise CircuitError(f"deadline_s must be positive, got {deadline_s}")
+    _check_seconds(deadline_s, "deadline_s")
     return time.perf_counter() + deadline_s
 
 
@@ -117,59 +120,8 @@ class PackedCircuit(_Record):
         _set(self, "top", [None])
 
 
-# Ops.  Every op is ``(kind, mask, arg)``, and every gate is classified by
-# what it can change, so it runs only the operations it needs:
-#   (_OP_H, q, 1 << q)            branch on qubit q
-#   (_OP_SKIP, 0, 0)              identity: no state change, factor 1
-#   (_OP_CFLIP, c, x)             state ^= x where (state & c) == c, factor 1
-#                                 (X is the CFLIP with c = 0)
-#   (_OP_CPHASE, c, f)            factor f where (state & c) == c
-#   (_OP_Y, 0, x)                 state ^= x, factor _Y1 where the old bit
-#                                 x was set, else _Y0
-# A factor is a Python complex, never exactly 1.  SKIP, CFLIP and Y move the
-# state alike, ``if state & c == c: state ^= x``.
-_OP_H, _OP_SKIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(5)
-
-# H's factor, correctly rounded sqrt(0.5), and the phase factors of the
-# table below: both walks and the state vector use these, so identical
-# queries produce bit-identical floats on either backend.
-INV_SQRT2 = math.sqrt(0.5)
-
-
-def phase_factor(theta: float) -> complex:
-    """e**(i*theta) built from cos/sin so all backends agree bitwise."""
-    return complex(math.cos(theta), math.sin(theta))
-
-
-_SKIP = (_OP_SKIP, 0, 0)
-_T = phase_factor(math.pi / 4)
-# Y|0> = i|1>, Y|1> = -i|0>: flip either way, sign from the old bit.
-_Y1, _Y0 = -1j, 1j
-
-
-def _phase(c: int, theta: float) -> tuple:
-    f = phase_factor(theta)
-    return _SKIP if f == 1.0 else (_OP_CPHASE, c, f)
-
-
-# GateKind -> op, from the gate's qubits and angle.
-_GATE_OPS = {
-    GateKind.H: lambda qs, theta: (_OP_H, qs[0], 1 << qs[0]),
-    GateKind.I: lambda qs, theta: _SKIP,
-    GateKind.X: lambda qs, theta: (_OP_CFLIP, 0, 1 << qs[0]),
-    GateKind.Y: lambda qs, theta: (_OP_Y, 0, 1 << qs[0]),
-    GateKind.Z: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], -1.0 + 0j),
-    GateKind.S: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], 1j),
-    GateKind.T: lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _T),
-    GateKind.P: lambda qs, theta: _phase(1 << qs[0], theta),
-    GateKind.CP: lambda qs, theta: _phase((1 << qs[0]) | (1 << qs[1]), theta),
-    GateKind.CNOT: lambda qs, theta: (_OP_CFLIP, 1 << qs[0], 1 << qs[1]),
-    GateKind.CCX: lambda qs, theta: (_OP_CFLIP, (1 << qs[0]) | (1 << qs[1]), 1 << qs[2]),
-}
-
-
 def pack_circuit(circuit: Circuit) -> PackedCircuit:
-    ops = tuple(_GATE_OPS[gate.kind](gate.qubits, gate.theta) for gate in circuit.gates)
+    ops = tuple(gate.kind.op(gate.qubits, gate.theta) for gate in circuit.gates)
     length = len(ops)
     hleft = tuple(accumulate(reversed([op[0] == _OP_H for op in ops]), initial=0))[::-1]
     is_live = [op[0] != _OP_H and op[0] != _OP_SKIP for op in ops]

@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np  # here, so that no trial times its import
 
 from . import _kernels
-from .circuit import AmplitudeQuery, BasisState, CircuitError, _check_qubit_count
+from .circuit import (
+    AmplitudeQuery, BasisState, CircuitError, _check_int, _check_qubit_count, _check_seconds,
+)
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
 from .generators import FAMILIES
 from .statevector import StateVectorLimitError, statevector_amplitude
@@ -71,6 +73,9 @@ class BenchPlan:
     prune: bool = True
 
     def __post_init__(self):
+        ints = (("n_min", self.n_min), ("trials", self.trials), *(("seed", s) for s in self.seeds))
+        for name, value in ints:  # first, so a sweep never meets a bad one
+            _check_int(value, name)
         for family in self.families:
             if family not in FAMILIES:
                 raise CircuitError(
@@ -93,13 +98,9 @@ class BenchPlan:
                 )
         if not self.seeds:
             raise CircuitError("plan needs at least one seed")
-        for name, value in (("trials", self.trials), *(("seed", s) for s in self.seeds)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise CircuitError(f"{name} {value!r} is not an integer")
         if self.trials < 1:
             raise CircuitError(f"trials must be >= 1, got {self.trials}")
-        if not self.time_cap_s > 0:
-            raise CircuitError(f"time cap must be positive, got {self.time_cap_s}")
+        _check_seconds(self.time_cap_s, "time cap")
 
 
 @dataclass

@@ -63,44 +63,67 @@ class _Record:
         return type(self), self._values
 
 
-class GateKind(Enum):
-    """Supported gate set.  Values double as file-format mnemonics; shapes are in ``_SHAPES``."""
+# Ops.  ``GateKind.op`` packs a gate as one ``(kind, mask, arg)`` op by what
+# it can change, so it runs only the operations it needs:
+#   (_OP_H, q, 1 << q)    branch on qubit q
+#   (_OP_SKIP, 0, 0)      identity: no state change, factor 1
+#   (_OP_CFLIP, c, x)     state ^= x where (state & c) == c, factor 1 (X: c = 0)
+#   (_OP_CPHASE, c, f)    factor f where (state & c) == c
+#   (_OP_Y, 0, x)         state ^= x, factor _Y1 if the old bit x was set, else _Y0
+# A factor is a Python complex, never exactly 1.  SKIP, CFLIP and Y move the
+# state alike, ``if state & c == c: state ^= x``.
+_OP_H, _OP_SKIP, _OP_CFLIP, _OP_CPHASE, _OP_Y = range(5)
 
-    I = "id"
-    X = "x"
-    Y = "y"
-    Z = "z"
-    S = "s"
-    T = "t"
-    P = "p"
-    CP = "cp"
-    CNOT = "cx"
-    CCX = "ccx"
-    H = "h"
+# H's factor, correctly rounded sqrt(0.5), and the rows' phase factors: both
+# backends use these, so identical queries give bit-identical floats on either.
+INV_SQRT2 = math.sqrt(0.5)
+
+
+def phase_factor(theta: float) -> complex:
+    """e**(i*theta) built from cos/sin so all backends agree bitwise."""
+    return complex(math.cos(theta), math.sin(theta))
+
+
+_SKIP = (_OP_SKIP, 0, 0)
+_T = phase_factor(math.pi / 4)
+# Y|0> = i|1>, Y|1> = -i|0>: flip either way, sign from the old bit.
+_Y1, _Y0 = -1j, 1j
+
+
+def _phase(c: int, theta: float) -> tuple:
+    f = phase_factor(theta)
+    return _SKIP if f == 1.0 else (_OP_CPHASE, c, f)
+
+
+class GateKind(Enum):
+    """Supported gate set, one row per kind: the file-format mnemonic (the
+    member's value), ``arity`` (qubit operands), ``takes_angle``, and
+    ``op(qubits, theta)``, the gate's packed op (see the ops above)."""
+
+    def __new__(cls, mnemonic, arity, takes_angle, op):
+        kind = object.__new__(cls)
+        kind._value_, kind.arity, kind.takes_angle, kind.op = mnemonic, arity, takes_angle, op
+        return kind
+
+    I = "id", 1, False, lambda qs, theta: _SKIP
+    X = "x", 1, False, lambda qs, theta: (_OP_CFLIP, 0, 1 << qs[0])
+    Y = "y", 1, False, lambda qs, theta: (_OP_Y, 0, 1 << qs[0])
+    Z = "z", 1, False, lambda qs, theta: (_OP_CPHASE, 1 << qs[0], -1.0 + 0j)
+    S = "s", 1, False, lambda qs, theta: (_OP_CPHASE, 1 << qs[0], 1j)
+    T = "t", 1, False, lambda qs, theta: (_OP_CPHASE, 1 << qs[0], _T)
+    P = "p", 1, True, lambda qs, theta: _phase(1 << qs[0], theta)
+    CP = "cp", 2, True, lambda qs, theta: _phase((1 << qs[0]) | (1 << qs[1]), theta)
+    CNOT = "cx", 2, False, lambda qs, theta: (_OP_CFLIP, 1 << qs[0], 1 << qs[1])
+    CCX = "ccx", 3, False, lambda qs, theta: (_OP_CFLIP, (1 << qs[0]) | (1 << qs[1]), 1 << qs[2])
+    H = "h", 1, False, lambda qs, theta: (_OP_H, qs[0], 1 << qs[0])
 
     __hash__ = object.__hash__  # by identity, as members compare; Enum hashes in Python
-
-    @property
-    def arity(self) -> int:
-        return _SHAPES[self][0]
-
-    @property
-    def takes_angle(self) -> bool:
-        return _SHAPES[self][1]
 
     @property
     def is_branching(self) -> bool:
         # H is the only gate that maps a basis state to a superposition; every
         # other supported gate permutes basis states and/or multiplies a phase.
         return self is GateKind.H
-
-
-_SHAPES = {  # GateKind -> (arity, takes_angle): the one table of gate shapes
-    GateKind.I: (1, False), GateKind.X: (1, False), GateKind.Y: (1, False),
-    GateKind.Z: (1, False), GateKind.S: (1, False), GateKind.T: (1, False),
-    GateKind.H: (1, False), GateKind.P: (1, True), GateKind.CP: (2, True),
-    GateKind.CNOT: (2, False), GateKind.CCX: (3, False),
-}
 
 
 class Gate(_Record):
@@ -125,26 +148,46 @@ class Gate(_Record):
         return " ".join(parts)
 
 
-def _check_qubit_count(value, noun: str):
-    """Refuse ``value`` unless it is an int, not a bool, from 1 to
-    MAX_QUBITS; ``noun`` names it in the message."""
+def _check_int(value, noun: str):
+    """Refuse ``value``, named ``noun``, unless it is an int and not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise CircuitError(f"{noun} {value!r} is not an integer")
+
+
+def _check_qubit_count(value, noun: str):
+    """Refuse ``value``, named ``noun``, unless it is an int from 1 to MAX_QUBITS."""
+    _check_int(value, noun)
     if value < 1 or value > MAX_QUBITS:
         raise CircuitError(f"{noun} must be between 1 and {MAX_QUBITS}, got {value}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool.  ``numbers`` is loaded
+    past the float fast path: at import it would cost about 0.5 ms."""
+    if type(value) is float:
+        return True
+    import numbers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_seconds(value, noun: str):
+    """Refuse ``value``, named ``noun``, unless it is a real number above 0."""
+    if not (_is_real(value) and value > 0):
+        raise CircuitError(f"{noun} must be positive, got {value!r}")
 
 
 def _gate_problem(gate: Gate, num_qubits: int):
     """Return (message, position) for the first rule ``gate`` breaks, else
     None.  ``position`` indexes the argument the rule names (the arity for
     the angle, which follows the qubits), or is None.  An operand is an int
-    or an int subclass such as IntEnum, never a bool; exact ints go first."""
+    or an int subclass such as IntEnum, and an angle a real number, neither
+    ever a bool; exact ints and floats go first."""
     kind, qubits, theta = gate.kind, gate.qubits, gate.theta
     if type(kind) is not GateKind:  # an Enum with members has no subclasses
         return f"unknown gate kind {kind!r}", None
     if not isinstance(qubits, tuple):  # a list would make the gate unhashable
         return f"qubits {qubits!r} is not a tuple", None
-    arity, takes_angle = _SHAPES[kind]
+    arity = kind.arity
     if len(qubits) != arity:
         return f"{kind.value} expects {arity} qubit operand(s), got {len(qubits)}", None
     for i, q in enumerate(qubits):
@@ -155,10 +198,12 @@ def _gate_problem(gate: Gate, num_qubits: int):
         if q in qubits[:i]:
             return f"duplicate operand {q}", i
     if theta is None:
-        if takes_angle:
+        if kind.takes_angle:
             return f"{kind.value} requires an angle", None
-    elif not takes_angle:
+    elif not kind.takes_angle:
         return f"{kind.value} does not take an angle", None
+    elif not _is_real(theta):
+        return f"angle {theta!r} is not a real number", arity
     elif not math.isfinite(theta):
         return f"angle {theta!r} is not finite", arity
     return None
@@ -210,8 +255,7 @@ class BasisState(_Record):
 
     def __init__(self, bits: int, width: int):
         _check_qubit_count(width, "width")
-        if not isinstance(bits, int) or isinstance(bits, bool):
-            raise CircuitError(f"bits {bits!r} is not an integer")
+        _check_int(bits, "bits")
         if bits < 0 or bits >> width:
             raise CircuitError(f"bits {bits:#x} out of range for width {width}")
         self._init(bits, width)

@@ -48,21 +48,16 @@ def _cmd_simulate(args) -> int:
         stats = None
     print(f"{amplitude.real!r} {amplitude.imag!r}")
     if args.stats:
-        print(f"recursion_calls {stats.recursion_calls}")
-        print(f"edges_traversed {stats.edges_traversed}")
-        print(f"prunes {stats.prunes}")
-        print(f"max_depth_reached {stats.max_depth_reached}")
+        for name in stats._fields:
+            print(f"{name} {getattr(stats, name)}")
     return 0
 
 
 def _cmd_generate(args) -> int:
     if args.a_size is not None and args.family != "hsp":
         raise _UsageError("--a-size only applies to the hsp family")
-    generate = FAMILIES[args.family][0]
-    if args.family == "hsp":
-        circuit = generate(args.n, args.seed, args.a_size)
-    else:
-        circuit = generate(args.n, args.seed)
+    extra = () if args.a_size is None else (args.a_size,)  # hsp only, checked above
+    circuit = FAMILIES[args.family][0](args.n, args.seed, *extra)
     text = serialize_circuit(circuit)
     if args.out is not None:
         Path(args.out).write_text(text)

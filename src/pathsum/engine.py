@@ -14,7 +14,7 @@ from __future__ import annotations
 from ._kernels import (
     PackedCircuit, QueryTimeout, TraversalStats, deadline_at, pack_circuit, traverse,
 )
-from .circuit import AmplitudeQuery, Circuit, CircuitError, _Record, _set
+from .circuit import AmplitudeQuery, Circuit, CircuitError, _check_seconds, _Record, _set
 
 
 class EngineOptions(_Record):
@@ -22,10 +22,10 @@ class EngineOptions(_Record):
 
     ``prune`` cuts a path as soon as the end state is out of reach (each
     remaining gate can fix at most one wrong bit); the cut subtree would have
-    summed to zero, so the amplitude is unchanged.  ``deadline_s`` caps the
-    wall-clock time of one query, numpy's import included on a process's
-    first tree wider than SCALAR_LEAVES; exceeding it raises QueryTimeout,
-    whose ``stats`` holds the counters reached.
+    summed to zero, so the amplitude is unchanged.  ``deadline_s``, None or
+    seconds above 0, caps the wall-clock time of one query, numpy's import
+    included on a process's first tree wider than SCALAR_LEAVES; exceeding
+    it raises QueryTimeout, whose ``stats`` holds the counters reached.
     """
 
     __slots__ = _fields = ("prune", "deadline_s")
@@ -33,6 +33,8 @@ class EngineOptions(_Record):
     def __init__(self, prune: bool = True, deadline_s: float | None = None):
         if type(prune) is not bool:  # "no" would prune and None would not
             raise CircuitError(f"prune must be True or False, got {prune!r}")
+        if deadline_s is not None:
+            _check_seconds(deadline_s, "deadline_s")
         self._init(prune, deadline_s)
 
 

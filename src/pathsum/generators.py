@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from ._rng import SplitMix64
-from .circuit import Circuit, CircuitError, Gate, ccx, cp, h, make_circuit
+from .circuit import Circuit, CircuitError, Gate, _check_int, ccx, cp, h, make_circuit
 
 
 def gen_qft(qubits) -> list[Gate]:
@@ -21,6 +21,8 @@ def gen_qft(qubits) -> list[Gate]:
     later qubit, where a control k positions away contributes 2*pi/2**(k+1).
     """
     order = list(qubits)
+    for q in order:
+        _check_int(q, "QFT qubit")
     if len(order) != len(set(order)):
         raise CircuitError(f"QFT qubit list has duplicates: {order}")
     if not order:
@@ -38,8 +40,10 @@ def _random_toffolis(rng: SplitMix64, n: int, count: int) -> list[Gate]:
     return [ccx(*rng.distinct(n, 3)) for _ in range(count)]
 
 
-def _check_size(family: str, n: int):
-    """Refuse an ``n`` below the family's smallest in ``FAMILIES``."""
+def _check_size(family: str, n: int, seed: int):
+    """Refuse a non-int or bool ``n`` or ``seed``, or an ``n`` below the family's smallest."""
+    _check_int(n, "n")
+    _check_int(seed, "seed")
     smallest = FAMILIES[family][1]
     if n < smallest:
         raise CircuitError(f"{family} circuits need n >= {smallest}, got {n}")
@@ -47,14 +51,14 @@ def _check_size(family: str, n: int):
 
 def gen_layered_hadamard(n: int, seed: int) -> Circuit:
     """H on every qubit, n random Toffolis, H on every qubit again."""
-    _check_size("h-layer", n)
+    _check_size("h-layer", n, seed)
     layer = [h(q) for q in range(n)]  # gates are immutable, so both layers share it
     return make_circuit(n, layer + _random_toffolis(SplitMix64(seed), n, n) + layer)
 
 
 def gen_layered_qft(n: int, seed: int) -> Circuit:
     """QFT on every qubit, n random Toffolis, QFT on every qubit again."""
-    _check_size("qft-layer", n)
+    _check_size("qft-layer", n, seed)
     qft = gen_qft(range(n))  # gates are immutable, so both layers share it
     return make_circuit(n, qft + _random_toffolis(SplitMix64(seed), n, n) + qft)
 
@@ -66,9 +70,10 @@ def gen_hsp_standard(n: int, seed: int, a_size: int | None = None) -> Circuit:
     and the rest the b register.  Each Toffoli draws two distinct controls
     from a and a target from b; repeats across Toffolis are allowed.
     """
-    _check_size("hsp", n)
+    _check_size("hsp", n, seed)
     if a_size is None:
         a_size = (2 * n) // 3
+    _check_int(a_size, "a_size")
     if a_size < 2 or a_size > n - 1:
         raise CircuitError(
             f"hsp a-register size must be in [2, {n - 1}] for n={n}, got {a_size}"

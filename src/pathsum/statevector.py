@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import time
 
-from ._kernels import (
-    _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_Y, _Y0, _Y1, INV_SQRT2, QueryTimeout, deadline_at,
+from ._kernels import QueryTimeout, deadline_at
+from .circuit import (
+    _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_Y, _Y0, _Y1, INV_SQRT2, AmplitudeQuery, BasisState,
+    Circuit, CircuitError,
 )
-from .circuit import AmplitudeQuery, BasisState, Circuit, CircuitError
 from .engine import packed_circuit
 
 # 2**26 complex128 amplitudes are 1 GiB.  A run holds the vector and, while

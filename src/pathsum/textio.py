@@ -18,7 +18,6 @@ from .circuit import (
     CircuitError,
     Gate,
     GateKind,
-    _SHAPES,
     _check_qubit_count,
     _gate_problem,
 )
@@ -86,7 +85,7 @@ def _parse_gate_line(tokens, line_no: int, num_qubits: int) -> Gate:
     if kind is None:
         raise CircuitParseError(f"unknown gate {word!r}", line_no, col)
     args = tokens[1:]
-    arity, takes_angle = _SHAPES[kind]
+    arity, takes_angle = kind.arity, kind.takes_angle
     expected = arity + takes_angle
     if takes_angle and len(args) == arity:
         raise CircuitParseError(f"{mnemonic} is missing its angle", line_no, col)

@@ -110,6 +110,20 @@ _GATE_VERDICTS = [
     (Gate(None, (0,)), ("unknown gate kind None", None)),
     (Gate(1, [0]), ("unknown gate kind 1", None)),
     (Gate(GateKind.CP, (0, 2), -0.0), None),
+    # Added with the rule that an angle is a real number and never a bool;
+    # the rows above keep their verdicts.
+    (Gate(GateKind.P, (0,), "x"), ("angle 'x' is not a real number", 1)),
+    (Gate(GateKind.CP, (0, 1), 1j), ("angle 1j is not a real number", 2)),
+    (Gate(GateKind.P, (0,), True), ("angle True is not a real number", 1)),
+    (Gate(GateKind.CP, (0, 1), False), ("angle False is not a real number", 2)),
+    (Gate(GateKind.P, (0,), np.complex128(1)),
+     ("angle np.complex128(1+0j) is not a real number", 1)),
+    (Gate(GateKind.H, (0,), "x"), ("h does not take an angle", None)),
+    (Gate(GateKind.P, (True,), "x"), ("qubit operand True is not an integer", 0)),
+    (Gate(GateKind.P, (0,), np.float32("nan")), ("angle np.float32(nan) is not finite", 1)),
+    (Gate(GateKind.P, (0,), 1), None),
+    (Gate(GateKind.P, (0,), np.float32(0.5)), None),
+    (Gate(GateKind.CP, (0, 1), np.int64(-2)), None),
 ]
 
 

@@ -15,9 +15,11 @@ from pathsum import (
     make_circuit,
     phase_factor,
 )
-from pathsum import _kernels
 from pathsum._kernels import pack_circuit
-from pathsum.circuit import ccx, cnot, cp, h, identity, p, s, t, x, y, z
+from pathsum.circuit import (
+    _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, ccx, cnot, cp, h, identity, p, s, t,
+    x, y, z,
+)
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -143,26 +145,26 @@ def replay_op(op, bits):
     ``successors`` shapes them, so zero signs count."""
     kind, c, a = op
     factor = 1.0 + 0.0j
-    if kind == _kernels._OP_H:
+    if kind == _OP_H:
         assert a == 1 << c
         high = -INV_SQRT2 if bits & a else INV_SQRT2
         return [(bits & ~a, repr(complex(INV_SQRT2))),
                 (bits | a, repr(complex(high)))]
-    if kind == _kernels._OP_CPHASE:
+    if kind == _OP_CPHASE:
         assert type(a) is complex
         if bits & c == c:
             factor = a
         return [(bits, repr(factor))]
     # Every other op moves the state as ``if state & c == c: state ^= a``.
-    if kind == _kernels._OP_Y:
-        f1, f0 = _kernels._Y1, _kernels._Y0
+    if kind == _OP_Y:
+        f1, f0 = _Y1, _Y0
         assert type(f1) is complex and type(f0) is complex
         assert c == 0
         factor = f1 if bits & a else f0
-    elif kind == _kernels._OP_SKIP:
+    elif kind == _OP_SKIP:
         assert op == (kind, 0, 0)
     else:
-        assert kind == _kernels._OP_CFLIP
+        assert kind == _OP_CFLIP
     if bits & c == c:
         bits ^= a
     return [(bits, repr(factor))]
@@ -188,8 +190,8 @@ def test_packed_encoding_matches_reference_semantics():
 
 def test_packed_hadamard_marked():
     plan = pack_circuit(make_circuit(3, [h(2), x(0)]))
-    assert plan.ops[0] == (_kernels._OP_H, 2, 4)
-    assert plan.ops[1][0] != _kernels._OP_H
+    assert plan.ops[0] == (_OP_H, 2, 4)
+    assert plan.ops[1][0] != _OP_H
     assert plan.hleft == (1, 0, 0)
     for bits in range(8):
         assert replay_op(plan.ops[0], bits) == successors(h(2), BasisState(bits, 3))

@@ -3,6 +3,7 @@ pinned pseudo-random stream the seeds feed.
 """
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pathsum import (
     serialize_circuit,
     statevector_amplitude,
 )
+from pathsum import generators
 from pathsum._rng import SplitMix64
 from pathsum.circuit import cp, h
 from pathsum.generators import FAMILIES
@@ -192,6 +194,38 @@ def test_minimum_sizes_rejected():
         generate(smallest, 1)
         with pytest.raises(CircuitError, match=f"{family} circuits need n >= {smallest}"):
             generate(smallest - 1, 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_layered_hadamard(3, 1.5), "seed 1.5 is not an integer"),
+    (lambda: gen_layered_hadamard(3, True), "seed True is not an integer"),
+    (lambda: gen_layered_qft(3, "1"), "seed '1' is not an integer"),
+    (lambda: gen_hsp_standard(6, None), "seed None is not an integer"),
+    (lambda: gen_hsp_standard(6, np.int64(1)), "seed np.int64(1) is not an integer"),
+    (lambda: gen_layered_hadamard(3.0, 1), "n 3.0 is not an integer"),
+    (lambda: gen_layered_qft(True, 1), "n True is not an integer"),
+    (lambda: gen_hsp_standard("6", 1), "n '6' is not an integer"),
+    (lambda: gen_hsp_standard(6, 1, 2.5), "a_size 2.5 is not an integer"),
+    (lambda: gen_hsp_standard(6, 1, False), "a_size False is not an integer"),
+    (lambda: gen_qft([0, 1.0]), "QFT qubit 1.0 is not an integer"),
+    (lambda: gen_qft([np.int64(0)]), "QFT qubit np.int64(0) is not an integer"),
+    (lambda: gen_qft([0, True]), "QFT qubit True is not an integer"),
+])
+def test_generator_arguments_must_be_integers(build, message, monkeypatch):
+    # Refused before any draw: no generator is seeded.
+    seeded = []
+    monkeypatch.setattr(generators, "SplitMix64", lambda seed: seeded.append(seed))
+    with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
+        build()
+    assert seeded == []
+
+
+def test_negative_and_wide_seeds_still_accepted():
+    # A seed is taken modulo 2**64, as SplitMix64 has always taken it.
+    for generate, n in ((gen_layered_hadamard, 3), (gen_layered_qft, 4), (gen_hsp_standard, 6)):
+        assert generate(n, -1) == generate(n, (1 << 64) - 1)
+        assert generate(n, 1 << 64) == generate(n, 0)
+    assert gen_qft([2, 0]) == [h(2), cp(0, 2, math.pi / 2), h(0)]
 
 
 def test_determinism_and_seed_sensitivity():

@@ -21,10 +21,11 @@ from pathsum import (
     gen_layered_qft, make_circuit, path_sum_amplitude,
 )
 from pathsum.circuit import (
-    AmplitudeQuery, BasisState, ccx, cnot, cp, h, identity, p, s, t, x, y, z,
+    _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, INV_SQRT2, AmplitudeQuery, BasisState, ccx,
+    cnot, cp, h, identity, p, phase_factor, s, t, x, y, z,
 )
 from pathsum.engine import packed_circuit
-from pathsum._kernels import INV_SQRT2, pack_circuit, phase_factor, traverse
+from pathsum._kernels import pack_circuit, traverse
 
 from conftest import (
     apply_nonbranching, branch_gate, random_circuit, random_gate, random_query, reference_walk,
@@ -239,10 +240,10 @@ def test_ops_never_raise_slack_and_undo_themselves():
             for after, _ in replay_op(op, bits):
                 for end in range(32):
                     assert (after ^ end).bit_count() <= (bits ^ end).bit_count() + 1
-                if kind == _kernels._OP_H:
+                if kind == _OP_H:
                     assert after ^ bits in (0, x)
                     continue
-                back = after ^ x if kind != _kernels._OP_CPHASE and after & c == c else after
+                back = after ^ x if kind != _OP_CPHASE and after & c == c else after
                 assert [state for state, _ in replay_op(op, after)] == [back] == [bits]
     assert kinds == set(range(5))
 
@@ -256,8 +257,8 @@ def test_python_complex_product_is_the_float_formula():
              5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
     phases = [complex(a, b) for a in parts for b in parts]
     fixed = [op[2] for op in pack_circuit(make_circuit(1, [z(0), s(0), t(0)])).ops]
-    assert pack_circuit(make_circuit(1, [y(0)])).ops[0] == (_kernels._OP_Y, 0, 1)
-    fixed += [_kernels._Y1, _kernels._Y0]
+    assert pack_circuit(make_circuit(1, [y(0)])).ops[0] == (_OP_Y, 0, 1)
+    fixed += [_Y1, _Y0]
     assert fixed == [-1.0 + 0j, 1j, phase_factor(math.pi / 4), -1j, 1j]
     for f in phases + fixed:
         fr, fi = f.real, f.imag
@@ -605,7 +606,7 @@ def test_packed_rows_mark_only_h_gates():
         plan = pack_circuit(circuit)
         length = len(circuit.gates)
         for i, gate in enumerate(circuit.gates):
-            assert (plan.ops[i][0] == _kernels._OP_H) == gate.kind.is_branching
+            assert (plan.ops[i][0] == _OP_H) == gate.kind.is_branching
             assert plan.hleft[i] == sum(g.kind.is_branching for g in circuit.gates[i:])
             assert plan.nexth[i] == next(
                 (k for k in range(i, length) if circuit.gates[k].kind.is_branching), length)
@@ -617,7 +618,7 @@ def test_packed_rows_mark_only_h_gates():
         assert plan.nexth[-1] == length
         # ``live`` is every op that is neither H nor SKIP, and ``rank``
         # counts them before each position.
-        doing = [op[0] not in (_kernels._OP_H, _kernels._OP_SKIP) for op in plan.ops]
+        doing = [op[0] not in (_OP_H, _OP_SKIP) for op in plan.ops]
         assert plan.live == tuple(op for op, keep in zip(plan.ops, doing) if keep)
         assert plan.rank == tuple(sum(doing[:i]) for i in range(length + 1))
         # No reachable state is further from ``end`` than the bound D that

@@ -15,12 +15,13 @@ import pytest
 
 from pathsum import (
     AmplitudeQuery, BasisState, Circuit, CircuitError, EngineOptions, Gate, GateKind,
-    TraversalStats,
+    TraversalStats, statevector_amplitude,
 )
-from pathsum._kernels import PackedCircuit, pack_circuit
+from pathsum._kernels import PackedCircuit, deadline_at, pack_circuit
 from pathsum.circuit import cnot, h, t
 
 _CIRCUIT = Circuit(2, (h(0), cnot(0, 1), t(1)))
+_QUERY = AmplitudeQuery(BasisState(0, 2), BasisState(3, 2))
 _PLAN = {name: getattr(pack_circuit(_CIRCUIT), name)
          for name in ("ops", "live", "rank", "hleft", "nexth", "moves")}
 _T = "(0.7071067811865476+0.7071067811865475j)"
@@ -112,6 +113,15 @@ def test_pickle_and_copy_round_trip(cls, args, kwargs, text):
     (lambda: BasisState(0, 63), "width must be between 1 and 62, got 63"),
     (lambda: AmplitudeQuery(BasisState(0, 2), BasisState(0, 3)),
      "query start and end states have different widths: 2 vs 3"),
+    # Seconds are a real number above 0, refused at construction, not at
+    # the first query.
+    (lambda: EngineOptions(deadline_s="5"), "deadline_s must be positive, got '5'"),
+    (lambda: EngineOptions(deadline_s=True), "deadline_s must be positive, got True"),
+    (lambda: EngineOptions(deadline_s=0), "deadline_s must be positive, got 0"),
+    (lambda: EngineOptions(deadline_s=1j), "deadline_s must be positive, got 1j"),
+    (lambda: deadline_at("5"), "deadline_s must be positive, got '5'"),
+    (lambda: statevector_amplitude(_CIRCUIT, _QUERY, deadline_s="5"),
+     "deadline_s must be positive, got '5'"),
 ])
 def test_validation_errors(build, message):
     with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
