@@ -76,6 +76,7 @@ class BenchPlan:
         ints = (("n_min", self.n_min), ("trials", self.trials), *(("seed", s) for s in self.seeds))
         for name, value in ints:  # first, so a sweep never meets a bad one
             _check_int(value, name)
+        _check_qubit_count(self.n_max, "n_max")
         for family in self.families:
             if family not in FAMILIES:
                 raise CircuitError(
@@ -90,7 +91,6 @@ class BenchPlan:
             raise CircuitError(
                 f"empty n range: n_min={self.n_min}, n_max={self.n_max}"
             )
-        _check_qubit_count(self.n_max, "n_max")
         for method in self.methods:
             if method not in METHODS:
                 raise CircuitError(

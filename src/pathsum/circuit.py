@@ -162,17 +162,15 @@ def _check_qubit_count(value, noun: str):
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number, not a bool.  ``numbers`` is loaded
-    past the float fast path: at import it would cost about 0.5 ms."""
-    if type(value) is float:
-        return True
+    """Whether ``value`` is a real number, not a bool.  Callers test for a
+    float first: ``numbers`` is loaded here, as at import it costs ~0.5 ms."""
     import numbers
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_seconds(value, noun: str):
     """Refuse ``value``, named ``noun``, unless it is a real number above 0."""
-    if not (_is_real(value) and value > 0):
+    if not ((type(value) is float or _is_real(value)) and value > 0):
         raise CircuitError(f"{noun} must be positive, got {value!r}")
 
 
@@ -202,7 +200,7 @@ def _gate_problem(gate: Gate, num_qubits: int):
             return f"{kind.value} requires an angle", None
     elif not kind.takes_angle:
         return f"{kind.value} does not take an angle", None
-    elif not _is_real(theta):
+    elif type(theta) is not float and not _is_real(theta):
         return f"angle {theta!r} is not a real number", arity
     elif not math.isfinite(theta):
         return f"angle {theta!r} is not finite", arity

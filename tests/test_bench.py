@@ -55,10 +55,13 @@ def test_plan_validation():
     for cap in (0.0, float("nan")):
         with pytest.raises(CircuitError, match="time cap"):
             BenchPlan(**good, time_cap_s=cap)
-    # Checked before the families, so a fractional n_min never reaches the sweep.
+    # Checked before the families and the range, so a fractional n_min or
+    # n_max never reaches the sweep.
     for bad, message in ((dict(n_min=3.5), "n_min 3.5 is not an integer"),
                          (dict(n_min=True), "n_min True is not an integer"),
                          (dict(n_min="3", n_max=2), "n_min '3' is not an integer"),
+                         (dict(n_max="5"), "n_max '5' is not an integer"),
+                         (dict(n_max=4.0), "n_max 4.0 is not an integer"),
                          (dict(time_cap_s=True), "time cap must be positive, got True"),
                          (dict(time_cap_s="5"), "time cap must be positive, got '5'"),
                          (dict(time_cap_s=None), "time cap must be positive, got None")):

@@ -385,13 +385,13 @@ def test_cached_plan_leaves_equality_and_repr_alone():
 
 # Steps of a fresh interpreter.  argv: the narrow circuit's file, its start
 # and end bits, and a file for ``pathsum generate`` to write.  It prints
-# which of ``dataclasses`` and the modules it imports ``import pathsum``
-# loaded, whether numpy and the sweep runner were loaded after each step,
-# and each query's amplitude (by repr) and counters.
+# which of ``dataclasses`` and the modules it imports, and ``numbers``,
+# ``import pathsum`` loaded, whether numpy and the sweep runner were loaded
+# after each step, and each query's amplitude (by repr) and counters.
 _LAZY_STEPS = r"""
 import sys
 import pathsum
-heavy = sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules))
+heavy = sorted({"dataclasses", "inspect", "ast", "dis", "tokenize", "numbers"} & set(sys.modules))
 import contextlib, io, json
 from pathsum import (AmplitudeQuery, BasisState, _kernels, cli, parse_circuit,
                      path_sum_amplitude, serialize_circuit, statevector_amplitude)
@@ -447,7 +447,8 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     narrow_file.write_text(serialize_circuit(narrow))
     seen = run_fresh(_LAZY_STEPS, str(narrow_file), str(start), str(end), str(wide_file))
     # The package's records are slot classes: importing it loads no
-    # dataclasses, nor the inspect, ast, dis and tokenize that it pulls in.
+    # dataclasses, nor the inspect, ast, dis and tokenize that it pulls in;
+    # the gate rule loads ``numbers`` only for an angle that is not a float.
     assert seen["heavy"] == []
     assert seen["loaded"] == {"import": False, "generate": False, "text": False,
                               "narrow": False, "statevector": True}

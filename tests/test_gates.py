@@ -2,7 +2,9 @@
 pruning rule and the traversal lean on.  Also pins the kernels' per-gate ops
 against the readable reference semantics, kind by kind, bit for bit.
 """
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +28,26 @@ INV_SQRT2 = math.sqrt(0.5)
 
 def test_classification():
     assert [kind for kind in GateKind if kind.is_branching] == [GateKind.H]
+
+
+def test_gate_kind_rows():
+    # Each kind's row as the file format and the gate rule read it, in
+    # member order.  A member is found by its mnemonic and stays itself
+    # through pickle and copy; it hashes by identity.
+    rows = [(kind.name, kind.value, kind.arity, kind.takes_angle) for kind in GateKind]
+    assert rows == [
+        ("I", "id", 1, False), ("X", "x", 1, False), ("Y", "y", 1, False),
+        ("Z", "z", 1, False), ("S", "s", 1, False), ("T", "t", 1, False),
+        ("P", "p", 1, True), ("CP", "cp", 2, True), ("CNOT", "cx", 2, False),
+        ("CCX", "ccx", 3, False), ("H", "h", 1, False),
+    ]
+    for kind in GateKind:
+        assert GateKind(kind.value) is kind
+        assert repr(kind) == f"<GateKind.{kind.name}: {kind.value!r}>"
+        assert pickle.loads(pickle.dumps(kind)) is kind and copy.deepcopy(kind) is kind
+        assert hash(kind) == object.__hash__(kind)
+    with pytest.raises(ValueError):
+        GateKind("cnot")
 
 
 def test_apply_nonbranching_examples():
