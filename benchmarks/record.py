@@ -39,9 +39,12 @@ pairs is the host's alone.  The file ``BENCH_<label>-vs-<REV's short
 commit>.json`` holds every run, keyed by pair number, and, per workload,
 each side's attempted and failed queries and, per end-to-end metric, both
 sides' medians over the pairs, the parent's interquartile range, the
-number of pairs the change wins, the change/parent ratio of the medians
-and whether that ratio is within the metric's ``bound`` in
-``BENCHMARK.json`` (a change worse by more than the bound is a breach).
+number of pairs the change wins, the change/parent ratio of the medians,
+whether that ratio is within the metric's ``bound`` in ``BENCHMARK.json``
+(a change worse by more than the bound is a breach) and ``gain_shown``,
+whether the pairs back a claimed gain on the metric: the change wins at
+least GAIN_WINS of them and its median is better than the parent's by more
+than the parent's interquartile range.
 ``src_lines`` is recorded for both sides: the change's at the top level
 and the parent's in ``against``.
 """
@@ -63,9 +66,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # What the benchmark runs: a change to any of these makes a checkout dirty.
 BENCHED_PATHS = ("src", "perfbench", "BENCHMARK.json")
 
-# Parent/change pairs behind a speed claim: it needs the change to win at
-# least nine of ten.
+# Parent/change pairs behind a speed claim, and the pairs of them the
+# change must win for the claim to stand.
 PAIRS = 10
+GAIN_WINS = 9
 
 
 def checkout_state(root: Path) -> dict:
@@ -154,9 +158,11 @@ def summarize(runs: list, spec: dict) -> dict:
     the runs that gave a result; and per end-to-end metric, over the pairs
     where both sides gave a result: each side's median, the parent's
     interquartile range, the pairs in which the change is better (ties
-    count for neither), the change/parent ratio of the medians and whether
-    it is within the metric's bound: at most 1 + bound for a lower-is-better
-    metric, at least 1 - bound for a higher-is-better one."""
+    count for neither), the change/parent ratio of the medians, whether it
+    is within the metric's bound (at most 1 + bound for a lower-is-better
+    metric, at least 1 - bound for a higher-is-better one) and whether a
+    gain is shown: at least GAIN_WINS wins, and the medians apart, in the
+    better direction, by more than the parent's interquartile range."""
     values = {}
     queries = {}
     for run in runs:
@@ -184,16 +190,20 @@ def summarize(runs: list, spec: dict) -> dict:
             parent_median = statistics.median(parent) if both else None
             change_median = statistics.median(change) if both else None
             ratio = change_median / parent_median if parent_median else None
+            parent_iqr = _iqr(parent)
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             summary[name][metric["name"]] = {
                 "better": metric["better"],
                 "pairs": len(both),
                 "parent_median": parent_median,
                 "change_median": change_median,
-                "parent_iqr": _iqr(parent),
-                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "parent_iqr": parent_iqr,
+                "change_wins": wins,
                 "ratio": ratio,
                 "within_bound": None if ratio is None
                 else sign * (ratio - 1) >= -metric["bound"],
+                "gain_shown": bool(both) and wins >= GAIN_WINS
+                and sign * (change_median - parent_median) > parent_iqr,
             }
     return summary
 

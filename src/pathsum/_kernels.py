@@ -108,16 +108,19 @@ class PackedCircuit(_Record):
     of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
     can change: the arg of every op but a CPHASE.  ``top`` is a one-slot
     memo, ``[(start, batch, counters)]`` of the last first batch the walk
-    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``; equality,
-    hashing and ``repr`` leave it out.
+    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``.  ``views``
+    is the state vector's view plan of the ops, None until the circuit's
+    first state-vector run builds it (see ``statevector``).  Equality,
+    hashing and ``repr`` leave ``top`` and ``views`` out.
     """
 
     _fields = ("ops", "live", "rank", "hleft", "nexth", "moves")
-    __slots__ = (*_fields, "top")
+    __slots__ = (*_fields, "top", "views")
 
     def __init__(self, ops, live, rank, hleft, nexth, moves):
         self._init(ops, live, rank, hleft, nexth, moves)
         _set(self, "top", [None])
+        _set(self, "views", None)
 
 
 def pack_circuit(circuit: Circuit) -> PackedCircuit:

@@ -202,8 +202,13 @@ def _gate_problem(gate: Gate, num_qubits: int):
         return f"{kind.value} does not take an angle", None
     elif type(theta) is not float and not _is_real(theta):
         return f"angle {theta!r} is not a real number", arity
-    elif not math.isfinite(theta):
-        return f"angle {theta!r} is not finite", arity
+    else:
+        try:
+            finite = math.isfinite(theta)
+        except OverflowError:  # an int or Fraction past the largest float
+            return f"angle {theta!r} is too large for a float", arity
+        if not finite:
+            return f"angle {theta!r} is not finite", arity
     return None
 
 

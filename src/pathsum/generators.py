@@ -23,6 +23,8 @@ def gen_qft(qubits) -> list[Gate]:
     order = list(qubits)
     for q in order:
         _check_int(q, "QFT qubit")
+        if q < 0:
+            raise CircuitError(f"QFT qubit {q} is negative")
     if len(order) != len(set(order)):
         raise CircuitError(f"QFT qubit list has duplicates: {order}")
     if not order:

@@ -124,6 +124,11 @@ _GATE_VERDICTS = [
     (Gate(GateKind.P, (0,), 1), None),
     (Gate(GateKind.P, (0,), np.float32(0.5)), None),
     (Gate(GateKind.CP, (0, 1), np.int64(-2)), None),
+    # Added with the rule that an angle must fit in a float; an int that
+    # does not once escaped ``math.isfinite`` as OverflowError.
+    (Gate(GateKind.P, (0,), 2**1100), (f"angle {2**1100!r} is too large for a float", 1)),
+    (Gate(GateKind.CP, (0, 1), -2**1100), (f"angle {-2**1100!r} is too large for a float", 2)),
+    (Gate(GateKind.P, (0,), 2**1023), None),
 ]
 
 

@@ -32,7 +32,7 @@ from pathsum import (
     serialize_circuit,
     statevector_amplitude,
 )
-from pathsum import _kernels, engine
+from pathsum import _kernels, engine, statevector
 from pathsum.circuit import ccx, cnot, h, s, t, x
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -372,15 +372,43 @@ def test_circuit_is_packed_once(monkeypatch):
     assert packed == [c]
 
 
+def test_views_are_planned_once_and_only_for_the_state_vector(monkeypatch):
+    planned = []
+    plan_views = statevector._op_views
+
+    def counting_views(num_qubits, ops):
+        planned.append(ops)
+        return plan_views(num_qubits, ops)
+
+    monkeypatch.setattr(statevector, "_op_views", counting_views)
+    rng = np.random.default_rng(114)
+    c = random_circuit(rng, 5, 20)
+    for _ in range(4):
+        path_sum_amplitude(c, random_query(rng, 5))
+    assert planned == [] and engine.packed_circuit(c).views is None
+    for _ in range(4):
+        statevector_amplitude(c, random_query(rng, 5))
+    path_sum_amplitude(c, random_query(rng, 5))
+    assert planned == [engine.packed_circuit(c).ops]
+    assert engine.packed_circuit(c).views is not None
+
+
 def test_cached_plan_leaves_equality_and_repr_alone():
     rng = np.random.default_rng(113)
     gates = random_circuit(rng, 4, 12).gates
-    queried = make_circuit(4, gates)
     fresh = make_circuit(4, gates)
+    queried = make_circuit(4, gates)
     path_sum_amplitude(queried, _query(4, 0, 0))
-    assert queried == fresh and fresh == queried
-    assert repr(queried) == repr(fresh)
-    assert hash(queried) == hash(fresh)
+    dense = make_circuit(4, gates)  # packed, with its views planned
+    statevector_amplitude(dense, _query(4, 0, 0))
+    assert engine.packed_circuit(dense).views is not None
+    for circuit in (queried, dense):
+        assert circuit == fresh and fresh == circuit
+        assert repr(circuit) == repr(fresh)
+        assert hash(circuit) == hash(fresh)
+    plans = [engine.packed_circuit(c) for c in (queried, dense)]
+    assert plans[0] == plans[1] and hash(plans[0]) == hash(plans[1])
+    assert repr(plans[0]) == repr(plans[1]) and "views" not in repr(plans[1])
 
 
 # Steps of a fresh interpreter.  argv: the narrow circuit's file, its start

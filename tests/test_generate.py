@@ -100,6 +100,10 @@ def test_qft_on_arbitrary_qubit_subsets():
         gen_qft([0, 0])
     with pytest.raises(CircuitError, match="at least one"):
         gen_qft([])
+    # A negative qubit is refused here, not left for make_circuit to find.
+    for qubits, bad in (([-1], -1), ([0, 2, -3], -3), (range(-1, 2), -1)):
+        with pytest.raises(CircuitError, match=f"^QFT qubit {bad} is negative$"):
+            gen_qft(qubits)
 
 
 def test_layered_hadamard_counts():

@@ -1,6 +1,7 @@
 """benchmarks/record.py: a checkout whose benchmarked paths differ from its
 commit is not filed under that commit, and paired runs against another
-commit alternate sides and are summarized per metric; ``--workload``
+commit alternate sides and are summarized per metric, with whether they
+show a gain; ``--workload``
 narrows either kind of recording to the named workloads; every file
 records the benchmarked source's line count."""
 import hashlib
@@ -133,9 +134,10 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         rate = out["summary"][workload]["queries_per_s"]
         assert rate == {"better": "higher", "pairs": 10, "parent_median": 105.5,
                         "change_median": 110.0, "parent_iqr": 4.5, "change_wins": 8,
-                        "ratio": 110.0 / 105.5, "within_bound": True}
+                        "ratio": 110.0 / 105.5, "within_bound": True, "gain_shown": False}
         rss = out["summary"][workload]["peak_rss_mb"]
         assert rss["change_wins"] == 0 and rss["parent_iqr"] == 0.0
+        assert rss["gain_shown"] is False
         assert rss["ratio"] == pytest.approx(1.18) and rss["within_bound"] is False
         failed = int(workload == "two")
         assert out["summary"][workload]["queries"] == {
@@ -189,4 +191,39 @@ def test_summary_skips_pairs_without_both_results():
                     "change": {"attempted": 9, "failed": 1}},
         "setup_s": {"better": "lower", "pairs": 1, "parent_median": 2.0,
                     "change_median": 1.0, "parent_iqr": 0.0, "change_wins": 1,
-                    "ratio": 0.5, "within_bound": True}}}
+                    "ratio": 0.5, "within_bound": True, "gain_shown": False}}}
+
+
+def _pairs(parent, change):
+    """Runs of one workload "w" whose metric "m" reads ``parent[i]`` and
+    ``change[i]`` in pair i + 1."""
+    return [{"side": side, "pair": pair, "workload": "w",
+             "result": {"attempted": 1, "failed": 0, "metrics": {"m": {"value": value}}}}
+            for pair, values in enumerate(zip(parent, change), 1)
+            for side, value in zip(("parent", "change"), values)]
+
+
+@pytest.mark.parametrize("better, parent, change, shown", [
+    # Nine wins of ten, and medians 2.0 apart against a parent IQR of 1.0.
+    ("lower", [10, 10, 10, 10, 10, 11, 11, 11, 12, 12],
+     [8, 8, 8, 8, 8, 9, 9, 9, 10, 12.5], True),
+    ("higher", [10, 10, 10, 10, 10, 11, 11, 11, 12, 12],
+     [12, 12, 12, 12, 12, 13, 13, 13, 14, 9], True),
+    # Eight wins are too few, however wide the gap.
+    ("lower", [10] * 10, [1] * 8 + [11, 11], False),
+    # Ten wins, but the medians are 0.5 apart against a parent IQR of 1.0.
+    ("lower", [10, 10, 10, 10, 10, 11, 11, 11, 12, 12],
+     [9.5, 9.5, 9.5, 9.5, 9.5, 10.5, 10.5, 10.5, 11.5, 11.5], False),
+    # A gap of exactly the IQR is not past it.
+    ("higher", [10, 10, 10, 10, 10, 11, 11, 11, 12, 12],
+     [11, 11, 11, 11, 11, 12, 12, 12, 13, 13], False),
+    # Ten wins and a wide gap, in the worse direction.
+    ("higher", [10] * 10, [5] * 10, False),
+])
+def test_gain_shown_needs_nine_wins_and_a_gap_past_the_parent_iqr(better, parent, change,
+                                                                   shown):
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "m", "better": better, "bound": 0.25}]}
+    summary = record.summarize(_pairs(parent, change), spec)["w"]["m"]
+    assert summary["gain_shown"] is shown
+    assert summary["change_wins"] >= record.GAIN_WINS or not shown

@@ -1,6 +1,8 @@
 """Dense backend: worked vectors, the memory guard, norm preservation and
-linearity against explicit matrices, over every kind of plan op.
+linearity against explicit matrices, over every kind of plan op, and the
+exact bytes of its output.
 """
+import hashlib
 import math
 import time
 import tracemalloc
@@ -22,7 +24,8 @@ from pathsum import (
     statevector_simulate,
 )
 from pathsum import AmplitudeQuery
-from pathsum.circuit import ccx, cnot, cp, h, identity, p, x, y
+from pathsum.circuit import ccx, cnot, cp, h, identity, p, s, t, x, y, z
+from pathsum.generators import FAMILIES
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -126,7 +129,9 @@ def test_traced_peak_is_the_vector_and_two_half_copies():
     # half-vector copies, 32 B in all; 40 leaves room for small objects.
     n = 14
     circuits = [gen_layered_hadamard(n, 1), gen_layered_qft(n, 1),
-                make_circuit(n, [h(0), y(3), h(7), y(0), cnot(0, 7), y(13)])]
+                make_circuit(n, [h(0), y(3), h(7), y(0), cnot(0, 7), y(13)]),
+                make_circuit(n, [h(0), h(13), ccx(0, 13, 6), cp(6, 1, 0.5), ccx(12, 1, 0),
+                                 cp(0, 13, math.pi), h(6)])]
     for c in circuits:
         statevector_simulate(c, BasisState.zeros(n))  # pack outside the measurement
         tracemalloc.start()
@@ -154,3 +159,41 @@ def test_each_backend_is_deterministic():
     first = statevector_simulate(c, start)
     second = statevector_simulate(c, start)
     np.testing.assert_array_equal(first, second)
+
+
+# sha256 of statevector_simulate(...).tobytes(), recorded before the op views
+# were planned once per circuit, so a change in any amplitude's last bit or
+# in the sign of a zero part shows.  Each family at two (n, seed) points from
+# start 0x2D6 cut to n bits, and one circuit with every op kind: SKIP (I,
+# P and CP at 0), FLIP (X), Y, CFLIP (CNOT, CCX), CPHASE (Z, S, T, P and CP
+# at pi and at other angles) and H, from four starts.
+_FAMILY_DIGESTS = {
+    ("h-layer", 3, 2): "3f1ecf4a2efac6c4ca50fe408d05bc75071e3a0897fdd761187f7c0de20026ca",
+    ("h-layer", 11, 3): "1a65ef46d2542dd2d5dd7f9951ae78c2eece5ab3bfc636a476d9f7c9b0ed9ced",
+    ("qft-layer", 3, 2): "cf4d22c07484b14e106b62a97bd7e3c78c780e34ab2decf24c563bc25e3e0de9",
+    ("qft-layer", 11, 3): "6f3c03042525e84ef1a35ea92e07584954940a4d7691146c1c904ceedd852d91",
+    ("hsp", 5, 2): "c9ce324728b9d0a603c386978856812e29a949d790c520449c971dcda4ebbe2b",
+    ("hsp", 11, 3): "05a8ebe05f83f7ca58fa22b617580cda23b29fbf731e1934d0124fc3b4c5d15c",
+}
+_EVERY_OP = make_circuit(4, [
+    h(0), h(2), identity(1), x(1), y(0), z(2), s(1), t(0), p(3, 0.0), p(2, math.pi),
+    p(1, 0.3), cp(0, 3, 0.0), cp(1, 2, math.pi), cp(2, 0, -1.2), cnot(0, 3), ccx(2, 0, 1),
+    h(3), h(1), y(3)])
+_EVERY_OP_DIGESTS = {
+    0: "a71e3e42f8392484af26a3d5bc1b12952d1695dcb264c9d03407b3433fbd49ea",
+    6: "ab200358a7e652bc9ad0801eb4a72088705714bd06c9ad39da580bd1c2bb4fa9",
+    9: "ea7807f0c9a13c47f42697f9a14594daf96fafb0b66d765a926aa6229da3922b",
+    15: "02dcecba202ce4a1ada0f8136a125984371b8947e6d13e9aa48ac94d4cfa5766",
+}
+
+
+def _digest(circuit, start):
+    return hashlib.sha256(statevector_simulate(circuit, start).tobytes()).hexdigest()
+
+
+def test_output_bytes_are_pinned():
+    for (family, n, seed), digest in _FAMILY_DIGESTS.items():
+        circuit = FAMILIES[family][0](n, seed)
+        assert _digest(circuit, BasisState(0x2D6 & ((1 << n) - 1), n)) == digest, (family, n)
+    for start, digest in _EVERY_OP_DIGESTS.items():
+        assert _digest(_EVERY_OP, BasisState(start, 4)) == digest, start
