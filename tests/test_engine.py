@@ -396,8 +396,8 @@ def test_views_are_planned_once_and_only_for_the_state_vector(monkeypatch):
 def test_cached_plan_leaves_equality_and_repr_alone():
     rng = np.random.default_rng(113)
     gates = random_circuit(rng, 4, 12).gates
-    fresh = make_circuit(4, gates)
     queried = make_circuit(4, gates)
+    fresh = make_circuit(4, gates)
     path_sum_amplitude(queried, _query(4, 0, 0))
     dense = make_circuit(4, gates)  # packed, with its views planned
     statevector_amplitude(dense, _query(4, 0, 0))

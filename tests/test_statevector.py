@@ -133,7 +133,7 @@ def test_traced_peak_is_the_vector_and_two_half_copies():
                 make_circuit(n, [h(0), h(13), ccx(0, 13, 6), cp(6, 1, 0.5), ccx(12, 1, 0),
                                  cp(0, 13, math.pi), h(6)])]
     for c in circuits:
-        statevector_simulate(c, BasisState.zeros(n))  # pack outside the measurement
+        statevector_simulate(c, BasisState.zeros(n))  # pack and plan views untraced
         tracemalloc.start()
         try:
             statevector_simulate(c, BasisState.zeros(n))
