@@ -44,7 +44,12 @@ whether that ratio is within the metric's ``bound`` in ``BENCHMARK.json``
 (a change worse by more than the bound is a breach) and ``gain_shown``,
 whether the pairs back a claimed gain on the metric: the change wins at
 least GAIN_WINS of them and its median is better than the parent's by more
-than the parent's interquartile range.
+than the parent's interquartile range.  Where ``peak_rss_mb`` is an
+end-to-end metric, ``rss_bytes_per_extra_query`` is the change's median
+``peak_rss_mb`` less the parent's, in bytes, over its median attempted
+queries per run less the parent's: whether a move in peak RSS is the
+harness keeping each query's result.  It is null when the median attempted
+counts differ by less than RSS_QUERY_SPREAD of the parent's.
 ``src_lines`` is recorded for both sides: the change's at the top level
 and the parent's in ``against``.
 """
@@ -70,6 +75,10 @@ BENCHED_PATHS = ("src", "perfbench", "BENCHMARK.json")
 # change must win for the claim to stand.
 PAIRS = 10
 GAIN_WINS = 9
+
+# Below this relative difference in attempted queries per run, peak RSS
+# over extra queries is mostly noise, so it is not written.
+RSS_QUERY_SPREAD = 0.05
 
 
 def checkout_state(root: Path) -> dict:
@@ -165,6 +174,7 @@ def summarize(runs: list, spec: dict) -> dict:
     better direction, by more than the parent's interquartile range."""
     values = {}
     queries = {}
+    attempted = {}  # (workload, side): each run's attempted queries
     for run in runs:
         result = run.get("result")
         if not result:
@@ -172,6 +182,7 @@ def summarize(runs: list, spec: dict) -> dict:
         count = queries.setdefault((run["workload"], run["side"]), {"attempted": 0, "failed": 0})
         count["attempted"] += result["attempted"]
         count["failed"] += result["failed"]
+        attempted.setdefault((run["workload"], run["side"]), []).append(result["attempted"])
         for name, metric in result["metrics"].items():
             key = (run["workload"], name)
             values.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = metric["value"]
@@ -205,7 +216,24 @@ def summarize(runs: list, spec: dict) -> dict:
                 "gain_shown": bool(both) and wins >= GAIN_WINS
                 and sign * (change_median - parent_median) > parent_iqr,
             }
+        if "peak_rss_mb" in summary[name]:
+            summary[name]["rss_bytes_per_extra_query"] = _rss_per_extra_query(
+                summary[name]["peak_rss_mb"], attempted.get((name, "parent"), []),
+                attempted.get((name, "change"), []))
     return summary
+
+
+def _rss_per_extra_query(rss: dict, parent: list, change: list) -> float | None:
+    """Bytes of median peak RSS the change adds per extra attempted query
+    in a run, from the ``peak_rss_mb`` summary and each side's attempted
+    queries per run; None without a pair, or when their median attempted
+    counts differ by less than RSS_QUERY_SPREAD of the parent's."""
+    if not rss["pairs"]:
+        return None
+    extra = statistics.median(change) - statistics.median(parent)
+    if abs(extra) < RSS_QUERY_SPREAD * statistics.median(parent):
+        return None
+    return (rss["change_median"] - rss["parent_median"]) * 2**20 / extra
 
 
 def record_pairs(root: Path, spec: dict, state: dict, label: str,

@@ -14,7 +14,6 @@ import os
 import platform
 import time
 import tracemalloc
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np  # here, so that no trial times its import
@@ -22,28 +21,13 @@ import numpy as np  # here, so that no trial times its import
 from . import _kernels
 from .circuit import (
     AmplitudeQuery, BasisState, CircuitError, _check_int, _check_qubit_count, _check_seconds,
+    _Record,
 )
 from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
 from .generators import FAMILIES
 from .statevector import StateVectorLimitError, statevector_amplitude
 
 METHODS = ("pathsum", "statevector")
-
-CSV_COLUMNS = [
-    "family",
-    "n",
-    "seed",
-    "method",
-    "trial",
-    "wall_time_s",
-    "peak_mem_bytes",
-    "amp_re",
-    "amp_im",
-    "recursion_calls",
-    "prunes",
-    "timed_out",
-    "note",
-]
 
 # Written next to every CSV because the CSV cannot say this about itself.
 MEMORY_NOTE = (
@@ -59,66 +43,69 @@ MEMORY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class BenchPlan:
-    """One sweep: families x n range x seeds x methods x trials."""
+class BenchPlan(_Record):
+    """One sweep: families x n range x seeds x methods x trials.  Each of
+    families, seeds and methods is non-empty and repeats no value."""
 
-    families: tuple[str, ...]
-    n_min: int
-    n_max: int
-    seeds: tuple[int, ...] = (1,)
-    methods: tuple[str, ...] = METHODS
-    trials: int = 3
-    time_cap_s: float = 3600.0
-    prune: bool = True
+    __slots__ = _fields = ("families", "n_min", "n_max", "seeds", "methods", "trials",
+                           "time_cap_s", "prune")
 
-    def __post_init__(self):
-        ints = (("n_min", self.n_min), ("trials", self.trials), *(("seed", s) for s in self.seeds))
-        for name, value in ints:  # first, so a sweep never meets a bad one
-            _check_int(value, name)
-        _check_qubit_count(self.n_max, "n_max")
-        for family in self.families:
+    def __init__(self, families: tuple[str, ...], n_min: int, n_max: int,
+                 seeds: tuple[int, ...] = (1,), methods: tuple[str, ...] = METHODS,
+                 trials: int = 3, time_cap_s: float = 3600.0, prune: bool = True):
+        for name, value in (("n_min", n_min), ("trials", trials), *(("seed", s) for s in seeds)):
+            _check_int(value, name)  # first, so a sweep never meets a bad one
+        _check_qubit_count(n_max, "n_max")
+        for family in families:
             if family not in FAMILIES:
                 raise CircuitError(
                     f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}"
                 )
             smallest = FAMILIES[family][1]
-            if self.n_min < smallest:
+            if n_min < smallest:
                 raise CircuitError(
-                    f"family {family!r} supports n >= {smallest}, plan starts at {self.n_min}"
+                    f"family {family!r} supports n >= {smallest}, plan starts at {n_min}"
                 )
-        if self.n_max < self.n_min:
-            raise CircuitError(
-                f"empty n range: n_min={self.n_min}, n_max={self.n_max}"
-            )
-        for method in self.methods:
+        if n_max < n_min:
+            raise CircuitError(f"empty n range: n_min={n_min}, n_max={n_max}")
+        for method in methods:
             if method not in METHODS:
-                raise CircuitError(
-                    f"unknown method {method!r}; known: {', '.join(METHODS)}"
-                )
-        if not self.seeds:
-            raise CircuitError("plan needs at least one seed")
-        if self.trials < 1:
-            raise CircuitError(f"trials must be >= 1, got {self.trials}")
-        _check_seconds(self.time_cap_s, "time cap")
+                raise CircuitError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
+        # An empty list gives an empty sweep, and a repeat duplicate rows.
+        for noun, values in (("family", families), ("seed", seeds), ("method", methods)):
+            if not values:
+                raise CircuitError(f"plan needs at least one {noun}")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise CircuitError(f"{noun} {repeats[0]!r} is listed twice")
+        if trials < 1:
+            raise CircuitError(f"trials must be >= 1, got {trials}")
+        _check_seconds(time_cap_s, "time cap")
+        if type(prune) is not bool:  # else every pathsum row is an error
+            raise CircuitError(f"prune must be True or False, got {prune!r}")
+        self._init(families, n_min, n_max, seeds, methods, trials, time_cap_s, prune)
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(_Record):
     """One timed run (or one skipped/failed run, see ``note``)."""
 
-    family: str
-    n: int
-    seed: int
-    method: str
-    trial: int
-    wall_time_s: float
-    peak_mem_bytes: int
-    amplitude: complex | None
-    recursion_calls: int | None
-    prunes: int | None
-    timed_out: bool
-    note: str = ""
+    __slots__ = _fields = ("family", "n", "seed", "method", "trial", "wall_time_s",
+                           "peak_mem_bytes", "amplitude", "recursion_calls", "prunes",
+                           "timed_out", "note")
+
+    def __init__(self, family: str, n: int, seed: int, method: str, trial: int,
+                 wall_time_s: float, peak_mem_bytes: int, amplitude: complex | None,
+                 recursion_calls: int | None, prunes: int | None, timed_out: bool,
+                 note: str = ""):
+        self._init(family, n, seed, method, trial, wall_time_s, peak_mem_bytes, amplitude,
+                   recursion_calls, prunes, timed_out, note)
+
+
+# One column per record field, but two for the amplitude.
+CSV_COLUMNS = [column for name in BenchRecord._fields
+               for column in (("amp_re", "amp_im") if name == "amplitude" else (name,))]
+_AMPLITUDE = BenchRecord._fields.index("amplitude")
+_TIMED_OUT = CSV_COLUMNS.index("timed_out")
 
 
 def _query(plan: BenchPlan, circuit, query, method: str):
@@ -195,22 +182,12 @@ def write_csv_rows(records, handle):
     writer = csv.writer(handle)  # None is written as "" and a float as its repr
     writer.writerow(CSV_COLUMNS)
     for r in records:
+        row = list(r._values)
         amplitude = None if r.timed_out else r.amplitude
-        writer.writerow([
-            r.family,
-            r.n,
-            r.seed,
-            r.method,
-            r.trial,
-            r.wall_time_s,
-            r.peak_mem_bytes,
-            None if amplitude is None else amplitude.real,
-            None if amplitude is None else amplitude.imag,
-            r.recursion_calls,
-            r.prunes,
-            "true" if r.timed_out else "false",
-            r.note,
-        ])
+        row[_AMPLITUDE:_AMPLITUDE + 1] = (
+            (None, None) if amplitude is None else (amplitude.real, amplitude.imag))
+        row[_TIMED_OUT] = "true" if r.timed_out else "false"
+        writer.writerow(row)
 
 
 def _environment() -> dict:

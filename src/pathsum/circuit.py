@@ -169,9 +169,15 @@ def _is_real(value) -> bool:
 
 
 def _check_seconds(value, noun: str):
-    """Refuse ``value``, named ``noun``, unless it is a real number above 0."""
+    """Refuse ``value``, named ``noun``, unless it is a real number above 0
+    that a float can hold, since a deadline adds it to a float clock."""
     if not ((type(value) is float or _is_real(value)) and value > 0):
         raise CircuitError(f"{noun} must be positive, got {value!r}")
+    if type(value) is not float:
+        try:
+            float(value)
+        except OverflowError:  # an int or Fraction past the largest float
+            raise CircuitError(f"{noun} {value!r} is too large for a float") from None
 
 
 def _gate_problem(gate: Gate, num_qubits: int):

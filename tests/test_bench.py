@@ -64,7 +64,19 @@ def test_plan_validation():
                          (dict(n_max=4.0), "n_max 4.0 is not an integer"),
                          (dict(time_cap_s=True), "time cap must be positive, got True"),
                          (dict(time_cap_s="5"), "time cap must be positive, got '5'"),
-                         (dict(time_cap_s=None), "time cap must be positive, got None")):
+                         (dict(time_cap_s=None), "time cap must be positive, got None"),
+                         (dict(time_cap_s=2**1100), f"time cap {2**1100} is too large for a float"),
+                         # Not an empty sweep, nor one with duplicate rows.
+                         (dict(families=()), "plan needs at least one family"),
+                         (dict(methods=()), "plan needs at least one method"),
+                         (dict(families=("h-layer", "hsp", "h-layer"), n_min=5, n_max=5),
+                          "family 'h-layer' is listed twice"),
+                         (dict(seeds=(1, 2, 1)), "seed 1 is listed twice"),
+                         (dict(methods=("pathsum", "pathsum")), "method 'pathsum' is listed twice"),
+                         # Not an error row for every pathsum run.
+                         (dict(prune="no"), "prune must be True or False, got 'no'"),
+                         (dict(prune=None), "prune must be True or False, got None"),
+                         (dict(prune=1), "prune must be True or False, got 1")):
         with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
             BenchPlan(**{**good, **bad})
 

@@ -1,6 +1,7 @@
 """Path-sum engine: worked amplitudes, traversal counters, pruning, bounds,
 oracle equivalence against the dense backend and the matrix oracle.
 """
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    circuit_unitary, end_state_reachable, invert_circuit, random_circuit,
-    random_query, random_state, run_fresh,
+    apply_nonbranching, branch_gate, circuit_unitary, end_state_reachable, invert_circuit,
+    random_circuit, random_query, random_state, run_fresh,
 )
 from pathsum import (
     AmplitudeQuery,
@@ -34,6 +35,7 @@ from pathsum import (
 )
 from pathsum import _kernels, engine, statevector
 from pathsum.circuit import ccx, cnot, h, s, t, x
+from pathsum.generators import FAMILIES
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -414,8 +416,10 @@ def test_cached_plan_leaves_equality_and_repr_alone():
 # Steps of a fresh interpreter.  argv: the narrow circuit's file, its start
 # and end bits, and a file for ``pathsum generate`` to write.  It prints
 # which of ``dataclasses`` and the modules it imports, and ``numbers``,
-# ``import pathsum`` loaded, whether numpy and the sweep runner were loaded
-# after each step, and each query's amplitude (by repr) and counters.
+# ``import pathsum`` loaded, whether ``dataclasses`` was loaded once the
+# last step had imported the sweep runner, whether numpy and the sweep
+# runner were loaded after each step, and each query's amplitude (by repr)
+# and counters.
 _LAZY_STEPS = r"""
 import sys
 import pathsum
@@ -452,8 +456,10 @@ wide = parse_circuit(open(sys.argv[4]).read())
 zeros = BasisState.zeros(wide.num_qubits)
 wide_amplitude, wide_stats = path_sum_amplitude(wide, AmplitudeQuery(zeros, zeros))
 kernel_loaded["wide"] = _kernels.np is sys.modules["numpy"]
+import pathsum.bench
 print(json.dumps({
-    "heavy": heavy, "loaded": loaded, "bench_loaded": bench_loaded,
+    "heavy": heavy, "bench_dataclasses": "dataclasses" in sys.modules,
+    "loaded": loaded, "bench_loaded": bench_loaded,
     "kernel_loaded": kernel_loaded, "round_trip": round_trip,
     "narrow": [repr(amplitude), counters(stats)], "statevector": repr(dense),
     "wide": [repr(wide_amplitude), counters(wide_stats)],
@@ -478,6 +484,9 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     # dataclasses, nor the inspect, ast, dis and tokenize that it pulls in;
     # the gate rule loads ``numbers`` only for an angle that is not a float.
     assert seen["heavy"] == []
+    # Nor does the sweep runner, whose records are slot classes too (numpy
+    # loads the others).
+    assert seen["bench_dataclasses"] is False
     assert seen["loaded"] == {"import": False, "generate": False, "text": False,
                               "narrow": False, "statevector": True}
     # Nor is the sweep runner, which only ``pathsum bench`` imports.
@@ -576,3 +585,58 @@ def test_first_wide_queries_race_on_the_numpy_loader():
     amplitude, stats = path_sum_amplitude(gen_hsp_standard(8, 1), _query(8, 0, 0))
     assert seen["held"]
     assert seen["results"] == [[repr(amplitude), _counters(stats)]] * 2
+
+
+# sha256 of the lines ``repr(amplitude) counters`` of every query at a
+# family point, recorded before the sweep runner's records became slot
+# classes, so a change in an amplitude's last bit, in the sign of a zero
+# part or in any counter shows.  Each family at a point whose tree fits in
+# SCALAR_LEAVES leaves, where the scalar walk takes it all, and at one
+# past it, where the frontier walk runs and the plan keeps its top.  From
+# zeros, to zeros and to the ends of two random paths, pruned and not;
+# each query runs twice on the circuit's one plan, the second from the top
+# the first kept where it kept one.
+_WALK_DIGESTS = {
+    ("h-layer", 3, 2): "cb7181487bd86d980f8992863328bdc42e050d776ccaba40532ede578e4f4bb4",
+    ("h-layer", 6, 3): "e35b1c2fb71d354b76c860b9a7587c385db1338b921f0418b75614da4fec8bed",
+    ("qft-layer", 3, 2): "fcf37e68cfa2284a79d9444fcae990ea28334369f23997845922d14500f0e7f6",
+    ("qft-layer", 6, 3): "5d8051cfbf9f8fe14583554c3d46daf0214c2cbe4a76c8248784563c70e20499",
+    ("hsp", 5, 2): "86c06893f1eefb085a29611a882d0fd29b04895b167366b0aa99dc334b540f2a",
+    ("hsp", 9, 3): "0b485e28493f4d56b5f148d569eeb08bc721d16234f627a82551f218945ca5f8",
+}
+
+
+def _random_path_end(rng, circuit, start):
+    """The end state of one random path from ``start``."""
+    state = start
+    for gate in circuit.gates:
+        if gate.kind.is_branching:
+            state = branch_gate(gate, state)[int(rng.integers(2))].state
+        else:
+            state = apply_nonbranching(gate, state).state
+    return state
+
+
+def _walk_digest(circuit, rng):
+    zeros = BasisState.zeros(circuit.num_qubits)
+    ends = [zeros] + [_random_path_end(rng, circuit, zeros) for _ in range(2)]
+    lines = []
+    for end in ends:
+        for prune in (True, False):
+            options = EngineOptions(prune=prune)
+            runs = [path_sum_amplitude(circuit, AmplitudeQuery(zeros, end), options)
+                    for _ in range(2)]
+            first, again = ([repr(amplitude), _counters(stats)] for amplitude, stats in runs)
+            assert again == first, (end, prune)
+            lines.append(f"{first[0]} {first[1]}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def test_walk_outputs_are_pinned():
+    rng = np.random.default_rng(25)
+    for (family, n, seed), digest in _WALK_DIGESTS.items():
+        circuit = FAMILIES[family][0](n, seed)
+        assert _walk_digest(circuit, rng) == digest, (family, n)
+        # The trees past SCALAR_LEAVES leaves, and only those, kept a top.
+        wide = 1 << circuit.branching_count > _kernels.SCALAR_LEAVES
+        assert wide == (n >= 6) and (engine.packed_circuit(circuit).top[0] is not None) == wide

@@ -1,7 +1,7 @@
 """benchmarks/record.py: a checkout whose benchmarked paths differ from its
 commit is not filed under that commit, and paired runs against another
 commit alternate sides and are summarized per metric, with whether they
-show a gain; ``--workload``
+show a gain, and with peak RSS per extra query; ``--workload``
 narrows either kind of recording to the named workloads; every file
 records the benchmarked source's line count."""
 import hashlib
@@ -143,6 +143,8 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
         assert out["summary"][workload]["queries"] == {
             "parent": {"attempted": 555, "failed": 0},
             "change": {"attempted": 555, "failed": failed}}
+        # Both sides attempt as many queries, so no RSS per extra query.
+        assert out["summary"][workload]["rss_bytes_per_extra_query"] is None
 
 
 def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
@@ -192,6 +194,30 @@ def test_summary_skips_pairs_without_both_results():
         "setup_s": {"better": "lower", "pairs": 1, "parent_median": 2.0,
                     "change_median": 1.0, "parent_iqr": 0.0, "change_wins": 1,
                     "ratio": 0.5, "within_bound": True, "gain_shown": False}}}
+
+
+@pytest.mark.parametrize("parent_queries, change_queries, change_rss, expected", [
+    # 1,000 more queries per run in the median, and 0.5 MiB more peak RSS
+    # than the parent's 40 MiB.
+    ((1000, 1000, 900), (2000, 2100, 1900), 40.5, 0.5 * 2**20 / 1000),
+    # Fewer queries and less memory: a positive figure too.
+    ((2000, 2000, 2000), (1000, 1000, 1000), 39.5, 0.5 * 2**20 / 1000),
+    # Medians 4% apart: within the noise, so not written.
+    ((1000, 1000, 1000), (1040, 1040, 1040), 40.5, None),
+])
+def test_rss_per_extra_query(parent_queries, change_queries, change_rss, expected):
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}
+    runs = [{"side": side, "pair": pair, "workload": "w",
+             "result": {"attempted": attempted, "failed": 0,
+                        "metrics": {"peak_rss_mb": {"value": rss}}}}
+            for side, counts, rss in (("parent", parent_queries, 40.0),
+                                      ("change", change_queries, change_rss))
+            for pair, attempted in enumerate(counts, 1)]
+    assert record.summarize(runs, spec)["w"]["rss_bytes_per_extra_query"] == expected
+    # Without peak_rss_mb among the end-to-end metrics there is no figure.
+    spec["end_to_end"][0]["name"] = "queries_per_s"
+    assert "rss_bytes_per_extra_query" not in record.summarize(runs, spec)["w"]
 
 
 def _pairs(parent, change):

@@ -1,6 +1,6 @@
 """The package's immutable records: ``Gate``, ``Circuit``, ``BasisState``,
-``AmplitudeQuery``, ``EngineOptions``, ``TraversalStats`` and
-``PackedCircuit``.
+``AmplitudeQuery``, ``EngineOptions``, ``TraversalStats``, ``PackedCircuit``
+and the sweep runner's ``BenchPlan`` and ``BenchRecord``.
 
 They are slot classes on one base, and they keep the construction,
 validation, equality, hashing, ``repr``, immutability and pickling that
@@ -10,6 +10,7 @@ the ones the dataclass versions produced on the same fixtures.
 import copy
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from pathsum import (
     TraversalStats, statevector_amplitude,
 )
 from pathsum._kernels import PackedCircuit, deadline_at, pack_circuit
+from pathsum.bench import BenchPlan, BenchRecord
 from pathsum.circuit import cnot, h, t
 
 _CIRCUIT = Circuit(2, (h(0), cnot(0, 1), t(1)))
@@ -46,6 +48,18 @@ _RECORDS = [
     (PackedCircuit, tuple(_PLAN.values()), _PLAN,
      f"PackedCircuit(ops=((0, 0, 1), (2, 1, 2), (3, 2, {_T})), live=((2, 1, 2), (3, 2, {_T})), "
      "rank=(0, 0, 1, 2), hleft=(1, 0, 0, 0), nexth=(0, 3, 3, 3), moves=3)"),
+    (BenchPlan, (("hsp", "h-layer"), 5, 7, (2, 1), ("statevector",), 1, 0.5, False),
+     {"families": ("hsp", "h-layer"), "n_min": 5, "n_max": 7, "seeds": (2, 1),
+      "methods": ("statevector",), "trials": 1, "time_cap_s": 0.5, "prune": False},
+     "BenchPlan(families=('hsp', 'h-layer'), n_min=5, n_max=7, seeds=(2, 1), "
+     "methods=('statevector',), trials=1, time_cap_s=0.5, prune=False)"),
+    (BenchRecord, ("h-layer", 4, 1, "pathsum", 1, 0.25, 4096, 0.5j, 290, 66, False),
+     {"family": "h-layer", "n": 4, "seed": 1, "method": "pathsum", "trial": 1,
+      "wall_time_s": 0.25, "peak_mem_bytes": 4096, "amplitude": 0.5j, "recursion_calls": 290,
+      "prunes": 66, "timed_out": False, "note": ""},
+     "BenchRecord(family='h-layer', n=4, seed=1, method='pathsum', trial=1, wall_time_s=0.25, "
+     "peak_mem_bytes=4096, amplitude=0.5j, recursion_calls=290, prunes=66, timed_out=False, "
+     "note='')"),
 ]
 _IDS = [cls.__name__ for cls, *_ in _RECORDS]
 
@@ -73,6 +87,9 @@ def test_defaults():
     assert Gate(GateKind.H, (0,)) == Gate(GateKind.H, (0,), None) == h(0)
     assert repr(EngineOptions()) == "EngineOptions(prune=True, deadline_s=None)"
     assert pack_circuit(_CIRCUIT).top == [None]
+    assert repr(BenchPlan(("h-layer",), 3, 4)) == (
+        "BenchPlan(families=('h-layer',), n_min=3, n_max=4, seeds=(1,), "
+        "methods=('pathsum', 'statevector'), trials=3, time_cap_s=3600.0, prune=True)")
 
 
 @pytest.mark.parametrize("cls, args, kwargs, text", _RECORDS, ids=_IDS)
@@ -122,6 +139,13 @@ def test_pickle_and_copy_round_trip(cls, args, kwargs, text):
     (lambda: deadline_at("5"), "deadline_s must be positive, got '5'"),
     (lambda: statevector_amplitude(_CIRCUIT, _QUERY, deadline_s="5"),
      "deadline_s must be positive, got '5'"),
+    # Nor one past the largest float, which the deadline's clock is.
+    (lambda: EngineOptions(deadline_s=2**1100), f"deadline_s {2**1100} is too large for a float"),
+    (lambda: EngineOptions(deadline_s=Fraction(2**1100)),
+     f"deadline_s {Fraction(2**1100)!r} is too large for a float"),
+    (lambda: deadline_at(2**1100), f"deadline_s {2**1100} is too large for a float"),
+    (lambda: statevector_amplitude(_CIRCUIT, _QUERY, deadline_s=2**1100),
+     f"deadline_s {2**1100} is too large for a float"),
 ])
 def test_validation_errors(build, message):
     with pytest.raises(CircuitError, match=f"^{re.escape(message)}$"):
