@@ -38,8 +38,9 @@ MEMORY_NOTE = (
     "the timed region; it is 0 where the timed run timed out or failed.  "
     "That traced rerun, and every trial after the first, reuse the "
     "circuit's packed plan and, for pathsum, the kept top of its tree (the "
-    "first batch of 64 paths, where the tree is that wide), so their times "
-    "and peaks leave out packing and that top."
+    "first batch of 64 paths, where the tree is that wide) or, for "
+    "statevector, its view and tail plans, so their times and peaks leave "
+    "out packing and that top or those plans."
 )
 
 

@@ -26,6 +26,9 @@ class EngineOptions(_Record):
     seconds above 0, caps the wall-clock time of one query, numpy's import
     included on a process's first tree wider than SCALAR_LEAVES; exceeding
     it raises QueryTimeout, whose ``stats`` holds the counters reached.
+    The deadline starts before a circuit's first query packs it, but the
+    clock is first read in the walk, so that query can overshoot by its
+    O(gates) packing time.
     """
 
     __slots__ = _fields = ("prune", "deadline_s")
@@ -68,5 +71,6 @@ def path_sum_amplitude(
         raise CircuitError(
             f"query width {query.width} does not match circuit width {circuit.num_qubits}"
         )
+    deadline = deadline_at(options.deadline_s)
     return traverse(packed_circuit(circuit), query.start.bits, query.end.bits,
-                    options.prune, deadline_at(options.deadline_s))
+                    options.prune, deadline)

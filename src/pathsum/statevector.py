@@ -1,17 +1,31 @@
 """Dense state-vector backend: the exponential-space reference simulator.
 
 Holds all 2**n amplitudes and runs the path walk's plan on them one op at a
-time, so results are exact up to floating point and any single amplitude
-can be read off at the end.  On a circuit's first run, ``_op_views`` turns
-each op but SKIP into a view plan, kept on the packed plan beside its ops:
-a shape that splits the flat vector only at the op's own bits, at most
-2k + 1 axes for k bits, and the indices of the two slices the op touches.
-Every op then works in place on those views: H mixes the two halves
-along its qubit, a flip or Y swaps them (within the slice where every
-control is 1) and a phase multiplies the slice where its mask is all 1.
-Memory is Theta(2**n); a run refuses circuits wider than
-MAX_STATEVECTOR_QUBITS rather than attempt an allocation that would not
-fit on a desk machine.
+time, so results are exact up to floating point.  On a circuit's first
+run, ``_op_views`` turns each op but SKIP into a view plan, kept on the
+packed plan beside its ops: a shape that splits the flat vector only at
+the op's own bits, at most 2k + 1 axes for k bits, and the indices of the
+two slices the op touches.  Every op then works in place on those views:
+H mixes the two halves along its qubit, a flip or Y swaps them (within the
+slice where every control is 1) and a phase multiplies the slice where its
+mask is all 1.
+
+``statevector_simulate`` runs every op on the whole vector.
+``statevector_amplitude`` reads one amplitude, <end| C |start>, through
+its backward cone: once no later op touches a bit, only the amplitudes
+whose bit equals ``end``'s can still reach ``end``.  So each op from the
+first one after which some bit is left untouched runs only on the slice
+that keeps ``end``'s bits outside the bits ops from it on touch, copied
+to a contiguous vector each time those bits shrink.  ``_tail_plan`` plans
+those slices once per circuit, on its first amplitude, with ``_op_views``
+over the kept bits renumbered, and keeps them on the plan beside the
+views; a query only fills in ``end``'s bits.  Every amplitude of a slice
+goes through the same arithmetic as in the full run, so the result equals
+the full run's amplitude by ``repr``.
+
+Memory is Theta(2**n) either way, as the whole vector is allocated; a run
+refuses circuits wider than MAX_STATEVECTOR_QUBITS rather than attempt an
+allocation that would not fit on a desk machine.
 """
 from __future__ import annotations
 
@@ -28,7 +42,8 @@ from .engine import packed_circuit
 # one op runs, at most two half-vector copies: its traced peak is 32.05
 # bytes per amplitude at n=14 and 32.01 at n=16, alike on h-layer,
 # qft-layer, hsp and circuits of Y, X, CCX and CP gates, so about 2.1 GB at
-# this cap.
+# this cap.  An amplitude's slices are at most half a vector, and the first
+# is copied while no op holds a copy.
 MAX_STATEVECTOR_QUBITS = 26
 
 
@@ -38,29 +53,46 @@ class StateVectorLimitError(ValueError):
 
 def _check_width(num_qubits: int):
     if num_qubits > MAX_STATEVECTOR_QUBITS:
-        need = 16 * (1 << num_qubits)
         raise StateVectorLimitError(
-            f"a {num_qubits}-qubit state vector needs 2**{num_qubits} complex "
-            f"amplitudes ({need / 2**30:.0f} GiB); this backend is capped at "
-            f"{MAX_STATEVECTOR_QUBITS} qubits"
+            f"a {num_qubits}-qubit state vector holds 2**{num_qubits} complex amplitudes "
+            f"({1 << (num_qubits - 26)} GiB), and a run's traced peak is about 32 B per "
+            f"amplitude ({1 << (num_qubits - 25)} GiB); this backend is capped at "
+            f"{MAX_STATEVECTOR_QUBITS} qubits (about {1 << (MAX_STATEVECTOR_QUBITS - 25)} GiB)"
         )
+
+
+def _split(n: int, ones: int, target: int) -> tuple:
+    """``(shape, low, high)``: a shape that splits an n-bit flat vector only
+    at the bits of ``ones | target``, with bit b on an axis of its own and
+    the bits between two of them merged into one axis (merged axes of size
+    1 are left out), and the indices of its two slices where every bit of
+    ``ones`` is 1 and the bits of ``target`` are all 0 or all 1.  Each
+    index ends in ``...``, so it gives a view even when no axis is left.
+    """
+    every = slice(None)
+    axes = []  # (size, low's index, high's index), from the top bit down
+    top = n  # the bits from here up have their axes
+    for b in reversed(range(n)):
+        if (ones | target) >> b & 1:
+            axes += [(1 << (top - 1 - b), every, every),
+                     (2, ones >> b & 1, (ones | target) >> b & 1)]
+            top = b
+    axes.append((1 << top, every, every))
+    shape, low, high = zip(*(axis for axis in axes if axis[0] > 1))
+    return shape, (*low, ...), (*high, ...)
 
 
 def _op_views(n: int, ops) -> tuple:
     """The view plan of ``ops`` on an n-qubit vector: per op but SKIP,
     ``(kind, shape, low, high, factor)``.
 
-    ``shape`` splits the flat vector only at the op's bits, with bit b on an
-    axis of its own and the bits between two of them merged into one axis
-    (merged axes of size 1 are left out).  ``low`` and ``high`` index the
-    two slices the op mixes or swaps: every control bit 1 and the target
-    bit 0 or 1.  A CPHASE has one slice, ``low``, where every bit of its
-    mask is 1, and its factor; for the other kinds ``factor`` is unused.
-    Each index ends in ``...``, so it gives a view even when no axis is
-    left.
+    ``shape``, ``low`` and ``high`` are ``_split``'s at the op's bits:
+    ``low`` and ``high`` index the two slices the op mixes or swaps, where
+    every control bit is 1 and the target bit 0 or 1.  A CPHASE has one
+    slice, ``low``, where every bit of its mask is 1, and its factor; for
+    the other kinds ``factor`` is unused.
     """
     views = []
-    every = slice(None)
     for kind, mask, arg in ops:
         if kind == _OP_SKIP:
             continue
@@ -72,18 +104,78 @@ def _op_views(n: int, ops) -> tuple:
             ones, target = mask, 0
         else:
             ones, target = mask, arg
-        axes = []  # (size, low's index, high's index), from the top bit down
-        top = n  # the bits from here up have their axes
-        for b in reversed(range(n)):
-            if (ones | target) >> b & 1:
-                axes += [(1 << (top - 1 - b), every, every),
-                         (2, ones >> b & 1, (ones | target) >> b & 1)]
-                top = b
-        axes.append((1 << top, every, every))
-        shape, low, high = zip(*(axis for axis in axes if axis[0] > 1))
-        views.append((kind, shape, (*low, ...), (*high, ...),
+        views.append((kind, *_split(n, ones, target),
                       arg if kind == _OP_CPHASE else None))
     return tuple(views)
+
+
+def _compact(bits: int, kept: int) -> int:
+    """``bits`` within ``kept``, each moved to its bit's rank in ``kept``."""
+    out = rank = 0
+    for b in range(kept.bit_length()):
+        if kept >> b & 1:
+            out |= (bits >> b & 1) << rank
+            rank += 1
+    return out
+
+
+def _tail_plan(n: int, ops) -> tuple:
+    """How one amplitude is read off ``ops`` on an n-qubit vector:
+    ``(head, shrinks)``.
+
+    Op i of the view plan (the ops but SKIP) runs on the kept bits
+    ``kept[i]``, the OR of the bits ops i.. read or write: an amplitude
+    whose other bits differ from ``end``'s never reaches ``end``.  The
+    first ``head`` ops keep every bit and run on the whole vector.  Each
+    shrink is ``(shape, index, fills, views)``: ``_split``'s shape and
+    ``low`` index at the bits the shrink drops, on the vector of the bits
+    kept before it; ``fills``, per dropped bit, its axis and its position
+    in ``end``, whose bit a query writes into the index to select and copy
+    the slice that keeps ``end``'s bits; and ``_op_views``' plan of the ops
+    that run on that slice, each kept bit renumbered to its rank among the
+    kept bits.  The last shrink keeps no bit and leaves the amplitude.
+
+    numpy multiplies a lone complex number differently from the same
+    product in an array of two or more, so a CPHASE whose slice would be
+    one amplitude keeps one more bit, the lowest outside its mask, and so
+    does every op before it.
+    """
+    ops = [op for op in ops if op[0] != _OP_SKIP]
+    full = (1 << n) - 1
+    kept = [0] * (len(ops) + 1)
+    for i in reversed(range(len(ops))):
+        kind, mask, arg = ops[i]
+        # H's mask field is its qubit, not a mask.
+        bits = kept[i + 1] | (arg if kind == _OP_H else mask if kind == _OP_CPHASE else mask | arg)
+        if kind == _OP_CPHASE and bits == mask:
+            spare = full & ~mask
+            bits |= spare & -spare
+        kept[i] = bits
+    head = i = next(i for i, bits in enumerate(kept) if bits != full)
+    old, shrinks = full, []
+    while True:
+        new, j = kept[i], i
+        while j < len(ops) and kept[j] == new:
+            j += 1
+        dropped = old & ~new
+        shape, low, high = _split(old.bit_count(), 0, _compact(dropped, old))
+        axes = [axis for axis, (a, b) in enumerate(zip(low, high)) if a != b]
+        # The axes run from the top bit down.
+        fills = tuple(zip(axes, (b for b in reversed(range(n)) if dropped >> b & 1)))
+        renumbered = []
+        for kind, mask, arg in ops[i:j]:
+            if kind == _OP_H:
+                arg = _compact(arg, new)
+                mask = arg.bit_length() - 1
+            elif kind == _OP_CPHASE:
+                mask = _compact(mask, new)
+            else:
+                mask, arg = _compact(mask, new), _compact(arg, new)
+            renumbered.append((kind, mask, arg))
+        shrinks.append((shape, low, fills, _op_views(new.bit_count(), renumbered)))
+        if i == len(ops):
+            return head, tuple(shrinks)
+        old, i = new, j
 
 
 def _apply_gate(psi, view):
@@ -127,12 +219,9 @@ def _apply_gate(psi, view):
         high[...] = a
 
 
-def statevector_simulate(
-    circuit: Circuit,
-    start: BasisState,
-    deadline_s: float | None = None,
-):
-    """The full final state C|start>: a numpy array of all 2**n amplitudes."""
+def _prepare(circuit: Circuit, start: BasisState, deadline_s: float | None):
+    """The deadline, ``start`` as a full vector and the circuit's plan, with
+    its views planned."""
     if start.width != circuit.num_qubits:
         raise CircuitError(
             f"start width {start.width} does not match circuit width {circuit.num_qubits}"
@@ -143,14 +232,26 @@ def statevector_simulate(
     psi = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     psi[start.bits] = 1.0
     plan = packed_circuit(circuit)
-    views = plan.views
-    if views is None:
-        views = _op_views(circuit.num_qubits, plan.ops)
-        _set(plan, "views", views)
+    if plan.views is None:
+        _set(plan, "views", _op_views(circuit.num_qubits, plan.ops))
+    return deadline, psi, plan
+
+
+def _run(psi, views, deadline: float):
     for view in views:
         if time.perf_counter() > deadline:
             raise QueryTimeout("state-vector run exceeded its deadline")
         _apply_gate(psi, view)
+
+
+def statevector_simulate(
+    circuit: Circuit,
+    start: BasisState,
+    deadline_s: float | None = None,
+):
+    """The full final state C|start>: a numpy array of all 2**n amplitudes."""
+    deadline, psi, plan = _prepare(circuit, start, deadline_s)
+    _run(psi, plan.views, deadline)
     return psi
 
 
@@ -159,5 +260,27 @@ def statevector_amplitude(
     query: AmplitudeQuery,
     deadline_s: float | None = None,
 ) -> complex:
-    """Amplitude <end| C |start> read out of a full state-vector run."""
-    return complex(statevector_simulate(circuit, query.start, deadline_s)[query.end.bits])
+    """Amplitude <end| C |start>, equal by ``repr`` to
+    ``statevector_simulate(circuit, query.start)[query.end.bits]``.
+
+    The ops run on the whole vector until some bit is touched no more, then
+    each runs only on the slice that keeps ``end``'s bits outside the bits
+    ops from it on touch (see ``_tail_plan``, planned on the circuit's
+    first call and kept on its plan).  Every amplitude of a slice goes
+    through the same arithmetic as in the full run.  ``deadline_s`` starts
+    before the circuit's first call packs and plans it; the clock is read
+    before each op.
+    """
+    deadline, psi, plan = _prepare(circuit, query.start, deadline_s)
+    if plan.tail is None:
+        _set(plan, "tail", _tail_plan(circuit.num_qubits, plan.ops))
+    head, shrinks = plan.tail
+    _run(psi, plan.views[:head], deadline)
+    end = query.end.bits
+    for shape, index, fills, views in shrinks:
+        index = list(index)
+        for axis, bit in fills:
+            index[axis] = end >> bit & 1
+        psi = psi.reshape(shape)[tuple(index)].flatten()
+        _run(psi, views, deadline)
+    return complex(psi[0])

@@ -32,6 +32,7 @@ from pathsum import (
     path_sum_amplitude,
     serialize_circuit,
     statevector_amplitude,
+    statevector_simulate,
 )
 from pathsum import _kernels, engine, statevector
 from pathsum.circuit import ccx, cnot, h, s, t, x
@@ -274,6 +275,31 @@ def test_deadline_enforced():
     assert timeout.value.stats is None
 
 
+def test_first_query_overshoots_by_its_packing_at_most(monkeypatch):
+    # The deadline starts before a circuit's first query packs it, and the
+    # walk reads the clock before its first gate.  Packing 40,000 gates,
+    # held up by 50 ms, outlasts a 20 ms deadline: the walk stops before
+    # any edge, and the query overshoots by about the packing time.
+    pack, packing = engine.pack_circuit, []
+
+    def slow_pack(circuit):
+        began = time.perf_counter()
+        time.sleep(0.05)
+        plan = pack(circuit)
+        packing.append(time.perf_counter() - began)
+        return plan
+
+    monkeypatch.setattr(engine, "pack_circuit", slow_pack)
+    gates = [h(q) for q in range(20)] + [cnot(q % 20, (q + 1) % 20) for q in range(40_000)]
+    c = make_circuit(20, gates)
+    began = time.perf_counter()
+    with pytest.raises(QueryTimeout) as timeout:
+        path_sum_amplitude(c, _query(20, 0, 0), EngineOptions(deadline_s=0.02))
+    elapsed = time.perf_counter() - began
+    assert len(packing) == 1 and timeout.value.stats.edges_traversed == 0
+    assert elapsed <= packing[0] + 0.1
+
+
 def test_deadline_must_be_positive():
     c = make_circuit(2, [h(0), cnot(0, 1)])
     q = _query(2, 0, 0)
@@ -375,24 +401,43 @@ def test_circuit_is_packed_once(monkeypatch):
 
 
 def test_views_are_planned_once_and_only_for_the_state_vector(monkeypatch):
-    planned = []
-    plan_views = statevector._op_views
+    planned, tails = [], []
+    plan_views, plan_tail = statevector._op_views, statevector._tail_plan
 
     def counting_views(num_qubits, ops):
         planned.append(ops)
         return plan_views(num_qubits, ops)
 
+    def counting_tail(num_qubits, ops):
+        tails.append(ops)
+        return plan_tail(num_qubits, ops)
+
     monkeypatch.setattr(statevector, "_op_views", counting_views)
+    monkeypatch.setattr(statevector, "_tail_plan", counting_tail)
     rng = np.random.default_rng(114)
     c = random_circuit(rng, 5, 20)
     for _ in range(4):
         path_sum_amplitude(c, random_query(rng, 5))
-    assert planned == [] and engine.packed_circuit(c).views is None
+    plan = engine.packed_circuit(c)
+    assert planned == tails == [] and plan.views is None and plan.tail is None
     for _ in range(4):
         statevector_amplitude(c, random_query(rng, 5))
     path_sum_amplitude(c, random_query(rng, 5))
-    assert planned == [engine.packed_circuit(c).ops]
-    assert engine.packed_circuit(c).views is not None
+    # The views once, then the tail once: one view plan per shrink, each
+    # of the ops that run on that shrink's slice.
+    head, shrinks = plan.tail
+    assert planned[0] == plan.ops and tails == [plan.ops]
+    assert [len(ops) for ops in planned[1:]] == [len(views) for *_, views in shrinks]
+    assert plan.views is not None and 0 <= head <= len(plan.views)
+    calls = len(planned)
+    statevector_simulate(c, random_state(rng, 5))
+    statevector_amplitude(c, random_query(rng, 5))
+    assert len(planned) == calls and len(tails) == 1
+    # A full run plans the views alone.
+    fresh = make_circuit(5, c.gates)
+    statevector_simulate(fresh, random_state(rng, 5))
+    assert planned[calls:] == [plan.ops] and len(tails) == 1
+    assert engine.packed_circuit(fresh).tail is None
 
 
 def test_cached_plan_leaves_equality_and_repr_alone():
@@ -401,9 +446,10 @@ def test_cached_plan_leaves_equality_and_repr_alone():
     queried = make_circuit(4, gates)
     fresh = make_circuit(4, gates)
     path_sum_amplitude(queried, _query(4, 0, 0))
-    dense = make_circuit(4, gates)  # packed, with its views planned
+    dense = make_circuit(4, gates)  # packed, with its views and tail planned
     statevector_amplitude(dense, _query(4, 0, 0))
     assert engine.packed_circuit(dense).views is not None
+    assert engine.packed_circuit(dense).tail is not None
     for circuit in (queried, dense):
         assert circuit == fresh and fresh == circuit
         assert repr(circuit) == repr(fresh)
@@ -411,6 +457,7 @@ def test_cached_plan_leaves_equality_and_repr_alone():
     plans = [engine.packed_circuit(c) for c in (queried, dense)]
     assert plans[0] == plans[1] and hash(plans[0]) == hash(plans[1])
     assert repr(plans[0]) == repr(plans[1]) and "views" not in repr(plans[1])
+    assert "tail" not in repr(plans[1])
 
 
 # Steps of a fresh interpreter.  argv: the narrow circuit's file, its start

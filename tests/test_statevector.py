@@ -1,6 +1,7 @@
 """Dense backend: worked vectors, the memory guard, norm preservation and
-linearity against explicit matrices, over every kind of plan op, and the
-exact bytes of its output.
+linearity against explicit matrices, over every kind of plan op, the exact
+bytes of its output, and single amplitudes equal by ``repr`` to the full
+run's.
 """
 import hashlib
 import math
@@ -16,6 +17,7 @@ from pathsum import (
     CircuitError,
     QueryTimeout,
     StateVectorLimitError,
+    gen_hsp_standard,
     gen_layered_hadamard,
     gen_layered_qft,
     gen_qft,
@@ -24,7 +26,8 @@ from pathsum import (
     statevector_simulate,
 )
 from pathsum import AmplitudeQuery
-from pathsum.circuit import ccx, cnot, cp, h, identity, p, s, t, x, y, z
+from pathsum.circuit import _OP_CPHASE, ccx, cnot, cp, h, identity, p, s, t, x, y, z
+from pathsum.engine import packed_circuit
 from pathsum.generators import FAMILIES
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -87,6 +90,9 @@ def test_memory_guard_refuses_wide_circuits():
         statevector_amplitude(
             c, AmplitudeQuery(BasisState.zeros(30), BasisState.zeros(30))
         )
+    # The message states a run's traced peak, not just the vector.
+    with pytest.raises(StateVectorLimitError, match=r"32 B per amplitude \(32 GiB\).*about 2 GiB"):
+        statevector_simulate(c, BasisState.zeros(30))
     # 27 is the first refused width, 26 is allowed by the guard
     from pathsum.statevector import _check_width
 
@@ -132,15 +138,18 @@ def test_traced_peak_is_the_vector_and_two_half_copies():
                 make_circuit(n, [h(0), y(3), h(7), y(0), cnot(0, 7), y(13)]),
                 make_circuit(n, [h(0), h(13), ccx(0, 13, 6), cp(6, 1, 0.5), ccx(12, 1, 0),
                                  cp(0, 13, math.pi), h(6)])]
+    zeros = AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
     for c in circuits:
-        statevector_simulate(c, BasisState.zeros(n))  # pack and plan views untraced
-        tracemalloc.start()
-        try:
-            statevector_simulate(c, BasisState.zeros(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 40 * 2**n
+        statevector_amplitude(c, zeros)  # pack and plan views and tail untraced
+        for run in (lambda: statevector_simulate(c, zeros.start),
+                    lambda: statevector_amplitude(c, zeros)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 40 * 2**n
 
 
 def test_deadline_enforced():
@@ -197,3 +206,54 @@ def test_output_bytes_are_pinned():
         assert _digest(circuit, BasisState(0x2D6 & ((1 << n) - 1), n)) == digest, (family, n)
     for start, digest in _EVERY_OP_DIGESTS.items():
         assert _digest(_EVERY_OP, BasisState(start, 4)) == digest, start
+
+
+def _assert_amplitudes_match(circuit, start, ends):
+    """Each ``statevector_amplitude`` from ``start`` to one of ``ends`` has
+    the ``repr`` of that amplitude of the full run."""
+    n = circuit.num_qubits
+    psi = statevector_simulate(circuit, BasisState(start, n))
+    for end in ends:
+        query = AmplitudeQuery(BasisState(start, n), BasisState(end, n))
+        assert repr(statevector_amplitude(circuit, query)) == repr(complex(psi[end])), (
+            circuit, start, end)
+
+
+def test_amplitude_is_the_full_runs_to_the_last_bit():
+    rng = np.random.default_rng(206)
+    for family, (generate, smallest) in FAMILIES.items():
+        for n in range(smallest, 13):
+            top = (1 << n) - 1
+            for seed in (1, 2, 3):
+                circuit = generate(n, seed)
+                for start in (0, int(rng.integers(top + 1))):
+                    ends = [0, top, start, *rng.integers(top + 1, size=3).tolist()]
+                    _assert_amplitudes_match(circuit, start, ends)
+    for start in range(16):
+        _assert_amplitudes_match(_EVERY_OP, start, range(16))
+    for _ in range(80):
+        n = int(rng.integers(1, 11))
+        circuit = random_circuit(rng, n, int(rng.integers(0, 40)))
+        for start in rng.integers(1 << n, size=2).tolist():
+            ends = range(1 << n) if n <= 4 else rng.integers(1 << n, size=8).tolist()
+            _assert_amplitudes_match(circuit, start, ends)
+
+
+def test_no_phase_multiplies_a_lone_amplitude():
+    # numpy's product of a lone complex number by e^{i theta} can differ
+    # in the last bit from the same product in an array of two or more.
+    # Here the last CP would multiply one amplitude: its slice keeps one
+    # more bit, so the amplitude is the full run's, -2.470223851075813e-17
+    # in its real part, not -2.4702238510758126e-17.
+    c = gen_hsp_standard(5, 1)
+    amp = statevector_amplitude(c, AmplitudeQuery(BasisState(0, 5), BasisState(11, 5)))
+    assert repr(amp.real) == "-2.470223851075813e-17"
+    _assert_amplitudes_match(c, 0, [11])
+    for circuit in (c, _EVERY_OP, gen_layered_qft(6, 1)):
+        n = circuit.num_qubits
+        statevector_amplitude(circuit, AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n)))
+        _, shrinks = packed_circuit(circuit).tail
+        for *_, views in shrinks:
+            for kind, shape, low, _, _ in views:
+                if kind == _OP_CPHASE:
+                    assert np.empty(shape)[low].size >= 2
