@@ -110,19 +110,22 @@ class PackedCircuit(_Record):
     memo, ``[(start, batch, counters)]`` of the last first batch the walk
     kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``.  ``views``
     is the state vector's view plan of the ops, None until the circuit's
-    first state-vector run builds it, and ``tail`` the plan of the slices
-    one amplitude runs its trailing ops on, None until the circuit's first
-    ``statevector_amplitude`` builds it (see ``statevector``).  Equality,
-    hashing and ``repr`` leave ``top``, ``views`` and ``tail`` out.
+    first state-vector run builds it, ``quiet`` the masks, one per view,
+    that tell a run which ops it may skip, planned with the views, and
+    ``tail`` the plan of the slices one amplitude runs its trailing ops on,
+    None until the circuit's first ``statevector_amplitude`` builds it (see
+    ``statevector``).  Equality, hashing and ``repr`` leave ``top``,
+    ``views``, ``quiet`` and ``tail`` out.
     """
 
     _fields = ("ops", "live", "rank", "hleft", "nexth", "moves")
-    __slots__ = (*_fields, "top", "views", "tail")
+    __slots__ = (*_fields, "top", "views", "quiet", "tail")
 
     def __init__(self, ops, live, rank, hleft, nexth, moves):
         self._init(ops, live, rank, hleft, nexth, moves)
         _set(self, "top", [None])
         _set(self, "views", None)
+        _set(self, "quiet", None)
         _set(self, "tail", None)
 
 

@@ -10,7 +10,19 @@ H mixes the two halves along its qubit, a flip or Y swaps them (within the
 slice where every control is 1) and a phase multiplies the slice where its
 mask is all 1.
 
-``statevector_simulate`` runs every op on the whole vector.
+``statevector_simulate`` runs the ops on the whole vector, but skips each
+op that can touch only amplitudes that are +0.0 and would stay +0.0.  From
+a basis state every amplitude but start's is +0.0.  H ((+0.0 +/- +0.0) *
+sqrt(0.5)), a flip (a swap) and a phase whose factor's real part fr has
+its sign bit clear (+0.0*fr - +0.0*fi and +0.0*fi + +0.0*fr) keep a +0.0
+as +0.0.  So before the first op that can turn a +0.0 into -0.0 (a Y,
+whose factor -1j has real part -0.0, or a phase with a negative real part,
+such as Z), every amplitude whose bit b differs from start's is +0.0 while
+no op has written b.  An op with such a bit among its controls, 0 in
+``start``, touches only those +0.0s and leaves them so, and skipping it
+leaves the bytes of running every op.  ``_op_views`` plans each op's quiet
+mask beside its view, and ``_run`` tests it with one ``&`` per op.
+
 ``statevector_amplitude`` reads one amplitude, <end| C |start>, through
 its backward cone: once no later op touches a bit, only the amplitudes
 whose bit equals ``end``'s can still reach ``end``.  So each op from the
@@ -29,6 +41,7 @@ allocation that would not fit on a desk machine.
 """
 from __future__ import annotations
 
+import math
 import time
 
 from ._kernels import QueryTimeout, deadline_at
@@ -72,28 +85,48 @@ def _split(n: int, ones: int, target: int) -> tuple:
     every = slice(None)
     axes = []  # (size, low's index, high's index), from the top bit down
     top = n  # the bits from here up have their axes
-    for b in reversed(range(n)):
-        if (ones | target) >> b & 1:
-            axes += [(1 << (top - 1 - b), every, every),
-                     (2, ones >> b & 1, (ones | target) >> b & 1)]
-            top = b
+    bits = ones | target
+    while bits:
+        b = bits.bit_length() - 1
+        axes += [(1 << (top - 1 - b), every, every), (2, ones >> b & 1, 1)]
+        top = b
+        bits ^= 1 << b
     axes.append((1 << top, every, every))
     shape, low, high = zip(*(axis for axis in axes if axis[0] > 1))
     return shape, (*low, ...), (*high, ...)
 
 
-def _op_views(n: int, ops) -> tuple:
-    """The view plan of ``ops`` on an n-qubit vector: per op but SKIP,
-    ``(kind, shape, low, high, factor)``.
+# A planner reads the clock once every this many ops.
+_PLAN_STEPS = 4096
+
+
+def _check_clock(i: int, deadline: float):
+    if i % _PLAN_STEPS == 0 and time.perf_counter() > deadline:
+        raise QueryTimeout("state-vector planning exceeded its deadline")
+
+
+def _op_views(n: int, ops, deadline: float) -> tuple:
+    """The view plan of ``ops`` on an n-qubit vector, ``(views, quiet)``:
+    per op but SKIP, a view ``(kind, shape, low, high, factor)`` and a
+    quiet mask.
 
     ``shape``, ``low`` and ``high`` are ``_split``'s at the op's bits:
     ``low`` and ``high`` index the two slices the op mixes or swaps, where
     every control bit is 1 and the target bit 0 or 1.  A CPHASE has one
     slice, ``low``, where every bit of its mask is 1, and its factor; for
     the other kinds ``factor`` is unused.
+
+    An op's quiet mask holds its control bits that no earlier op writes (H
+    writes its qubit, a flip or Y its target), for a flip or phase before
+    the first op that can turn a +0.0 into -0.0 (a Y, or a phase whose
+    factor's real part is negative); every other op's is 0.  A run skips
+    the op when its quiet mask meets a 0 bit of ``start`` (see the module
+    docstring).  The masks are in the bit numbering of ``ops``.
     """
-    views = []
-    for kind, mask, arg in ops:
+    views, quiet = [], []
+    written, signed = 0, False
+    for i, (kind, mask, arg) in enumerate(ops):
+        _check_clock(i, deadline)
         if kind == _OP_SKIP:
             continue
         # The bits that are 1 in both slices, and the bit that tells them
@@ -106,20 +139,24 @@ def _op_views(n: int, ops) -> tuple:
             ones, target = mask, arg
         views.append((kind, *_split(n, ones, target),
                       arg if kind == _OP_CPHASE else None))
-    return tuple(views)
+        signed = signed or kind == _OP_Y or (
+            kind == _OP_CPHASE and math.copysign(1.0, arg.real) < 0)
+        quiet.append(0 if signed else ones & ~written)
+        written |= target
+    return tuple(views), tuple(quiet)
 
 
 def _compact(bits: int, kept: int) -> int:
     """``bits`` within ``kept``, each moved to its bit's rank in ``kept``."""
-    out = rank = 0
-    for b in range(kept.bit_length()):
-        if kept >> b & 1:
-            out |= (bits >> b & 1) << rank
-            rank += 1
+    out, bits = 0, bits & kept
+    while bits:
+        low = bits & -bits
+        out |= 1 << (kept & (low - 1)).bit_count()
+        bits ^= low
     return out
 
 
-def _tail_plan(n: int, ops) -> tuple:
+def _tail_plan(n: int, ops, deadline: float) -> tuple:
     """How one amplitude is read off ``ops`` on an n-qubit vector:
     ``(head, shrinks)``.
 
@@ -134,6 +171,7 @@ def _tail_plan(n: int, ops) -> tuple:
     the slice that keeps ``end``'s bits; and ``_op_views``' plan of the ops
     that run on that slice, each kept bit renumbered to its rank among the
     kept bits.  The last shrink keeps no bit and leaves the amplitude.
+    Planning reads the clock every ``_PLAN_STEPS`` ops.
 
     numpy multiplies a lone complex number differently from the same
     product in an array of two or more, so a CPHASE whose slice would be
@@ -144,6 +182,7 @@ def _tail_plan(n: int, ops) -> tuple:
     full = (1 << n) - 1
     kept = [0] * (len(ops) + 1)
     for i in reversed(range(len(ops))):
+        _check_clock(i, deadline)
         kind, mask, arg = ops[i]
         # H's mask field is its qubit, not a mask.
         bits = kept[i + 1] | (arg if kind == _OP_H else mask if kind == _OP_CPHASE else mask | arg)
@@ -163,7 +202,8 @@ def _tail_plan(n: int, ops) -> tuple:
         # The axes run from the top bit down.
         fills = tuple(zip(axes, (b for b in reversed(range(n)) if dropped >> b & 1)))
         renumbered = []
-        for kind, mask, arg in ops[i:j]:
+        for k, (kind, mask, arg) in enumerate(ops[i:j], i):
+            _check_clock(k, deadline)
             if kind == _OP_H:
                 arg = _compact(arg, new)
                 mask = arg.bit_length() - 1
@@ -172,7 +212,8 @@ def _tail_plan(n: int, ops) -> tuple:
             else:
                 mask, arg = _compact(mask, new), _compact(arg, new)
             renumbered.append((kind, mask, arg))
-        shrinks.append((shape, low, fills, _op_views(new.bit_count(), renumbered)))
+        views, _ = _op_views(new.bit_count(), renumbered, deadline)
+        shrinks.append((shape, low, fills, views))
         if i == len(ops):
             return head, tuple(shrinks)
         old, i = new, j
@@ -233,12 +274,23 @@ def _prepare(circuit: Circuit, start: BasisState, deadline_s: float | None):
     psi[start.bits] = 1.0
     plan = packed_circuit(circuit)
     if plan.views is None:
-        _set(plan, "views", _op_views(circuit.num_qubits, plan.ops))
+        views, quiet = _op_views(circuit.num_qubits, plan.ops, deadline)
+        _set(plan, "views", views)
+        _set(plan, "quiet", quiet)
     return deadline, psi, plan
 
 
-def _run(psi, views, deadline: float):
-    for view in views:
+def _run(psi, views, quiet, start: int, deadline: float):
+    """Run each op of ``views`` on ``psi`` in place, reading the clock
+    first, but skip an op whose mask in ``quiet`` meets a 0 bit of
+    ``start`` (see the module docstring).  ``zip`` stops at the last view
+    before it takes a mask, so one iterator over the masks serves
+    successive runs.
+    """
+    unset = ~start
+    for view, mask in zip(views, quiet):
+        if mask & unset:
+            continue
         if time.perf_counter() > deadline:
             raise QueryTimeout("state-vector run exceeded its deadline")
         _apply_gate(psi, view)
@@ -249,9 +301,14 @@ def statevector_simulate(
     start: BasisState,
     deadline_s: float | None = None,
 ):
-    """The full final state C|start>: a numpy array of all 2**n amplitudes."""
+    """The full final state C|start>: a numpy array of all 2**n amplitudes.
+
+    Ops that can touch only amplitudes that are +0.0 and would stay +0.0
+    are skipped (see the module docstring), so the bytes are those of
+    running every op.
+    """
     deadline, psi, plan = _prepare(circuit, start, deadline_s)
-    _run(psi, plan.views, deadline)
+    _run(psi, plan.views, plan.quiet, start.bits, deadline)
     return psi
 
 
@@ -266,21 +323,23 @@ def statevector_amplitude(
     The ops run on the whole vector until some bit is touched no more, then
     each runs only on the slice that keeps ``end``'s bits outside the bits
     ops from it on touch (see ``_tail_plan``, planned on the circuit's
-    first call and kept on its plan).  Every amplitude of a slice goes
-    through the same arithmetic as in the full run.  ``deadline_s`` starts
-    before the circuit's first call packs and plans it; the clock is read
-    before each op.
+    first call and kept on its plan).  The ops the full run skips, it
+    skips too: their quiet masks are in full-bit numbering, so they hold on
+    a slice.  Every amplitude of a slice goes through the same arithmetic
+    as in the full run.  ``deadline_s`` starts before the circuit's first
+    call packs and plans it; planning reads the clock every ``_PLAN_STEPS``
+    ops, and a run before each op it runs.
     """
     deadline, psi, plan = _prepare(circuit, query.start, deadline_s)
     if plan.tail is None:
-        _set(plan, "tail", _tail_plan(circuit.num_qubits, plan.ops))
+        _set(plan, "tail", _tail_plan(circuit.num_qubits, plan.ops, deadline))
     head, shrinks = plan.tail
-    _run(psi, plan.views[:head], deadline)
-    end = query.end.bits
+    start, end, quiet = query.start.bits, query.end.bits, iter(plan.quiet)
+    _run(psi, plan.views[:head], quiet, start, deadline)
     for shape, index, fills, views in shrinks:
         index = list(index)
         for axis, bit in fills:
             index[axis] = end >> bit & 1
         psi = psi.reshape(shape)[tuple(index)].flatten()
-        _run(psi, views, deadline)
+        _run(psi, views, quiet, start, deadline)
     return complex(psi[0])

@@ -1,6 +1,7 @@
 """Shared test helpers: random circuits, circuit inversion, an independent
-matrix oracle, a reference depth-first walk, the malformed-input corpus
-for the text format, and a runner for code that needs a fresh interpreter.
+matrix oracle, a reference depth-first walk, a closed form of the hsp
+family's amplitudes, the malformed-input corpus for the text format, and a
+runner for code that needs a fresh interpreter.
 
 The matrix oracle builds dense gate unitaries straight from the textbook
 2x2 / controlled definitions, deliberately not reusing the package's gate
@@ -284,6 +285,47 @@ def reference_walk(circuit, query, prune):
 
     amplitude = walk(0, query.start, 1.0, 0.0, 0)
     return repr(amplitude), (calls, edges, prunes, max_depth)
+
+
+def hsp_amplitude(circuit, a_size: int, start: int, end: int) -> complex:
+    """<end| C |start> of a ``gen_hsp_standard`` circuit in closed form.
+
+    The circuit must be H on each qubit of the a register (qubits
+    0..a_size-1), Toffolis with both controls in a and the target in b (the
+    other qubits), then the QFT cascade on a: H on qubit i, then CP from
+    each later qubit j onto i at 2*pi/2**(j-i+1).  Then, for x over the
+    a register's values, with g(x) the b bits the Toffolis flip and
+    phi(o, x) = sum_i o_i sum_{j>=i} x_j / 2**(j-i+1):
+
+        2**-a * sum_x (-1)**(s_a . x) * [s_b ^ g(x) == e_b] * exp(2 pi i phi(e_a, x))
+
+    It reads only the gates' kinds, qubits and angles.
+    """
+    a = a_size
+    gates = [(gate.kind, gate.qubits, gate.theta) for gate in circuit.gates]
+    toffolis = [qubits for kind, qubits, _ in gates if kind is GateKind.CCX]
+    qft = []
+    for i in range(a):
+        qft.append((GateKind.H, (i,), None))
+        qft += [(GateKind.CP, (j, i), 2.0 * math.pi / 2.0 ** (j - i + 1)) for j in range(i + 1, a)]
+    assert gates == ([(GateKind.H, (q,), None) for q in range(a)]
+                     + [(GateKind.CCX, qubits, None) for qubits in toffolis] + qft)
+    assert all(c1 < a and c2 < a and t >= a for c1, c2, t in toffolis)
+    x = np.arange(1 << a, dtype=np.int64)
+    bits = [x >> q & 1 for q in range(a)]
+    flips = np.zeros_like(x)
+    for c1, c2, t in toffolis:
+        flips ^= (bits[c1] & bits[c2]) << t
+    kept = (start ^ flips) >> a == end >> a
+    sign = np.where(np.bitwise_count(start & x) & 1, -1, 1)
+    # 2**a * phi(e_a, x) is an integer; only its value mod 2**a matters.
+    turns = np.zeros_like(x)
+    for i in range(a):
+        if end >> i & 1:
+            for j in range(i, a):
+                turns += bits[j] << (a - 1 - (j - i))
+    terms = sign * np.exp(2j * math.pi * (turns % (1 << a)) / (1 << a))
+    return complex(terms[kept].sum() / (1 << a))
 
 
 # Malformed circuit files with the exact position the parser must report and

@@ -404,13 +404,13 @@ def test_views_are_planned_once_and_only_for_the_state_vector(monkeypatch):
     planned, tails = [], []
     plan_views, plan_tail = statevector._op_views, statevector._tail_plan
 
-    def counting_views(num_qubits, ops):
+    def counting_views(num_qubits, ops, deadline):
         planned.append(ops)
-        return plan_views(num_qubits, ops)
+        return plan_views(num_qubits, ops, deadline)
 
-    def counting_tail(num_qubits, ops):
+    def counting_tail(num_qubits, ops, deadline):
         tails.append(ops)
-        return plan_tail(num_qubits, ops)
+        return plan_tail(num_qubits, ops, deadline)
 
     monkeypatch.setattr(statevector, "_op_views", counting_views)
     monkeypatch.setattr(statevector, "_tail_plan", counting_tail)

@@ -1,7 +1,8 @@
 """Dense backend: worked vectors, the memory guard, norm preservation and
 linearity against explicit matrices, over every kind of plan op, the exact
-bytes of its output, and single amplitudes equal by ``repr`` to the full
-run's.
+bytes of its output, with and without the ops a run skips, single
+amplitudes equal by ``repr`` to the full run's, and deadlines that planning
+a circuit cannot overrun by much.
 """
 import hashlib
 import math
@@ -10,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import circuit_unitary, random_circuit, random_state
 from pathsum import (
@@ -25,9 +28,11 @@ from pathsum import (
     statevector_amplitude,
     statevector_simulate,
 )
-from pathsum import AmplitudeQuery
+from pathsum import AmplitudeQuery, Gate, GateKind
+from pathsum import engine, statevector
 from pathsum.circuit import _OP_CPHASE, ccx, cnot, cp, h, identity, p, s, t, x, y, z
 from pathsum.engine import packed_circuit
+from pathsum.statevector import _apply_gate, _op_views, _tail_plan
 from pathsum.generators import FAMILIES
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -257,3 +262,110 @@ def test_no_phase_multiplies_a_lone_amplitude():
             for kind, shape, low, _, _ in views:
                 if kind == _OP_CPHASE:
                     assert np.empty(shape)[low].size >= 2
+
+
+def _every_op_run(circuit, start):
+    """The state from ``start`` with every op of the view plan run, none
+    skipped."""
+    n = circuit.num_qubits
+    statevector_simulate(circuit, BasisState(start, n))  # plan the views
+    psi = np.zeros(1 << n, dtype=np.complex128)
+    psi[start] = 1.0
+    for view in packed_circuit(circuit).views:
+        _apply_gate(psi, view)
+    return psi
+
+
+_SKIP_ANGLES = st.sampled_from([0.0, -0.0, math.pi / 2, 3 * math.pi / 4, math.pi, 5 * math.pi / 4])
+
+
+@st.composite
+def _runs(draw):
+    """A circuit on 1 to 8 qubits of up to 30 gates of every kind, and a
+    start that is 0 half the time."""
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from([k for k in GateKind if k.arity <= n]), max_size=30))
+    gates = [Gate(kind, tuple(draw(st.permutations(range(n)))[:kind.arity]),
+                  draw(_SKIP_ANGLES) if kind.takes_angle else None) for kind in kinds]
+    start = draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)))
+    return make_circuit(n, gates), start
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_runs())
+def test_skipped_ops_leave_the_bytes_of_the_full_run(case):
+    circuit, start = case
+    psi = statevector_simulate(circuit, BasisState(start, circuit.num_qubits))
+    assert psi.tobytes() == _every_op_run(circuit, start).tobytes()
+
+
+def test_ops_that_sign_a_zero_are_not_skipped():
+    # From 0, Z multiplies +0.0 amplitudes by -1 and leaves -0.0 real parts
+    # at 1 and 3, so it must run although its qubit is 0 in the start.
+    zed = make_circuit(2, [z(0)])
+    psi = statevector_simulate(zed, BasisState(0, 2))
+    assert [math.copysign(1.0, v.real) for v in psi] == [1.0, -1.0, 1.0, -1.0]
+    # After it, a CNOT whose control no op wrote swaps a -0.0 with a +0.0,
+    # so it must run too: no op after one that can sign a zero is skipped.
+    flipped = make_circuit(2, [z(0), cnot(1, 0)])
+    psi = statevector_simulate(flipped, BasisState(0, 2))
+    assert [math.copysign(1.0, v.real) for v in psi] == [1.0, -1.0, -1.0, 1.0]
+    for circuit in (zed, flipped):
+        psi = statevector_simulate(circuit, BasisState(0, 2))
+        assert psi.tobytes() == _every_op_run(circuit, 0).tobytes()
+        assert packed_circuit(circuit).quiet == (0,) * len(packed_circuit(circuit).views)
+
+
+def test_first_qft_phases_are_skipped_from_zeros(monkeypatch):
+    # From 0, each controlled phase of qft-layer's first QFT has a control
+    # no earlier op wrote: 66 of its 168 ops at n = 12 are skipped.  From
+    # all ones, none is.
+    circuit = gen_layered_qft(12, 1)
+    statevector_simulate(circuit, BasisState(0, 12))
+    quiet = packed_circuit(circuit).quiet
+    assert len(quiet) == 168
+    assert [i for i, mask in enumerate(quiet) if mask] == [
+        i for i in range(78) if circuit.gates[i].kind is GateKind.CP]
+    runs = []
+    monkeypatch.setattr(statevector, "_apply_gate", lambda psi, view: runs.append(view))
+    for start, ran in ((0, 168 - 66), (0xFFF, 168)):
+        runs.clear()
+        statevector_simulate(circuit, BasisState(start, 12))
+        assert len(runs) == ran
+
+
+def test_planning_reads_the_clock():
+    rng = np.random.default_rng(207)
+    ops = packed_circuit(random_circuit(rng, 6, 10)).ops
+    for plan in (_op_views, _tail_plan):
+        with pytest.raises(QueryTimeout, match="planning"):
+            plan(6, ops, time.perf_counter() - 1.0)
+
+
+def test_first_amplitude_overshoots_by_its_packing_at_most(monkeypatch):
+    # The deadline starts before a circuit's first call packs it, and
+    # planning its views reads the clock every few thousand ops.  Packing
+    # 40,000 gates on 20 qubits, held up by 50 ms, outlasts a 20 ms
+    # deadline: the call overshoots by about the packing time and keeps no
+    # plan, where planning every op first took about 0.25 s more.
+    pack, packing = engine.pack_circuit, []
+
+    def slow_pack(circuit):
+        began = time.perf_counter()
+        time.sleep(0.05)
+        plan = pack(circuit)
+        packing.append(time.perf_counter() - began)
+        return plan
+
+    monkeypatch.setattr(engine, "pack_circuit", slow_pack)
+    gates = [h(q) for q in range(20)] + [
+        ccx(q % 20, (q + 7) % 20, (q + 13) % 20) if q % 2 else cp(q % 20, (q + 5) % 20, 0.5)
+        for q in range(40_000)]
+    c = make_circuit(20, gates)
+    zeros = AmplitudeQuery(BasisState.zeros(20), BasisState.zeros(20))
+    began = time.perf_counter()
+    with pytest.raises(QueryTimeout, match="planning"):
+        statevector_amplitude(c, zeros, deadline_s=0.02)
+    elapsed = time.perf_counter() - began
+    assert len(packing) == 1 and packed_circuit(c).views is None
+    assert elapsed <= packing[0] + 0.1
