@@ -32,8 +32,8 @@ from pathsum import AmplitudeQuery, Gate, GateKind
 from pathsum import engine, statevector
 from pathsum.circuit import _OP_CPHASE, ccx, cnot, cp, h, identity, p, s, t, x, y, z
 from pathsum.engine import packed_circuit
-from pathsum.statevector import _apply_gate, _op_views, _tail_plan
 from pathsum.generators import FAMILIES
+from pathsum.statevector import _apply_gate, _op_views, _tail_plan
 
 INV_SQRT2 = math.sqrt(0.5)
 
