@@ -31,8 +31,11 @@ A speed claim rests on paired runs, not on one run per side:
 
     python3 benchmarks/record.py --against REV [--seed 1] [--label L] [--workload W ...]
 
-clones REV into a temporary directory and runs it (the parent) and this
-checkout (the change) back to back, ``--trace 0`` only, once per workload
+clones REV (the parent) and this checkout's commit (the change) into a
+temporary directory, copies the checkout's BENCHED_PATHS over the
+change's clone (without ``__pycache__``), so that both sides run from
+fresh copies and the change runs what the checkout holds, committed or
+not, and runs the two back to back, ``--trace 0`` only, once per workload
 in each of PAIRS pairs, all at the one seed, the first side alternating
 from pair to pair.  One seed means one circuit set, so the spread between
 pairs is the host's alone.  The file ``BENCH_<label>-vs-<REV's short
@@ -59,6 +62,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -236,25 +240,46 @@ def _rss_per_extra_query(rss: dict, parent: list, change: list) -> float | None:
     return (rss["change_median"] - rss["parent_median"]) * 2**20 / extra
 
 
+def fresh_copies(root: Path, against: str, tmp: Path) -> tuple[Path, Path]:
+    """Clones of ``against`` and of ``root``'s commit under ``tmp``, the
+    latter with ``root``'s BENCHED_PATHS copied over it: the parent and the
+    change."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    parent, change = tmp / "parent", tmp / "change"
+    for rev, copy in ((against, parent), (head, change)):
+        subprocess.run(["git", "clone", "-q", "--no-checkout", str(root), str(copy)],
+                       check=True, capture_output=True)
+        subprocess.run(["git", "checkout", "-q", rev], cwd=copy, check=True, capture_output=True)
+    for name in BENCHED_PATHS:
+        source, target = root / name, change / name
+        if target.is_dir():
+            shutil.rmtree(target)
+        elif target.exists():
+            target.unlink()
+        if source.is_dir():
+            shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+        elif source.exists():
+            shutil.copy2(source, target)
+    return parent, change
+
+
 def record_pairs(root: Path, spec: dict, state: dict, label: str,
                  against: str, seed: int) -> tuple[Path, dict]:
-    """Clone ``against`` from ``root``'s repository, run the pairs and
-    return the file to write and its record."""
+    """Run the pairs on fresh copies of ``against`` and of ``root`` and
+    return the file to write and its record; ``state`` and ``label`` are
+    ``root``'s."""
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        subprocess.run(["git", "clone", "-q", "--no-checkout", str(root), str(parent)],
-                       check=True, capture_output=True)
-        subprocess.run(["git", "checkout", "-q", against], cwd=parent,
-                       check=True, capture_output=True)
+        parent, change = fresh_copies(root, against, Path(tmp))
         parent_state = checkout_state(parent)
-        parent_kernel = kernel_name(parent)
-        parent_lines = src_lines(parent)
-        runs = paired_runs(root, parent, spec, seed)
+        parent_kernel, change_kernel = kernel_name(parent), kernel_name(change)
+        parent_lines, change_lines = src_lines(parent), src_lines(change)
+        runs = paired_runs(change, parent, spec, seed)
     record = {
         "label": label,
         **state,
-        "kernel": kernel_name(root),
-        "src_lines": src_lines(root),
+        "kernel": change_kernel,
+        "src_lines": change_lines,
         "against": {"rev": against, "commit": parent_state["commit"], "kernel": parent_kernel,
                     "src_lines": parent_lines},
         "seed": seed,

@@ -108,25 +108,20 @@ class PackedCircuit(_Record):
     of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
     can change: the arg of every op but a CPHASE.  ``top`` is a one-slot
     memo, ``[(start, batch, counters)]`` of the last first batch the walk
-    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``.  ``views``
-    is the state vector's view plan of the ops, None until the circuit's
-    first state-vector run builds it, ``quiet`` the masks, one per view,
-    that tell a run which ops it may skip, planned with the views, and
-    ``tail`` the plan of the slices one amplitude runs its trailing ops on,
-    None until the circuit's first ``statevector_amplitude`` builds it (see
-    ``statevector``).  Equality, hashing and ``repr`` leave ``top``,
-    ``views``, ``quiet`` and ``tail`` out.
+    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``.  ``dense``
+    holds the state vector's stages for the full run and for one amplitude,
+    ``[full, cone]``, each None until the first such run plans it (see
+    ``statevector``).  Equality, hashing and ``repr`` leave ``top`` and
+    ``dense`` out.
     """
 
     _fields = ("ops", "live", "rank", "hleft", "nexth", "moves")
-    __slots__ = (*_fields, "top", "views", "quiet", "tail")
+    __slots__ = (*_fields, "top", "dense")
 
     def __init__(self, ops, live, rank, hleft, nexth, moves):
         self._init(ops, live, rank, hleft, nexth, moves)
         _set(self, "top", [None])
-        _set(self, "views", None)
-        _set(self, "quiet", None)
-        _set(self, "tail", None)
+        _set(self, "dense", [None, None])
 
 
 def pack_circuit(circuit: Circuit) -> PackedCircuit:

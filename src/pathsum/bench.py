@@ -39,8 +39,8 @@ MEMORY_NOTE = (
     "That traced rerun, and every trial after the first, reuse the "
     "circuit's packed plan and, for pathsum, the kept top of its tree (the "
     "first batch of 64 paths, where the tree is that wide) or, for "
-    "statevector, its view and tail plans, so their times and peaks leave "
-    "out packing and that top or those plans."
+    "statevector, its stage plan, so their times and peaks leave out "
+    "packing and that top or that plan."
 )
 
 

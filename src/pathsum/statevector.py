@@ -2,38 +2,37 @@
 
 Holds all 2**n amplitudes and runs the path walk's plan on them one op at a
 time, so results are exact up to floating point.  On a circuit's first
-run, ``_op_views`` turns each op but SKIP into a view plan, kept on the
-packed plan beside its ops: a shape that splits the flat vector only at
-the op's own bits, at most 2k + 1 axes for k bits, and the indices of the
-two slices the op touches.  Every op then works in place on those views:
-H mixes the two halves along its qubit, a flip or Y swaps them (within the
-slice where every control is 1) and a phase multiplies the slice where its
-mask is all 1.
+run, ``_plan`` turns its ops into stages, kept on the packed plan: each
+stage may shrink the vector, then runs a view of each of its ops but SKIP.
+A view is a shape that splits the flat vector only at the op's own bits,
+at most 2k + 1 axes for k bits, and the indices of the two slices the op
+touches.  Every op then works in place on those views: H mixes the two
+halves along its qubit, a flip or Y swaps them (within the slice where
+every control is 1) and a phase multiplies the slice where its mask is
+all 1.
 
-``statevector_simulate`` runs the ops on the whole vector, but skips each
-op that can touch only amplitudes that are +0.0 and would stay +0.0.  From
-a basis state every amplitude but start's is +0.0.  H ((+0.0 +/- +0.0) *
-sqrt(0.5)), a flip (a swap) and a phase whose factor's real part fr has
-its sign bit clear (+0.0*fr - +0.0*fi and +0.0*fi + +0.0*fr) keep a +0.0
-as +0.0.  So before the first op that can turn a +0.0 into -0.0 (a Y,
-whose factor -1j has real part -0.0, or a phase with a negative real part,
-such as Z), every amplitude whose bit b differs from start's is +0.0 while
-no op has written b.  An op with such a bit among its controls, 0 in
-``start``, touches only those +0.0s and leaves them so, and skipping it
-leaves the bytes of running every op.  ``_op_views`` plans each op's quiet
-mask beside its view, and ``_run`` tests it with one ``&`` per op.
+A run skips each op that can touch only amplitudes that are +0.0 and would
+stay +0.0.  From a basis state every amplitude but start's is +0.0.  H
+((+0.0 +/- +0.0) * sqrt(0.5)), a flip (a swap) and a phase whose factor's
+real part fr has its sign bit clear (+0.0*fr - +0.0*fi and +0.0*fi +
++0.0*fr) keep a +0.0 as +0.0.  So before the first op that can turn a +0.0
+into -0.0 (a Y, whose factor -1j has real part -0.0, or a phase with a
+negative real part, such as Z), every amplitude whose bit b differs from
+start's is +0.0 while no op has written b.  An op with such a bit among
+its controls, 0 in ``start``, touches only those +0.0s and leaves them so,
+and skipping it leaves the bytes of running every op.  Each view holds the
+op's quiet mask, and a run tests it with one ``&`` per op.
 
+``statevector_simulate`` runs one stage: every op on the whole vector.
 ``statevector_amplitude`` reads one amplitude, <end| C |start>, through
 its backward cone: once no later op touches a bit, only the amplitudes
-whose bit equals ``end``'s can still reach ``end``.  So each op from the
-first one after which some bit is left untouched runs only on the slice
-that keeps ``end``'s bits outside the bits ops from it on touch, copied
-to a contiguous vector each time those bits shrink.  ``_tail_plan`` plans
-those slices once per circuit, on its first amplitude, with ``_op_views``
-over the kept bits renumbered, and keeps them on the plan beside the
-views; a query only fills in ``end``'s bits.  Every amplitude of a slice
-goes through the same arithmetic as in the full run, so the result equals
-the full run's amplitude by ``repr``.
+whose bit equals ``end``'s can still reach ``end``.  So a new stage starts
+wherever the bits that ops from there on touch shrink, and copies the
+slice that keeps ``end``'s bits outside them to a contiguous vector; a
+query only fills in ``end``'s bits.  The last stage keeps no bit and leaves
+the amplitude.  Every amplitude of a slice goes through the same
+arithmetic as in the full run, so the result equals the full run's
+amplitude by ``repr``.
 
 Memory is Theta(2**n) either way, as the whole vector is allocated; a run
 refuses circuits wider than MAX_STATEVECTOR_QUBITS rather than attempt an
@@ -47,7 +46,7 @@ import time
 from ._kernels import QueryTimeout, deadline_at
 from .circuit import (
     _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, INV_SQRT2, AmplitudeQuery, BasisState,
-    Circuit, CircuitError, _set,
+    Circuit, CircuitError,
 )
 from .engine import packed_circuit
 
@@ -96,54 +95,13 @@ def _split(n: int, ones: int, target: int) -> tuple:
     return shape, (*low, ...), (*high, ...)
 
 
-# A planner reads the clock once every this many ops.
+# The planner reads the clock once every this many ops.
 _PLAN_STEPS = 4096
 
 
 def _check_clock(i: int, deadline: float):
     if i % _PLAN_STEPS == 0 and time.perf_counter() > deadline:
         raise QueryTimeout("state-vector planning exceeded its deadline")
-
-
-def _op_views(n: int, ops, deadline: float) -> tuple:
-    """The view plan of ``ops`` on an n-qubit vector, ``(views, quiet)``:
-    per op but SKIP, a view ``(kind, shape, low, high, factor)`` and a
-    quiet mask.
-
-    ``shape``, ``low`` and ``high`` are ``_split``'s at the op's bits:
-    ``low`` and ``high`` index the two slices the op mixes or swaps, where
-    every control bit is 1 and the target bit 0 or 1.  A CPHASE has one
-    slice, ``low``, where every bit of its mask is 1, and its factor; for
-    the other kinds ``factor`` is unused.
-
-    An op's quiet mask holds its control bits that no earlier op writes (H
-    writes its qubit, a flip or Y its target), for a flip or phase before
-    the first op that can turn a +0.0 into -0.0 (a Y, or a phase whose
-    factor's real part is negative); every other op's is 0.  A run skips
-    the op when its quiet mask meets a 0 bit of ``start`` (see the module
-    docstring).  The masks are in the bit numbering of ``ops``.
-    """
-    views, quiet = [], []
-    written, signed = 0, False
-    for i, (kind, mask, arg) in enumerate(ops):
-        _check_clock(i, deadline)
-        if kind == _OP_SKIP:
-            continue
-        # The bits that are 1 in both slices, and the bit that tells them
-        # apart; H's mask field is its qubit, not a mask.
-        if kind == _OP_H:
-            ones, target = 0, arg
-        elif kind == _OP_CPHASE:
-            ones, target = mask, 0
-        else:
-            ones, target = mask, arg
-        views.append((kind, *_split(n, ones, target),
-                      arg if kind == _OP_CPHASE else None))
-        signed = signed or kind == _OP_Y or (
-            kind == _OP_CPHASE and math.copysign(1.0, arg.real) < 0)
-        quiet.append(0 if signed else ones & ~written)
-        written |= target
-    return tuple(views), tuple(quiet)
 
 
 def _compact(bits: int, kept: int) -> int:
@@ -156,71 +114,84 @@ def _compact(bits: int, kept: int) -> int:
     return out
 
 
-def _tail_plan(n: int, ops, deadline: float) -> tuple:
-    """How one amplitude is read off ``ops`` on an n-qubit vector:
-    ``(head, shrinks)``.
+def _plan(n: int, ops, cone: bool, deadline: float) -> tuple:
+    """The stages that run ``ops`` on an n-qubit vector, each a pair
+    ``(shrink, views)``, reading the clock every ``_PLAN_STEPS`` ops.
 
-    Op i of the view plan (the ops but SKIP) runs on the kept bits
-    ``kept[i]``, the OR of the bits ops i.. read or write: an amplitude
-    whose other bits differ from ``end``'s never reaches ``end``.  The
-    first ``head`` ops keep every bit and run on the whole vector.  Each
-    shrink is ``(shape, index, fills, views)``: ``_split``'s shape and
-    ``low`` index at the bits the shrink drops, on the vector of the bits
-    kept before it; ``fills``, per dropped bit, its axis and its position
-    in ``end``, whose bit a query writes into the index to select and copy
-    the slice that keeps ``end``'s bits; and ``_op_views``' plan of the ops
-    that run on that slice, each kept bit renumbered to its rank among the
-    kept bits.  The last shrink keeps no bit and leaves the amplitude.
-    Planning reads the clock every ``_PLAN_STEPS`` ops.
+    Op i of the ops but SKIP runs on the kept bits ``kept[i]``: all n
+    bits, or with ``cone`` the OR of the bits ops i.. read or write, as an
+    amplitude whose other bits differ from ``end``'s never reaches
+    ``end``.  A stage starts at op 0 and wherever ``kept`` shrinks, and
+    with ``cone`` a last stage keeps no bit and leaves the amplitude.  A
+    stage that keeps every bit has shrink None; any other shrink is
+    ``(shape, index, fills)``: ``_split``'s shape and ``low`` index at the
+    bits it drops, on the vector of the bits kept before it, and
+    ``fills``, per dropped bit, its axis and its position in ``end``,
+    whose bit a query writes into the index to select and copy the slice
+    that keeps ``end``'s bits.
+
+    A view is ``(kind, shape, low, high, factor, quiet)``.  ``shape``,
+    ``low`` and ``high`` are ``_split``'s at the op's bits, each
+    renumbered to its rank among the stage's kept bits: ``low`` and
+    ``high`` index the two slices the op mixes or swaps, where every
+    control bit is 1 and the target bit 0 or 1.  A CPHASE has one slice,
+    ``low``, where every bit of its mask is 1, and its factor; for the
+    other kinds ``factor`` is unused.  ``quiet``, in full-bit numbering,
+    holds the op's control bits that no earlier op writes (H writes its
+    qubit, a flip or Y its target), for a flip or phase before the first
+    op that can turn a +0.0 into -0.0 (a Y, or a phase whose factor's real
+    part is negative), and is 0 for every other op.  A run skips the op
+    when ``quiet`` meets a 0 bit of ``start`` (see the module docstring).
 
     numpy multiplies a lone complex number differently from the same
     product in an array of two or more, so a CPHASE whose slice would be
     one amplitude keeps one more bit, the lowest outside its mask, and so
     does every op before it.
     """
-    ops = [op for op in ops if op[0] != _OP_SKIP]
+    # Per op: the bits that are 1 in both slices, the bit that tells them
+    # apart, and the arg; H's mask field is its qubit, not a mask.
+    ops = [(kind, 0 if kind == _OP_H else mask, 0 if kind == _OP_CPHASE else arg, arg)
+           for kind, mask, arg in ops if kind != _OP_SKIP]
     full = (1 << n) - 1
-    kept = [0] * (len(ops) + 1)
-    for i in reversed(range(len(ops))):
+    kept = [full] * len(ops) + [0 if cone else full]
+    for i in reversed(range(len(ops) if cone else 0)):
         _check_clock(i, deadline)
-        kind, mask, arg = ops[i]
-        # H's mask field is its qubit, not a mask.
-        bits = kept[i + 1] | (arg if kind == _OP_H else mask if kind == _OP_CPHASE else mask | arg)
-        if kind == _OP_CPHASE and bits == mask:
-            spare = full & ~mask
-            bits |= spare & -spare
-        kept[i] = bits
-    head = i = next(i for i, bits in enumerate(kept) if bits != full)
-    old, shrinks = full, []
+        kind, ones, target, _ = ops[i]
+        kept[i] = kept[i + 1] | ones | target
+        if kind == _OP_CPHASE and kept[i] == ones:
+            spare = full & ~ones
+            kept[i] |= spare & -spare
+    stages, old, i, written, signed = [], full, 0, 0, False
     while True:
         new, j = kept[i], i
         while j < len(ops) and kept[j] == new:
             j += 1
-        dropped = old & ~new
-        shape, low, high = _split(old.bit_count(), 0, _compact(dropped, old))
-        axes = [axis for axis, (a, b) in enumerate(zip(low, high)) if a != b]
-        # The axes run from the top bit down.
-        fills = tuple(zip(axes, (b for b in reversed(range(n)) if dropped >> b & 1)))
-        renumbered = []
-        for k, (kind, mask, arg) in enumerate(ops[i:j], i):
+        shrink = None
+        if new != old:
+            dropped = old & ~new
+            shape, low, high = _split(old.bit_count(), 0, _compact(dropped, old))
+            axes = [axis for axis, (a, b) in enumerate(zip(low, high)) if a != b]
+            # The axes run from the top bit down.
+            bits = [b for b in reversed(range(n)) if dropped >> b & 1]
+            shrink = shape, low, tuple(zip(axes, bits))
+        views = []
+        for k in range(i, j):
             _check_clock(k, deadline)
-            if kind == _OP_H:
-                arg = _compact(arg, new)
-                mask = arg.bit_length() - 1
-            elif kind == _OP_CPHASE:
-                mask = _compact(mask, new)
-            else:
-                mask, arg = _compact(mask, new), _compact(arg, new)
-            renumbered.append((kind, mask, arg))
-        views, _ = _op_views(new.bit_count(), renumbered, deadline)
-        shrinks.append((shape, low, fills, views))
-        if i == len(ops):
-            return head, tuple(shrinks)
+            kind, ones, target, arg = ops[k]
+            signed = signed or kind == _OP_Y or (
+                kind == _OP_CPHASE and math.copysign(1.0, arg.real) < 0)
+            shape, low, high = _split(new.bit_count(), _compact(ones, new), _compact(target, new))
+            views.append((kind, shape, low, high, arg if kind == _OP_CPHASE else None,
+                          0 if signed else ones & ~written))
+            written |= target
+        stages.append((shrink, tuple(views)))
+        if new == kept[-1]:
+            return tuple(stages)
         old, i = new, j
 
 
 def _apply_gate(psi, view):
-    """Run one op of the view plan on every amplitude of ``psi`` in place,
+    """Run one op's view on every amplitude of ``psi`` in place,
     as the path walk runs it on one state.
 
     numpy buffers every strided operand of a ufunc, and below 2**15
@@ -231,7 +202,7 @@ def _apply_gate(psi, view):
     at most two half-vector copies or buffers, freed when it returns, so a
     run calls this once per op rather than inline.
     """
-    kind, shape, low, high, factor = view
+    kind, shape, low, high, factor, _ = view
     v = psi.reshape(shape)
     if kind == _OP_CPHASE:
         hot = v[low]
@@ -260,9 +231,14 @@ def _apply_gate(psi, view):
         high[...] = a
 
 
-def _prepare(circuit: Circuit, start: BasisState, deadline_s: float | None):
-    """The deadline, ``start`` as a full vector and the circuit's plan, with
-    its views planned."""
+def _run(circuit: Circuit, start: BasisState, end: int, cone: bool, deadline_s: float | None):
+    """The vector ``start`` leaves after the circuit's stages for ``cone``,
+    planned on its first such run and kept on its plan, with ``end``'s bits
+    filled into every shrink.  An op whose quiet mask meets a 0 bit of
+    ``start`` is skipped (see the module docstring).  The deadline starts
+    before the circuit's first call packs and plans it; planning reads the
+    clock every ``_PLAN_STEPS`` ops, and a run before each op it runs.
+    """
     if start.width != circuit.num_qubits:
         raise CircuitError(
             f"start width {start.width} does not match circuit width {circuit.num_qubits}"
@@ -273,27 +249,23 @@ def _prepare(circuit: Circuit, start: BasisState, deadline_s: float | None):
     psi = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
     psi[start.bits] = 1.0
     plan = packed_circuit(circuit)
-    if plan.views is None:
-        views, quiet = _op_views(circuit.num_qubits, plan.ops, deadline)
-        _set(plan, "views", views)
-        _set(plan, "quiet", quiet)
-    return deadline, psi, plan
-
-
-def _run(psi, views, quiet, start: int, deadline: float):
-    """Run each op of ``views`` on ``psi`` in place, reading the clock
-    first, but skip an op whose mask in ``quiet`` meets a 0 bit of
-    ``start`` (see the module docstring).  ``zip`` stops at the last view
-    before it takes a mask, so one iterator over the masks serves
-    successive runs.
-    """
-    unset = ~start
-    for view, mask in zip(views, quiet):
-        if mask & unset:
-            continue
-        if time.perf_counter() > deadline:
-            raise QueryTimeout("state-vector run exceeded its deadline")
-        _apply_gate(psi, view)
+    if plan.dense[cone] is None:
+        plan.dense[cone] = _plan(circuit.num_qubits, plan.ops, cone, deadline)
+    unset = ~start.bits
+    for shrink, views in plan.dense[cone]:
+        if shrink:
+            shape, index, fills = shrink
+            index = list(index)
+            for axis, bit in fills:
+                index[axis] = end >> bit & 1
+            psi = psi.reshape(shape)[tuple(index)].flatten()
+        for view in views:
+            if view[5] & unset:
+                continue
+            if time.perf_counter() > deadline:
+                raise QueryTimeout("state-vector run exceeded its deadline")
+            _apply_gate(psi, view)
+    return psi
 
 
 def statevector_simulate(
@@ -307,9 +279,7 @@ def statevector_simulate(
     are skipped (see the module docstring), so the bytes are those of
     running every op.
     """
-    deadline, psi, plan = _prepare(circuit, start, deadline_s)
-    _run(psi, plan.views, plan.quiet, start.bits, deadline)
-    return psi
+    return _run(circuit, start, 0, False, deadline_s)
 
 
 def statevector_amplitude(
@@ -322,24 +292,8 @@ def statevector_amplitude(
 
     The ops run on the whole vector until some bit is touched no more, then
     each runs only on the slice that keeps ``end``'s bits outside the bits
-    ops from it on touch (see ``_tail_plan``, planned on the circuit's
-    first call and kept on its plan).  The ops the full run skips, it
-    skips too: their quiet masks are in full-bit numbering, so they hold on
-    a slice.  Every amplitude of a slice goes through the same arithmetic
-    as in the full run.  ``deadline_s`` starts before the circuit's first
-    call packs and plans it; planning reads the clock every ``_PLAN_STEPS``
-    ops, and a run before each op it runs.
+    ops from it on touch (see ``_plan``).  It skips the ops the full run
+    skips, and every amplitude of a slice goes through the same arithmetic
+    as in the full run.
     """
-    deadline, psi, plan = _prepare(circuit, query.start, deadline_s)
-    if plan.tail is None:
-        _set(plan, "tail", _tail_plan(circuit.num_qubits, plan.ops, deadline))
-    head, shrinks = plan.tail
-    start, end, quiet = query.start.bits, query.end.bits, iter(plan.quiet)
-    _run(psi, plan.views[:head], quiet, start, deadline)
-    for shape, index, fills, views in shrinks:
-        index = list(index)
-        for axis, bit in fills:
-            index[axis] = end >> bit & 1
-        psi = psi.reshape(shape)[tuple(index)].flatten()
-        _run(psi, views, quiet, start, deadline)
-    return complex(psi[0])
+    return complex(_run(circuit, query.start, query.end.bits, True, deadline_s)[0])

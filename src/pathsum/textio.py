@@ -1,10 +1,11 @@
 """Plain-text circuit files and bitstring rendering.
 
 Format: a ``qubits <n>`` header, then one gate per line as a mnemonic,
-operand qubit indices, and for p/cp a trailing angle in radians.  ``#``
-starts a comment, blank lines are ignored, mnemonics are case-insensitive,
-and CRLF input is tolerated (output is always LF).  Angles are written with
-17 significant digits so serialize -> parse reproduces the circuit exactly.
+operand qubit indices, and for p/cp a trailing angle in radians, an ASCII
+float without ``_``.  ``#`` starts a comment, blank lines are ignored,
+mnemonics are case-insensitive, and CRLF input is tolerated (output is
+always LF).  Angles are written with 17 significant digits so serialize ->
+parse reproduces the circuit exactly.
 
 Bitstrings are written qubit 0 first: "011" sets qubits 1 and 2.
 """
@@ -104,6 +105,8 @@ def _parse_gate_line(tokens, line_no: int, num_qubits: int) -> Gate:
     if len(args) > arity:  # the angle: only a p/cp line gets past the check above
         text, arg_col = args[arity]
         try:
+            if not text.isascii() or "_" in text:  # float() reads "1_5" and any script's digits
+                raise ValueError(text)
             theta = float(text)
         except ValueError:
             raise CircuitParseError(

@@ -356,6 +356,8 @@ BAD_CIRCUIT_CORPUS = [
     ("qubits 2\np 0\n", 2, 1, "missing its angle"),
     ("qubits 2\np 0 abc\n", 2, 5, "not a number"),
     ("qubits 2\np 0 inf\n", 2, 5, "not finite"),
+    ("qubits 1\np 0 1_5\n", 2, 5, "angle '1_5' is not a number"),
+    ("qubits 1\np 0 \u0663\n", 2, 5, "is not a number"),  # Arabic-Indic 3
     ("qubits 2\ncp 0 1 1.0 2\n", 2, 12, "unexpected extra argument"),
     ("qubits 2\nx0\n", 2, 1, "unknown gate 'x0'"),
     ("qubits 2\nh 0 # fine\nccx 0 1\n", 3, 1, "expects 3 qubit operand"),

@@ -35,7 +35,7 @@ from pathsum import (
     statevector_simulate,
 )
 from pathsum import _kernels, engine, statevector
-from pathsum.circuit import ccx, cnot, h, s, t, x
+from pathsum.circuit import _OP_SKIP, ccx, cnot, h, s, t, x
 from pathsum.generators import FAMILIES
 
 INV_SQRT2 = math.sqrt(0.5)
@@ -401,43 +401,39 @@ def test_circuit_is_packed_once(monkeypatch):
 
 
 def test_views_are_planned_once_and_only_for_the_state_vector(monkeypatch):
-    planned, tails = [], []
-    plan_views, plan_tail = statevector._op_views, statevector._tail_plan
+    planned, plan_stages = [], statevector._plan
 
-    def counting_views(num_qubits, ops, deadline):
-        planned.append(ops)
-        return plan_views(num_qubits, ops, deadline)
+    def counting_plan(num_qubits, ops, cone, deadline):
+        planned.append(cone)
+        return plan_stages(num_qubits, ops, cone, deadline)
 
-    def counting_tail(num_qubits, ops, deadline):
-        tails.append(ops)
-        return plan_tail(num_qubits, ops, deadline)
-
-    monkeypatch.setattr(statevector, "_op_views", counting_views)
-    monkeypatch.setattr(statevector, "_tail_plan", counting_tail)
+    monkeypatch.setattr(statevector, "_plan", counting_plan)
     rng = np.random.default_rng(114)
     c = random_circuit(rng, 5, 20)
     for _ in range(4):
         path_sum_amplitude(c, random_query(rng, 5))
     plan = engine.packed_circuit(c)
-    assert planned == tails == [] and plan.views is None and plan.tail is None
+    assert planned == [] and plan.dense == [None, None]
     for _ in range(4):
         statevector_amplitude(c, random_query(rng, 5))
     path_sum_amplitude(c, random_query(rng, 5))
-    # The views once, then the tail once: one view plan per shrink, each
-    # of the ops that run on that shrink's slice.
-    head, shrinks = plan.tail
-    assert planned[0] == plan.ops and tails == [plan.ops]
-    assert [len(ops) for ops in planned[1:]] == [len(views) for *_, views in shrinks]
-    assert plan.views is not None and 0 <= head <= len(plan.views)
-    calls = len(planned)
+    # The backward cone once, alone: one view per op but SKIP, over stages
+    # that all shrink the vector but the first.
+    assert planned == [True] and plan.dense[False] is None
+    stages = plan.dense[True]
+    assert sum(len(views) for _, views in stages) == sum(op[0] != _OP_SKIP for op in plan.ops)
+    assert None not in [shrink for shrink, _ in stages[1:]]
+    # A full run plans one stage, on the whole vector, once.
+    statevector_simulate(c, random_state(rng, 5))
     statevector_simulate(c, random_state(rng, 5))
     statevector_amplitude(c, random_query(rng, 5))
-    assert len(planned) == calls and len(tails) == 1
-    # A full run plans the views alone.
+    assert planned == [True, False]
+    (shrink, views), = plan.dense[False]
+    assert shrink is None and len(views) == sum(len(views) for _, views in stages)
     fresh = make_circuit(5, c.gates)
     statevector_simulate(fresh, random_state(rng, 5))
-    assert planned[calls:] == [plan.ops] and len(tails) == 1
-    assert engine.packed_circuit(fresh).tail is None
+    assert planned == [True, False, False]
+    assert engine.packed_circuit(fresh).dense[True] is None
 
 
 def test_cached_plan_leaves_equality_and_repr_alone():
@@ -446,18 +442,17 @@ def test_cached_plan_leaves_equality_and_repr_alone():
     queried = make_circuit(4, gates)
     fresh = make_circuit(4, gates)
     path_sum_amplitude(queried, _query(4, 0, 0))
-    dense = make_circuit(4, gates)  # packed, with its views and tail planned
+    dense = make_circuit(4, gates)  # packed, with both its stage plans
     statevector_amplitude(dense, _query(4, 0, 0))
-    assert engine.packed_circuit(dense).views is not None
-    assert engine.packed_circuit(dense).tail is not None
+    statevector_simulate(dense, BasisState(0, 4))
+    assert None not in engine.packed_circuit(dense).dense
     for circuit in (queried, dense):
         assert circuit == fresh and fresh == circuit
         assert repr(circuit) == repr(fresh)
         assert hash(circuit) == hash(fresh)
     plans = [engine.packed_circuit(c) for c in (queried, dense)]
     assert plans[0] == plans[1] and hash(plans[0]) == hash(plans[1])
-    assert repr(plans[0]) == repr(plans[1]) and "views" not in repr(plans[1])
-    assert "tail" not in repr(plans[1])
+    assert repr(plans[0]) == repr(plans[1]) and "dense" not in repr(plans[1])
 
 
 # Steps of a fresh interpreter.  argv: the narrow circuit's file, its start

@@ -1,6 +1,7 @@
 """benchmarks/record.py: a checkout whose benchmarked paths differ from its
 commit is not filed under that commit, and paired runs against another
-commit alternate sides and are summarized per metric, with whether they
+commit run both sides from fresh copies, alternate sides and are
+summarized per metric, with whether they
 show a gain, and with peak RSS per extra query; ``--workload``
 narrows either kind of recording to the named workloads; every file
 records the benchmarked source's line count."""
@@ -83,6 +84,10 @@ def _two_commits(tmp_path, workloads):
     return repo, parent, change
 
 
+def _runs_the_change(root):
+    return (root / "src" / "pathsum" / "_kernels.py").read_text() != "KERNEL = 'old'\n"
+
+
 def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     # Two commits of a checkout; every run is at seed 4, and the stubbed
     # runner reports the parent at 100 + pair queries/s and the change at
@@ -94,7 +99,7 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     calls = []
 
     def stub(root, workload, seed, seconds, trace):
-        side = "change" if root == repo else "parent"
+        side = "change" if _runs_the_change(root) else "parent"
         pair = len(calls) // 4 + 1  # two workloads on two sides per pair
         calls.append((pair, seed, workload, side, seconds, trace))
         rate = 110.0 if side == "change" and pair != 3 else 100.0 + pair
@@ -152,7 +157,7 @@ def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
     calls = []
 
     def stub(root, workload, seed, seconds, trace):
-        calls.append((root == repo, workload, trace))
+        calls.append((_runs_the_change(root), workload, trace))
         metrics = {"queries_per_s": {"value": 1.0}, "peak_rss_mb": {"value": 1.0}}
         return {"workload": workload, "trace": trace, "exit_code": 0,
                 "result": {"attempted": 1, "failed": 0, "metrics": metrics}}
@@ -177,6 +182,39 @@ def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         record.main(["--root", str(repo), "--workload", "one", "--workload", "four"])
     assert calls == []
+
+
+def test_against_runs_both_sides_from_fresh_copies(tmp_path, monkeypatch):
+    # The change side is a clone of the checkout's commit with the
+    # checkout's benchmarked paths copied over it, edits and new files
+    # included, caches and other paths left out; the file is still labelled
+    # and marked dirty from the checkout itself.
+    repo, parent, change = _two_commits(tmp_path, ("one",))
+    (repo / "README.md").write_text("not benchmarked\n")
+    (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'edited'\n")
+    (repo / "src" / "pathsum" / "extra.py").write_text("x = 1\n")
+    (repo / "src" / "pathsum" / "__pycache__").mkdir()
+    (repo / "src" / "pathsum" / "__pycache__" / "stale.pyc").write_text("")
+    seen = {}
+
+    def stub(root, workload, seed, seconds, trace):
+        side = "change" if _runs_the_change(root) else "parent"
+        pkg = root / "src" / "pathsum"
+        seen.setdefault(side, set()).add((
+            root == repo, (pkg / "_kernels.py").read_text(),
+            (pkg / "extra.py").exists(), (pkg / "__pycache__").exists(),
+            (root / "README.md").exists()))
+        return {"workload": workload, "trace": trace, "exit_code": 0,
+                "result": {"attempted": 1, "failed": 0, "metrics": {}}}
+
+    monkeypatch.setattr(record, "record_run", stub)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    assert record.main(["--root", str(repo), "--against", "HEAD~1", "--label", "edit"]) == 0
+    assert seen == {"parent": {(False, "KERNEL = 'old'\n", False, False, False)},
+                    "change": {(False, "KERNEL = 'edited'\n", True, False, False)}}
+    out = json.loads((tmp_path / f"BENCH_edit-vs-{parent}.json").read_text())
+    assert out == {**out, **record.checkout_state(repo), "kernel": "edited", "src_lines": 4}
+    assert out["dirty"] and out["commit"] == change
 
 
 def test_summary_skips_pairs_without_both_results():

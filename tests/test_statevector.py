@@ -30,10 +30,10 @@ from pathsum import (
 )
 from pathsum import AmplitudeQuery, Gate, GateKind
 from pathsum import engine, statevector
-from pathsum.circuit import _OP_CPHASE, ccx, cnot, cp, h, identity, p, s, t, x, y, z
+from pathsum.circuit import _OP_CPHASE, _OP_SKIP, ccx, cnot, cp, h, identity, p, s, t, x, y, z
 from pathsum.engine import packed_circuit
 from pathsum.generators import FAMILIES
-from pathsum.statevector import _apply_gate, _op_views, _tail_plan
+from pathsum.statevector import _apply_gate, _plan
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -145,7 +145,7 @@ def test_traced_peak_is_the_vector_and_two_half_copies():
                                  cp(0, 13, math.pi), h(6)])]
     zeros = AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
     for c in circuits:
-        statevector_amplitude(c, zeros)  # pack and plan views and tail untraced
+        statevector_amplitude(c, zeros)  # pack and plan its stages untraced
         for run in (lambda: statevector_simulate(c, zeros.start),
                     lambda: statevector_amplitude(c, zeros)):
             tracemalloc.start()
@@ -257,21 +257,22 @@ def test_no_phase_multiplies_a_lone_amplitude():
     for circuit in (c, _EVERY_OP, gen_layered_qft(6, 1)):
         n = circuit.num_qubits
         statevector_amplitude(circuit, AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n)))
-        _, shrinks = packed_circuit(circuit).tail
-        for *_, views in shrinks:
-            for kind, shape, low, _, _ in views:
+        for _, views in packed_circuit(circuit).dense[True]:
+            for kind, shape, low, *_ in views:
                 if kind == _OP_CPHASE:
                     assert np.empty(shape)[low].size >= 2
 
 
 def _every_op_run(circuit, start):
-    """The state from ``start`` with every op of the view plan run, none
-    skipped."""
+    """The state from ``start`` with every view of the full run's one stage
+    run, whatever its quiet mask: none skipped."""
     n = circuit.num_qubits
-    statevector_simulate(circuit, BasisState(start, n))  # plan the views
+    statevector_simulate(circuit, BasisState(start, n))  # plan the stage
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[start] = 1.0
-    for view in packed_circuit(circuit).views:
+    (shrink, views), = packed_circuit(circuit).dense[False]
+    assert shrink is None
+    for view in views:
         _apply_gate(psi, view)
     return psi
 
@@ -313,7 +314,8 @@ def test_ops_that_sign_a_zero_are_not_skipped():
     for circuit in (zed, flipped):
         psi = statevector_simulate(circuit, BasisState(0, 2))
         assert psi.tobytes() == _every_op_run(circuit, 0).tobytes()
-        assert packed_circuit(circuit).quiet == (0,) * len(packed_circuit(circuit).views)
+        (_, views), = packed_circuit(circuit).dense[False]
+        assert [view[5] for view in views] == [0] * len(views)
 
 
 def test_first_qft_phases_are_skipped_from_zeros(monkeypatch):
@@ -322,7 +324,8 @@ def test_first_qft_phases_are_skipped_from_zeros(monkeypatch):
     # all ones, none is.
     circuit = gen_layered_qft(12, 1)
     statevector_simulate(circuit, BasisState(0, 12))
-    quiet = packed_circuit(circuit).quiet
+    (_, views), = packed_circuit(circuit).dense[False]
+    quiet = [view[5] for view in views]
     assert len(quiet) == 168
     assert [i for i, mask in enumerate(quiet) if mask] == [
         i for i in range(78) if circuit.gates[i].kind is GateKind.CP]
@@ -337,14 +340,14 @@ def test_first_qft_phases_are_skipped_from_zeros(monkeypatch):
 def test_planning_reads_the_clock():
     rng = np.random.default_rng(207)
     ops = packed_circuit(random_circuit(rng, 6, 10)).ops
-    for plan in (_op_views, _tail_plan):
+    for cone in (False, True):
         with pytest.raises(QueryTimeout, match="planning"):
-            plan(6, ops, time.perf_counter() - 1.0)
+            _plan(6, ops, cone, time.perf_counter() - 1.0)
 
 
 def test_first_amplitude_overshoots_by_its_packing_at_most(monkeypatch):
     # The deadline starts before a circuit's first call packs it, and
-    # planning its views reads the clock every few thousand ops.  Packing
+    # planning its stages reads the clock every few thousand ops.  Packing
     # 40,000 gates on 20 qubits, held up by 50 ms, outlasts a 20 ms
     # deadline: the call overshoots by about the packing time and keeps no
     # plan, where planning every op first took about 0.25 s more.
@@ -367,5 +370,26 @@ def test_first_amplitude_overshoots_by_its_packing_at_most(monkeypatch):
     with pytest.raises(QueryTimeout, match="planning"):
         statevector_amplitude(c, zeros, deadline_s=0.02)
     elapsed = time.perf_counter() - began
-    assert len(packing) == 1 and packed_circuit(c).views is None
+    assert len(packing) == 1 and packed_circuit(c).dense == [None, None]
     assert elapsed <= packing[0] + 0.1
+
+
+def test_first_amplitude_splits_each_op_once(monkeypatch):
+    # A circuit's first amplitude plans one view per op but SKIP and one
+    # split per shrink, and plans no stage of the full run: 179 splits on
+    # qft-layer at n = 12, where planning every op on the whole vector
+    # first and again on its slices made 234.  Later calls plan nothing.
+    splits, split = [], statevector._split
+    monkeypatch.setattr(statevector, "_split", lambda *args: splits.append(args) or split(*args))
+    for circuit in (gen_layered_qft(12, 1), gen_layered_hadamard(9, 2), gen_hsp_standard(8, 3),
+                    make_circuit(4, _EVERY_OP.gates)):
+        splits.clear()
+        n = circuit.num_qubits
+        for end in (0, 5):
+            statevector_amplitude(circuit, AmplitudeQuery(BasisState.zeros(n), BasisState(end, n)))
+        plan = packed_circuit(circuit)
+        ops = sum(kind != _OP_SKIP for kind, _, _ in plan.ops)
+        shrinks = sum(shrink is not None for shrink, _ in plan.dense[True])
+        assert len(splits) == ops + shrinks and plan.dense[False] is None
+        if circuit.num_qubits == 12:
+            assert len(splits) == 179
