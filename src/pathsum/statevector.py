@@ -235,9 +235,7 @@ def _run(circuit: Circuit, start: BasisState, end: int, cone: bool, deadline_s: 
     """The vector ``start`` leaves after the circuit's stages for ``cone``,
     planned on its first such run and kept on its plan, with ``end``'s bits
     filled into every shrink.  An op whose quiet mask meets a 0 bit of
-    ``start`` is skipped (see the module docstring).  The deadline starts
-    before the circuit's first call packs and plans it; planning reads the
-    clock every ``_PLAN_STEPS`` ops, and a run before each op it runs.
+    ``start`` is skipped (see the module docstring).
     """
     if start.width != circuit.num_qubits:
         raise CircuitError(
@@ -294,6 +292,8 @@ def statevector_amplitude(
     each runs only on the slice that keeps ``end``'s bits outside the bits
     ops from it on touch (see ``_plan``).  It skips the ops the full run
     skips, and every amplitude of a slice goes through the same arithmetic
-    as in the full run.
+    as in the full run.  ``deadline_s`` starts before the circuit's first
+    call packs and plans it; planning reads the clock every ``_PLAN_STEPS``
+    ops, and a run before each op it runs.
     """
     return complex(_run(circuit, query.start, query.end.bits, True, deadline_s)[0])
