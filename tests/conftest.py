@@ -287,15 +287,37 @@ def reference_walk(circuit, query, prune):
     return repr(amplitude), (calls, edges, prunes, max_depth)
 
 
+def _qft_gates(size: int) -> list:
+    """``gen_qft(range(size))`` as ``(kind, qubits, theta)`` triples: H on
+    qubit i, then CP from each later qubit j onto i at 2*pi/2**(j-i+1)."""
+    gates = []
+    for i in range(size):
+        gates.append((GateKind.H, (i,), None))
+        gates += [(GateKind.CP, (j, i), 2.0 * math.pi / 2.0 ** (j - i + 1))
+                  for j in range(i + 1, size)]
+    return gates
+
+
+def _qft_turns(o, x, size: int):
+    """2**size * phi(o, x) mod 2**size, with phi(o, x) = sum_i o_i sum_{j>=i}
+    x_j / 2**(j-i+1), so that <o| QFT |x> = 2**(-size/2) exp(2 pi i phi(o, x))
+    for ``_qft_gates(size)``.  ``o`` and ``x`` may be arrays of bit patterns;
+    2**size * phi is an integer, and only its value mod 2**size matters."""
+    turns = 0
+    for i in range(size):
+        for j in range(i, size):
+            turns = turns + ((o >> i & x >> j & 1) << (size - 1 - (j - i)))
+    return turns % (1 << size)
+
+
 def hsp_amplitude(circuit, a_size: int, start: int, end: int) -> complex:
     """<end| C |start> of a ``gen_hsp_standard`` circuit in closed form.
 
     The circuit must be H on each qubit of the a register (qubits
     0..a_size-1), Toffolis with both controls in a and the target in b (the
-    other qubits), then the QFT cascade on a: H on qubit i, then CP from
-    each later qubit j onto i at 2*pi/2**(j-i+1).  Then, for x over the
-    a register's values, with g(x) the b bits the Toffolis flip and
-    phi(o, x) = sum_i o_i sum_{j>=i} x_j / 2**(j-i+1):
+    other qubits), then ``_qft_gates`` on a.  Then, for x over the a
+    register's values, with g(x) the b bits the Toffolis flip and phi as in
+    ``_qft_turns``:
 
         2**-a * sum_x (-1)**(s_a . x) * [s_b ^ g(x) == e_b] * exp(2 pi i phi(e_a, x))
 
@@ -304,12 +326,8 @@ def hsp_amplitude(circuit, a_size: int, start: int, end: int) -> complex:
     a = a_size
     gates = [(gate.kind, gate.qubits, gate.theta) for gate in circuit.gates]
     toffolis = [qubits for kind, qubits, _ in gates if kind is GateKind.CCX]
-    qft = []
-    for i in range(a):
-        qft.append((GateKind.H, (i,), None))
-        qft += [(GateKind.CP, (j, i), 2.0 * math.pi / 2.0 ** (j - i + 1)) for j in range(i + 1, a)]
     assert gates == ([(GateKind.H, (q,), None) for q in range(a)]
-                     + [(GateKind.CCX, qubits, None) for qubits in toffolis] + qft)
+                     + [(GateKind.CCX, qubits, None) for qubits in toffolis] + _qft_gates(a))
     assert all(c1 < a and c2 < a and t >= a for c1, c2, t in toffolis)
     x = np.arange(1 << a, dtype=np.int64)
     bits = [x >> q & 1 for q in range(a)]
@@ -318,14 +336,57 @@ def hsp_amplitude(circuit, a_size: int, start: int, end: int) -> complex:
         flips ^= (bits[c1] & bits[c2]) << t
     kept = (start ^ flips) >> a == end >> a
     sign = np.where(np.bitwise_count(start & x) & 1, -1, 1)
-    # 2**a * phi(e_a, x) is an integer; only its value mod 2**a matters.
-    turns = np.zeros_like(x)
-    for i in range(a):
-        if end >> i & 1:
-            for j in range(i, a):
-                turns += bits[j] << (a - 1 - (j - i))
-    terms = sign * np.exp(2j * math.pi * (turns % (1 << a)) / (1 << a))
+    terms = sign * np.exp(2j * math.pi * _qft_turns(end, x, a) / (1 << a))
     return complex(terms[kept].sum() / (1 << a))
+
+
+def _layered(circuit, layer_of):
+    """n and f of a circuit that must be ``layer_of(n)``, Toffolis, then
+    ``layer_of(n)`` again, with n half its H count: f maps every n-bit x
+    to the state the Toffolis, run in order, leave it in."""
+    gates = [(gate.kind, gate.qubits, gate.theta) for gate in circuit.gates]
+    n = sum(kind is GateKind.H for kind, _, _ in gates) // 2
+    toffolis = [qubits for kind, qubits, _ in gates if kind is GateKind.CCX]
+    layer = layer_of(n)
+    assert gates == layer + [(GateKind.CCX, qubits, None) for qubits in toffolis] + layer
+    f = np.arange(1 << n, dtype=np.int64)
+    for c1, c2, t in toffolis:
+        f = f ^ ((f >> c1 & f >> c2 & 1) << t)
+    return n, f
+
+
+def h_layer_amplitude(circuit, start: int, end: int) -> complex:
+    """<end| C |start> of a ``gen_layered_hadamard`` circuit in closed form.
+
+    The circuit must be H on every qubit, Toffolis, then H on every qubit
+    again.  With f the map the Toffolis make of basis states (see
+    ``_layered``):
+
+        2**-n * sum_x (-1)**(s . x  xor  e . f(x))
+
+    It reads only the gates' kinds, qubits and angles.
+    """
+    n, f = _layered(circuit, lambda n: [(GateKind.H, (q,), None) for q in range(n)])
+    x = np.arange(1 << n, dtype=np.int64)
+    odd = (np.bitwise_count(start & x) + np.bitwise_count(end & f)) & 1
+    return complex((1 - 2 * odd.astype(np.int64)).sum() / (1 << n))
+
+
+def qft_layer_amplitude(circuit, start: int, end: int) -> complex:
+    """<end| C |start> of a ``gen_layered_qft`` circuit in closed form.
+
+    The circuit must be ``_qft_gates(n)``, Toffolis, then ``_qft_gates(n)``
+    again.  With f the map the Toffolis make of basis states (see
+    ``_layered``) and phi as in ``_qft_turns``:
+
+        2**-n * sum_x exp(2 pi i (phi(x, s) + phi(e, f(x))))
+
+    It reads only the gates' kinds, qubits and angles.
+    """
+    n, f = _layered(circuit, _qft_gates)
+    x = np.arange(1 << n, dtype=np.int64)
+    turns = (_qft_turns(x, start, n) + _qft_turns(end, f, n)) % (1 << n)
+    return complex(np.exp(2j * math.pi * turns / (1 << n)).sum() / (1 << n))
 
 
 # Malformed circuit files with the exact position the parser must report and

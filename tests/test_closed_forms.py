@@ -1,15 +1,17 @@
 """Family amplitudes against closed forms that share no code with the
-backends: the hsp family against ``conftest.hsp_amplitude`` on the state
-vector and the path walk, and the layered families from zeros to zeros,
-whose amplitude is 1 in exact arithmetic.
+backends, on the state vector and the path walk: the hsp family against
+``conftest.hsp_amplitude``, h-layer against ``h_layer_amplitude`` and
+qft-layer against ``qft_layer_amplitude``; and the layered families from
+zeros to zeros, whose amplitude is 1 in exact arithmetic.
 
-Sizes follow each backend's cost: the state vector runs hsp at n <= 12,
-and the path walk runs hsp from zeros to zeros up to n = 16 (about 70 ms
-there, 0.25 s at n = 17) and random queries at n <= 10.
+Sizes follow each backend's cost: the state vector runs every family at
+n <= 12 or 11, and the path walk runs hsp from zeros to zeros up to n = 16
+(about 70 ms there, 0.25 s at n = 17), random hsp queries at n <= 10 and
+random layered queries at n <= 9 (h-layer) and 8 (qft-layer).
 """
 import numpy as np
 
-from conftest import hsp_amplitude
+from conftest import h_layer_amplitude, hsp_amplitude, qft_layer_amplitude
 from pathsum import (
     AmplitudeQuery,
     BasisState,
@@ -74,3 +76,36 @@ def test_layered_zeros_to_zeros_is_one():
                     amplitudes.append(path_sum_amplitude(circuit, zeros)[0])
                 for amplitude in amplitudes:
                     assert abs(amplitude - 1) <= TOLERANCE, (generate.__name__, n, seed)
+
+
+_LAYERED = ((gen_layered_hadamard, h_layer_amplitude), (gen_layered_qft, qft_layer_amplitude))
+
+
+def _random_ends(rng, n, start):
+    return [0, start, *rng.integers(1 << n, size=3).tolist()]
+
+
+def test_layered_closed_forms_match_the_state_vector():
+    rng = np.random.default_rng(303)
+    for generate, closed_form in _LAYERED:
+        for n in range(3, 12):
+            for seed in (1, 2):
+                circuit = generate(n, seed)
+                for start in (0, int(rng.integers(1 << n))):
+                    psi = statevector_simulate(circuit, BasisState(start, n))
+                    for end in _random_ends(rng, n, start):
+                        expected = closed_form(circuit, start, end)
+                        assert abs(psi[end] - expected) <= TOLERANCE, (n, seed, start, end)
+
+
+def test_layered_closed_forms_match_the_path_walk():
+    rng = np.random.default_rng(304)
+    for (generate, closed_form), largest in zip(_LAYERED, (9, 8)):
+        for n in range(3, largest + 1):
+            circuit = generate(n, 3)
+            for start in rng.integers(1 << n, size=2).tolist():
+                for end in _random_ends(rng, n, start):
+                    amplitude, _ = path_sum_amplitude(
+                        circuit, AmplitudeQuery(BasisState(start, n), BasisState(end, n)))
+                    expected = closed_form(circuit, start, end)
+                    assert abs(amplitude - expected) <= TOLERANCE, (n, start, end)
