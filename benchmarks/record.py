@@ -112,10 +112,12 @@ def file_label(state: dict, label: str | None) -> str:
 
 
 def kernel_name(root: Path) -> str:
-    """``pathsum._kernels.KERNEL`` of the checkout's source."""
+    """The ``kernel`` field of ``pathsum.bench``'s environment block, from the
+    checkout's source: every layout of the package has that block, wherever
+    it keeps ``KERNEL``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     return subprocess.run(
-        [sys.executable, "-c", "import pathsum._kernels as k; print(k.KERNEL)"],
+        [sys.executable, "-c", "import pathsum.bench as b; print(b._environment()['kernel'])"],
         cwd=root, env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 

@@ -3,9 +3,10 @@
 The core entry point is :func:`path_sum_amplitude`, which computes one
 transition amplitude of a gate circuit in memory proportional to the qubit
 count plus the number of branching (H) gates, independent of the total path
-count.  :func:`statevector_amplitude` is the dense exponential-space
-reference backend used to cross-check it at small widths.  numpy is loaded
-on the first tree wider than 64 leaves or the first state-vector run, so
+count; :mod:`pathsum.engine` holds it and the whole path-sum backend.
+:func:`statevector_amplitude` is the dense exponential-space reference
+backend used to cross-check it at small widths.  numpy is loaded on the
+first tree wider than 64 leaves or the first state-vector run, so
 ``import pathsum``, ``pathsum generate`` and narrow queries never load it.
 Its records are slot classes, so the import loads no ``dataclasses`` either.
 The benchmark sweep runner is imported from :mod:`pathsum.bench`.

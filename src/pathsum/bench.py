@@ -18,12 +18,11 @@ from pathlib import Path
 
 import numpy as np  # here, so that no trial times its import
 
-from . import _kernels
 from .circuit import (
     AmplitudeQuery, BasisState, CircuitError, _check_int, _check_qubit_count, _check_seconds,
     _Record,
 )
-from .engine import EngineOptions, QueryTimeout, path_sum_amplitude
+from .engine import KERNEL, EngineOptions, QueryTimeout, path_sum_amplitude
 from .generators import FAMILIES
 from .statevector import StateVectorLimitError, statevector_amplitude
 
@@ -195,7 +194,7 @@ def _environment() -> dict:
     """What the sweep ran on: the walk ``traverse`` is, the Python and numpy
     versions, whether numba can be imported, and the core count."""
     return {
-        "kernel": _kernels.KERNEL,
+        "kernel": KERNEL,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "numba_present": importlib.util.find_spec("numba") is not None,

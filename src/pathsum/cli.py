@@ -29,7 +29,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_simulate(args) -> int:
-    circuit = parse_circuit(Path(args.circuit).read_text())
+    try:
+        source = Path(args.circuit).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{args.circuit} is not UTF-8 text: {exc}") from None
+    circuit = parse_circuit(source)
     width = circuit.num_qubits
     start, end = (
         BasisState.zeros(width) if text is None else parse_basis_state(text, width)
@@ -98,6 +102,11 @@ def _cmd_bench(args) -> int:
         time_cap_s=args.cap,
         prune=not args.no_prune,
     )
+    # Fail on a bad destination before the first trial, not after the sweep.
+    if args.plots is not None:
+        Path(args.plots).mkdir(parents=True, exist_ok=True)
+    if args.csv is not None:
+        open(args.csv, "a").close()
     records = run_benchmark(
         plan, progress=lambda r: print(_progress_line(r), file=sys.stderr)
     )

@@ -43,12 +43,11 @@ from __future__ import annotations
 import math
 import time
 
-from ._kernels import QueryTimeout, deadline_at
 from .circuit import (
     _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, INV_SQRT2, AmplitudeQuery, BasisState,
     Circuit, CircuitError,
 )
-from .engine import packed_circuit
+from .engine import QueryTimeout, deadline_at, packed_circuit
 
 # 2**26 complex128 amplitudes are 1 GiB.  A run holds the vector and, while
 # one op runs, at most two half-vector copies: its traced peak is 32.05

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import run_fresh
-from pathsum import _kernels, bench
+from pathsum import bench, engine
 from pathsum.bench import (
     CSV_COLUMNS,
     MEMORY_NOTE,
@@ -158,7 +158,7 @@ def test_csv_layout(tmp_path):
             "circuit's packed plan and, for pathsum, the kept top of its tree") in meta[0]
     fields = dict(line.split(": ", 1) for line in meta[1:])
     assert fields == {
-        "kernel": _kernels.KERNEL,
+        "kernel": engine.KERNEL,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "numba_present": str(importlib.util.find_spec("numba") is not None),

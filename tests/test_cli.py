@@ -87,6 +87,14 @@ def test_simulate_missing_file_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_non_utf8_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xff\xfequbits 1\nh 0\n")
+    assert main(["simulate", "--circuit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
+
+
 def test_generate_stdout_and_determinism(capsys):
     assert main(["generate", "--family", "h-layer", "--n", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -155,6 +163,22 @@ def test_bench_writes_files(tmp_path, capsys):
         "hsp_space_pathsum.dat", "hsp_space_statevector.dat",
         "hsp_time_pathsum.dat", "hsp_time_statevector.dat",
     ]
+
+
+def test_bench_bad_destination_runs_no_trial(tmp_path, capsys):
+    # A CSV in a missing directory, or plots over an existing file, exits 2
+    # before the first trial: no progress line, nothing written.
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for destination in (["--csv", str(tmp_path / "missing" / "out.csv")],
+                        ["--plots", str(taken)]):
+        assert main(["bench", "--family", "h-layer", "--n-min", "4", "--n-max", "4",
+                     "--trials", "1", *destination]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert taken.read_text() == "kept\n"
 
 
 def test_bench_bad_arguments_exit_1(capsys):

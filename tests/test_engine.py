@@ -34,7 +34,7 @@ from pathsum import (
     statevector_amplitude,
     statevector_simulate,
 )
-from pathsum import _kernels, engine, statevector
+from pathsum import engine, statevector
 from pathsum.circuit import _OP_SKIP, ccx, cnot, h, s, t, x
 from pathsum.generators import FAMILIES
 
@@ -467,7 +467,7 @@ import sys
 import pathsum
 heavy = sorted({"dataclasses", "inspect", "ast", "dis", "tokenize", "numbers"} & set(sys.modules))
 import contextlib, io, json
-from pathsum import (AmplitudeQuery, BasisState, _kernels, cli, parse_circuit,
+from pathsum import (AmplitudeQuery, BasisState, cli, engine, parse_circuit,
                      path_sum_amplitude, serialize_circuit, statevector_amplitude)
 
 
@@ -493,11 +493,11 @@ loaded["narrow"] = "numpy" in sys.modules
 bench_loaded["narrow"] = "pathsum.bench" in sys.modules
 dense = statevector_amplitude(narrow, query)
 loaded["statevector"] = "numpy" in sys.modules
-kernel_loaded = {"statevector": _kernels.np is not None}
+kernel_loaded = {"statevector": engine.np is not None}
 wide = parse_circuit(open(sys.argv[4]).read())
 zeros = BasisState.zeros(wide.num_qubits)
 wide_amplitude, wide_stats = path_sum_amplitude(wide, AmplitudeQuery(zeros, zeros))
-kernel_loaded["wide"] = _kernels.np is sys.modules["numpy"]
+kernel_loaded["wide"] = engine.np is sys.modules["numpy"]
 import pathsum.bench
 print(json.dumps({
     "heavy": heavy, "bench_dataclasses": "dataclasses" in sys.modules,
@@ -514,7 +514,7 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     # the whole tree.
     narrow = make_circuit(12, [h(0), h(1), cnot(0, 6), t(6), h(2), ccx(1, 2, 7), s(7),
                                h(3), cnot(3, 0), t(0), h(4), x(9)])
-    assert 1 << 5 <= _kernels.SCALAR_LEAVES
+    assert 1 << 5 <= engine.SCALAR_LEAVES
     start, end = 0b101, 0b1011001110
     query = _query(12, start, end)
     amplitude, stats = path_sum_amplitude(narrow, query)
@@ -554,7 +554,7 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
-    assert "pathsum._kernels" in imported and "numpy" not in imported
+    assert "pathsum.engine" in imported and "numpy" not in imported
     assert "pathsum.bench" not in imported
     assert done.stdout.splitlines() == [
         f"{amplitude.real!r} {amplitude.imag!r}",
@@ -573,7 +573,7 @@ def test_numpy_loads_only_for_a_wide_tree_or_a_state_vector(tmp_path):
 # the second would find it bound and read None for an array.
 _LOADER_RACE = r"""
 import json, sys, threading
-from pathsum import (AmplitudeQuery, BasisState, _kernels, gen_hsp_standard,
+from pathsum import (AmplitudeQuery, BasisState, engine, gen_hsp_standard,
                      path_sum_amplitude)
 
 NAMES = ("np", "_SIGNED", "_SIGNS")
@@ -680,5 +680,5 @@ def test_walk_outputs_are_pinned():
         circuit = FAMILIES[family][0](n, seed)
         assert _walk_digest(circuit, rng) == digest, (family, n)
         # The trees past SCALAR_LEAVES leaves, and only those, kept a top.
-        wide = 1 << circuit.branching_count > _kernels.SCALAR_LEAVES
+        wide = 1 << circuit.branching_count > engine.SCALAR_LEAVES
         assert wide == (n >= 6) and (engine.packed_circuit(circuit).top[0] is not None) == wide

@@ -17,7 +17,7 @@ from pathsum import (
     make_circuit,
     phase_factor,
 )
-from pathsum._kernels import pack_circuit
+from pathsum.engine import pack_circuit
 from pathsum.circuit import (
     _OP_CFLIP, _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, ccx, cnot, cp, h, identity, p, s, t,
     x, y, z,

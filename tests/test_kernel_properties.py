@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_nonbranching, branch_gate, reference_walk
-from pathsum import AmplitudeQuery, BasisState, Gate, GateKind, _kernels, make_circuit
+from pathsum import AmplitudeQuery, BasisState, Gate, GateKind, engine, make_circuit
 from test_kernels import _drive
 
 _ANGLES = st.one_of(
@@ -59,7 +59,7 @@ def test_traverse_equals_reference_walk(case):
     circuit, query = case
     for prune in (True, False):
         expected = reference_walk(circuit, query, prune)
-        for limit in (_kernels.SCALAR_LEAVES, 0, 1 << 62):
+        for limit in (engine.SCALAR_LEAVES, 0, 1 << 62):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                patch.setattr(engine, "SCALAR_LEAVES", limit)
                 assert _drive(circuit, query, prune) == expected

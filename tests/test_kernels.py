@@ -17,15 +17,14 @@ import numpy as np
 import pytest
 
 from pathsum import (
-    EngineOptions, QueryTimeout, _kernels, gen_hsp_standard, gen_layered_hadamard,
+    EngineOptions, QueryTimeout, engine, gen_hsp_standard, gen_layered_hadamard,
     gen_layered_qft, make_circuit, path_sum_amplitude,
 )
 from pathsum.circuit import (
     _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, INV_SQRT2, AmplitudeQuery, BasisState, ccx,
     cnot, cp, h, identity, p, phase_factor, s, t, x, y, z,
 )
-from pathsum.engine import packed_circuit
-from pathsum._kernels import pack_circuit, traverse
+from pathsum.engine import pack_circuit, packed_circuit, traverse
 
 from conftest import (
     apply_nonbranching, branch_gate, random_circuit, random_gate, random_query, reference_walk,
@@ -34,10 +33,10 @@ from test_gates import replay_op, successors
 
 # Scalar handoff limits: 0 never hands off (numpy only), 1 << 62 hands off
 # as soon as fewer than 63 H gates remain.
-_LIMITS = (0, 1, 2, _kernels.SCALAR_LEAVES, 1 << 62)
+_LIMITS = (0, 1, 2, engine.SCALAR_LEAVES, 1 << 62)
 
 # Fold depths: 1 and 2 re-root a batch at nearly every H.
-_FOLD_LEVELS = (1, 2, _kernels.FOLD_LEVELS)
+_FOLD_LEVELS = (1, 2, engine.FOLD_LEVELS)
 
 # Gate steps between clock reads in the tests that run ``_check_inputs``,
 # so a short circuit can place a clock read where it wants.
@@ -144,7 +143,7 @@ def _cut_inputs():
 def _check_inputs(rng):
     """Inputs whose cuts fire only after the stretches the walk skips.
 
-    The first check sits at ``len(ops) - D + 1`` (see ``_kernels``).  In
+    The first check sits at ``len(ops) - D + 1`` (see ``engine``).  In
     the first hand-made circuit D = 3, so it sits at x(1), 2 gates from the
     end: the low path is at distance 2 there (kept, d == R) and the high
     path at distance 3 (cut, d == R + 1).  The random circuits are 6 qubits
@@ -154,9 +153,9 @@ def _check_inputs(rng):
     CP(0) gates, ops the scalar walk leaves out of its runs, where the
     first check sits, and the scalar walk from the root reads the clock
     inside another such run, ``_CLOCK_STEPS`` gate steps in; the caller
-    sets ``_kernels._CLOCK_STEPS`` to this module's.
+    sets ``engine._CLOCK_STEPS`` to this module's.
     """
-    assert _kernels._CLOCK_STEPS == _CLOCK_STEPS
+    assert engine._CLOCK_STEPS == _CLOCK_STEPS
     circuit = make_circuit(3, [h(0)] + [t(0)] * 70 + [x(1), x(2)])
     yield circuit, AmplitudeQuery(BasisState(0, 3), BasisState(0b110, 3))
     for _ in range(4):
@@ -201,12 +200,12 @@ def test_traversal_twins_agree_bitwise(monkeypatch):
     # The frontier adds in depth-first tree order, on numpy batches and on
     # scalars alike, so it must equal the reference walk exactly, not
     # merely closely.
-    monkeypatch.setattr(_kernels, "_CLOCK_STEPS", _CLOCK_STEPS)
+    monkeypatch.setattr(engine, "_CLOCK_STEPS", _CLOCK_STEPS)
     for circuit, query in _twin_inputs():
         for prune in (False, True):
             expected = reference_walk(circuit, query, prune)
             for limit in _LIMITS:
-                monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
                 assert _drive(circuit, query, prune) == expected
 
 
@@ -293,7 +292,7 @@ def test_twins_agree_on_signed_zeros_and_every_gate_kind(monkeypatch):
                     expected = reference_walk(circuit, query, prune)
                     signed_zeros += re.search(r"-0(?![.\de])", expected[0]) is not None
                     for limit in _LIMITS:
-                        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                        monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
                         assert _drive_twice(circuit, query, prune) == expected
     assert signed_zeros > 0
 
@@ -303,7 +302,7 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
     # nearly every H, so almost every value crosses batches through the
     # parents' accumulators.  Each query runs twice on one plan, so a top
     # kept before the first split is split again on reuse.
-    monkeypatch.setattr(_kernels, "_CLOCK_STEPS", _CLOCK_STEPS)
+    monkeypatch.setattr(engine, "_CLOCK_STEPS", _CLOCK_STEPS)
     rng = np.random.default_rng(515)
     inputs = []
     for _ in range(60):
@@ -313,11 +312,11 @@ def test_frontier_small_batches_agree_bitwise(monkeypatch):
         for prune in (False, True):
             expected = reference_walk(circuit, query, prune)
             for levels in _FOLD_LEVELS:
-                monkeypatch.setattr(_kernels, "FOLD_LEVELS", levels)
+                monkeypatch.setattr(engine, "FOLD_LEVELS", levels)
                 for cap in (1, 2, 4):
-                    monkeypatch.setattr(_kernels, "FRONTIER_CAP", cap)
+                    monkeypatch.setattr(engine, "FRONTIER_CAP", cap)
                     for limit in _LIMITS:
-                        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+                        monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
                         assert _drive_twice(circuit, query, prune) == expected
 
 
@@ -332,9 +331,9 @@ def test_frontier_deep_narrow_walk(monkeypatch):
     expected = reference_walk(circuit, query, True)
     assert expected[1][3] == 66
     for levels in _FOLD_LEVELS:
-        monkeypatch.setattr(_kernels, "FOLD_LEVELS", levels)
+        monkeypatch.setattr(engine, "FOLD_LEVELS", levels)
         for limit in _LIMITS:
-            monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+            monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
             assert _drive_twice(circuit, query, True) == expected
 
 
@@ -346,8 +345,8 @@ def test_walk_keeps_its_full_first_batch(monkeypatch):
     query = AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6))
     expected = reference_walk(circuit, query, True)
     tops = []
-    for limit in (_kernels.SCALAR_LEAVES, 0):
-        monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+    for limit in (engine.SCALAR_LEAVES, 0):
+        monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
         plan = pack_circuit(circuit)
         assert _drive_plan(plan, query, True) == expected
         start, (pos, depth, root, states, P, idx), counters = plan.top[0]
@@ -392,7 +391,7 @@ def test_plan_keeps_its_top_for_one_start(monkeypatch):
             return expected[key]
 
         for limit in _LIMITS:
-            monkeypatch.setattr(_kernels, "SCALAR_LEAVES", limit)
+            monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
             plan = pack_circuit(circuit)
             tops = []  # each top the plan kept, in turn
             for start, end, prune in queries:
@@ -439,18 +438,18 @@ def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
     # child, whose bit 0 was set, is negated.
     plan = pack_circuit(make_circuit(2, [y(0), z(0), h(0), h(1)]))
     with monkeypatch.context() as patch:
-        patch.setattr(_kernels, "SCALAR_LEAVES", 2)
+        patch.setattr(engine, "SCALAR_LEAVES", 2)
         _drive_plan(plan, AmplitudeQuery(BasisState.zeros(2), BasisState.zeros(2)), False)
     pos, depth, root, states, P, idx = plan.top[0][1]
     assert (pos, depth, root, states.tolist(), idx.tolist()) == (3, 1, 0, [0, 1], [0, 1])
     low = complex(-0.0, -INV_SQRT2)
-    assert parts(_kernels._phases(P)) == parts([low, -low])
+    assert parts(engine._phases(P)) == parts([low, -low])
 
     runs = []
 
     def recording(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name == "walk" and code.co_filename == _kernels.__file__:
+        if event == "call" and code.co_name == "walk" and code.co_filename == engine.__file__:
             runs.append((frame.f_locals["state"], frame.f_locals["z"]))
 
     plan = pack_circuit(make_circuit(2, [h(0), t(1)]))
@@ -459,7 +458,7 @@ def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
         profiler = sys.getprofile()
         sys.setprofile(recording)
         try:
-            values, counters = _kernels._scalar_finish(
+            values, counters = engine._scalar_finish(
                 plan, 0, 0, 2, [state], [phase], 0, math.inf, (0, 0, 0, 0))
         finally:
             sys.setprofile(profiler)
@@ -474,13 +473,13 @@ def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
 
 def test_default_walk_hands_only_narrow_trees_to_scalars(monkeypatch):
     handoffs = []
-    finish = _kernels._scalar_finish
+    finish = engine._scalar_finish
 
     def counting(plan, pos, *args):
         handoffs.append(pos)
         return finish(plan, pos, *args)
 
-    monkeypatch.setattr(_kernels, "_scalar_finish", counting)
+    monkeypatch.setattr(engine, "_scalar_finish", counting)
     rng = np.random.default_rng(99)
     circuit = _stream_circuit(rng)
     for prune in (False, True):
@@ -509,9 +508,9 @@ def test_frontier_deadline_is_checked():
     # The scalar walk itself reads the clock once per _CLOCK_STEPS steps;
     # here it evaluates the cut from gate 0 on.
     with pytest.raises(QueryTimeout) as timeout:
-        _kernels._scalar_finish(pack_circuit(circuit), 0, 0, 0, [0], [1 + 0j], 0,
-                                expired, (0, 0, 0, 0))
-    assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
+        engine._scalar_finish(pack_circuit(circuit), 0, 0, 0, [0], [1 + 0j], 0,
+                              expired, (0, 0, 0, 0))
+    assert timeout.value.stats.edges_traversed <= engine._CLOCK_STEPS + 4
     # 256 leaves, and a top of two paths through 6,000 gates before the
     # tree widens: the walk reads the clock while it runs the top too.
     circuit = make_circuit(8, [h(0)] + [t(0), cnot(0, 2)] * 3000 + [h(q) for q in range(1, 8)])
@@ -519,7 +518,7 @@ def test_frontier_deadline_is_checked():
     with pytest.raises(QueryTimeout) as timeout:
         _drive(circuit, query, True, deadline=expired)
     assert timeout.value.stats is not None
-    assert timeout.value.stats.edges_traversed <= _kernels._CLOCK_STEPS + 4
+    assert timeout.value.stats.edges_traversed <= engine._CLOCK_STEPS + 4
 
 
 def test_timeout_leaves_the_kept_top_usable(monkeypatch):
@@ -537,7 +536,7 @@ def test_timeout_leaves_the_kept_top_usable(monkeypatch):
     # ends at gate 6.
     for deadline in (10, 2):
         with monkeypatch.context() as patch:
-            patch.setattr(_kernels, "time", SimpleNamespace(perf_counter=count().__next__))
+            patch.setattr(engine, "time", SimpleNamespace(perf_counter=count().__next__))
             with pytest.raises(QueryTimeout):
                 _drive_plan(plan, queries[0], True, deadline)
         kept = kept or plan.top[0]

@@ -59,33 +59,44 @@ def test_dirty_checkout_needs_a_label(tmp_path):
         "commit": commit, "dirty": True, "diff_sha1": hashlib.sha1(b"").hexdigest()}
 
 
+# A package's sweep runner reporting the KERNEL of the module named.
+_BENCH = "from .{} import KERNEL\n\n\ndef _environment():\n    return {{'kernel': KERNEL}}\n"
+
+
 def _two_commits(tmp_path, workloads):
     """A checkout of two commits whose BENCHMARK.json lists ``workloads``,
-    7 s runs and two end-to-end metrics with their bounds, and whose ``src/pathsum`` holds one
-    line at the parent and three at the change; returns it and both short
+    7 s runs and two end-to-end metrics with their bounds, and whose
+    ``src/pathsum`` keeps ``KERNEL`` in ``_kernels.py`` at the parent, as
+    the package once did, and in ``engine.py`` at the change, and holds six
+    lines at the parent and eight at the change; returns it and both short
     commits."""
     repo = tmp_path / "repo"
-    (repo / "src" / "pathsum").mkdir(parents=True)
-    (repo / "src" / "pathsum" / "__init__.py").write_text("")
+    pkg = repo / "src" / "pathsum"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "bench.py").write_text(_BENCH.format("_kernels"))
     spec = {"run_seconds": 7,
             "workloads": [{"name": name} for name in workloads],
             "end_to_end": [{"name": "queries_per_s", "better": "higher", "bound": 0.25},
                            {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}
     (repo / "BENCHMARK.json").write_text(json.dumps(spec))
-    (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'old'\n")
+    (pkg / "_kernels.py").write_text("KERNEL = 'old'\n")
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "parent")
     parent = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
-    (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'new'\n")
-    (repo / "src" / "pathsum" / "__init__.py").write_text("# two\n# lines\n")
-    _git(repo, "commit", "-q", "-am", "change")
+    (pkg / "_kernels.py").unlink()
+    (pkg / "engine.py").write_text("KERNEL = 'new'\n")
+    (pkg / "bench.py").write_text(_BENCH.format("engine"))
+    (pkg / "__init__.py").write_text("# two\n# lines\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "change")
     change = _git(repo, "rev-parse", "--short", "HEAD").decode().strip()
     return repo, parent, change
 
 
 def _runs_the_change(root):
-    return (root / "src" / "pathsum" / "_kernels.py").read_text() != "KERNEL = 'old'\n"
+    return (root / "src" / "pathsum" / "engine.py").exists()
 
 
 def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
@@ -127,8 +138,8 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     out = json.loads((tmp_path / f"BENCH_{change}-vs-{parent}.json").read_text())
     assert (out["commit"], out["dirty"], out["kernel"]) == (change, False, "new")
     assert out["against"] == {"rev": "HEAD~1", "commit": parent, "kernel": "old",
-                              "src_lines": 1}
-    assert out["src_lines"] == 3
+                              "src_lines": 6}
+    assert out["src_lines"] == 8
     assert (out["seed"], out["pairs"]) == (4, 10)
     assert [(r["pair"], r["side"], r["workload"]) for r in out["runs"]] == [
         (pair, side, workload) for pair, _, workload, side, _, _ in expected]
@@ -170,7 +181,7 @@ def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
     assert calls == [(True, "one", 0), (True, "one", 1), (True, "three", 0), (True, "three", 1)]
     out = json.loads((tmp_path / f"BENCH_{change}.json").read_text())
     assert [run["workload"] for run in out["runs"]] == ["one", "one", "three", "three"]
-    assert out["src_lines"] == 3
+    assert out["src_lines"] == 8
     # Pairs: the named workload on both sides, ten times, and nothing else.
     calls.clear()
     assert record.main(["--root", str(repo), "--against", "HEAD~1", "--workload", "two"]) == 0
@@ -191,7 +202,7 @@ def test_against_runs_both_sides_from_fresh_copies(tmp_path, monkeypatch):
     # and marked dirty from the checkout itself.
     repo, parent, change = _two_commits(tmp_path, ("one",))
     (repo / "README.md").write_text("not benchmarked\n")
-    (repo / "src" / "pathsum" / "_kernels.py").write_text("KERNEL = 'edited'\n")
+    (repo / "src" / "pathsum" / "engine.py").write_text("KERNEL = 'edited'\n")
     (repo / "src" / "pathsum" / "extra.py").write_text("x = 1\n")
     (repo / "src" / "pathsum" / "__pycache__").mkdir()
     (repo / "src" / "pathsum" / "__pycache__" / "stale.pyc").write_text("")
@@ -200,8 +211,9 @@ def test_against_runs_both_sides_from_fresh_copies(tmp_path, monkeypatch):
     def stub(root, workload, seed, seconds, trace):
         side = "change" if _runs_the_change(root) else "parent"
         pkg = root / "src" / "pathsum"
+        kernel = pkg / ("engine.py" if side == "change" else "_kernels.py")
         seen.setdefault(side, set()).add((
-            root == repo, (pkg / "_kernels.py").read_text(),
+            root == repo, kernel.read_text(),
             (pkg / "extra.py").exists(), (pkg / "__pycache__").exists(),
             (root / "README.md").exists()))
         return {"workload": workload, "trace": trace, "exit_code": 0,
@@ -213,8 +225,14 @@ def test_against_runs_both_sides_from_fresh_copies(tmp_path, monkeypatch):
     assert seen == {"parent": {(False, "KERNEL = 'old'\n", False, False, False)},
                     "change": {(False, "KERNEL = 'edited'\n", True, False, False)}}
     out = json.loads((tmp_path / f"BENCH_edit-vs-{parent}.json").read_text())
-    assert out == {**out, **record.checkout_state(repo), "kernel": "edited", "src_lines": 4}
+    assert out == {**out, **record.checkout_state(repo), "kernel": "edited", "src_lines": 9}
     assert out["dirty"] and out["commit"] == change
+
+
+def test_kernel_name_reads_this_checkout():
+    # The real package, so that a move of KERNEL that the environment block
+    # does not follow fails here rather than in a recording.
+    assert record.kernel_name(record.ROOT) == "frontier"
 
 
 def test_summary_skips_pairs_without_both_results():

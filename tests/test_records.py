@@ -18,7 +18,7 @@ from pathsum import (
     AmplitudeQuery, BasisState, Circuit, CircuitError, EngineOptions, Gate, GateKind,
     TraversalStats, statevector_amplitude,
 )
-from pathsum._kernels import PackedCircuit, deadline_at, pack_circuit
+from pathsum.engine import PackedCircuit, deadline_at, pack_circuit
 from pathsum.bench import BenchPlan, BenchRecord
 from pathsum.circuit import cnot, h, t
 
