@@ -22,7 +22,7 @@ not the commit, so the script refuses to run without ``--label``, and the
 file records ``"dirty": true`` and the SHA-1 of ``git diff HEAD`` over
 those paths (untracked files count as dirty but are not in the diff).
 ``src_lines`` is the line count of the checkout's ``src/pathsum/*.py``, as
-``wc -l`` totals it.
+``wc -l`` totals it, and ``src_modules`` the number of those files.
 ``--root DIR`` benchmarks another checkout, such as a clone at the parent
 commit, whose benchmark and source are then the ones that run.  The exit
 code is 1 if any run failed, after the file is written.
@@ -53,8 +53,8 @@ end-to-end metric, ``rss_bytes_per_extra_query`` is the change's median
 queries per run less the parent's: whether a move in peak RSS is the
 harness keeping each query's result.  It is null when the median attempted
 counts differ by less than RSS_QUERY_SPREAD of the parent's.
-``src_lines`` is recorded for both sides: the change's at the top level
-and the parent's in ``against``.
+``src_lines`` and ``src_modules`` are recorded for both sides: the
+change's at the top level and the parent's in ``against``.
 """
 from __future__ import annotations
 
@@ -121,9 +121,12 @@ def kernel_name(root: Path) -> str:
         cwd=root, env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def src_lines(root: Path) -> int:
-    """The ``wc -l`` total of the checkout's ``src/pathsum/*.py``."""
-    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "pathsum").glob("*.py"))
+def src_size(root: Path) -> dict:
+    """``src_lines``, the ``wc -l`` total of the checkout's
+    ``src/pathsum/*.py``, and ``src_modules``, the number of those files."""
+    paths = list((root / "src" / "pathsum").glob("*.py"))
+    return {"src_lines": sum(path.read_bytes().count(b"\n") for path in paths),
+            "src_modules": len(paths)}
 
 
 def record_run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -275,15 +278,15 @@ def record_pairs(root: Path, spec: dict, state: dict, label: str,
         parent, change = fresh_copies(root, against, Path(tmp))
         parent_state = checkout_state(parent)
         parent_kernel, change_kernel = kernel_name(parent), kernel_name(change)
-        parent_lines, change_lines = src_lines(parent), src_lines(change)
+        parent_size, change_size = src_size(parent), src_size(change)
         runs = paired_runs(change, parent, spec, seed)
     record = {
         "label": label,
         **state,
         "kernel": change_kernel,
-        "src_lines": change_lines,
+        **change_size,
         "against": {"rev": against, "commit": parent_state["commit"], "kernel": parent_kernel,
-                    "src_lines": parent_lines},
+                    **parent_size},
         "seed": seed,
         "pairs": PAIRS,
         "seconds": spec["run_seconds"],
@@ -330,7 +333,7 @@ def main(argv=None) -> int:
             "label": label,
             **state,
             "kernel": kernel_name(root),
-            "src_lines": src_lines(root),
+            **src_size(root),
             "seed": args.seed,
             "seconds": seconds,
             "runs": runs,

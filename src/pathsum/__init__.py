@@ -6,8 +6,9 @@ count plus the number of branching (H) gates, independent of the total path
 count; :mod:`pathsum.engine` holds it and the whole path-sum backend.
 :func:`statevector_amplitude` is the dense exponential-space reference
 backend used to cross-check it at small widths.  numpy is loaded on the
-first tree wider than 64 leaves or the first state-vector run, so
-``import pathsum``, ``pathsum generate`` and narrow queries never load it.
+first tree wider than ``engine.SCALAR_LEAVES`` leaves or the first
+state-vector run, so ``import pathsum``, ``pathsum generate`` and narrow
+queries never load it.
 Its records are slot classes, so the import loads no ``dataclasses`` either.
 The benchmark sweep runner is imported from :mod:`pathsum.bench`.
 """

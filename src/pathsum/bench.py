@@ -20,7 +20,7 @@ import numpy as np  # here, so that no trial times its import
 
 from .circuit import (
     AmplitudeQuery, BasisState, CircuitError, _check_int, _check_qubit_count, _check_seconds,
-    _Record,
+    _Record, _set,
 )
 from .engine import KERNEL, EngineOptions, QueryTimeout, path_sum_amplitude
 from .generators import FAMILIES
@@ -35,20 +35,20 @@ MEMORY_NOTE = (
     "baseline memory is excluded.  It comes from a second, traced run "
     "of the same query after the timed one, so tracing never runs inside "
     "the timed region; it is 0 where the timed run timed out or failed.  "
-    "That traced rerun, and every trial after the first, reuse the "
-    "circuit's packed plan and, for pathsum, the kept top of its tree (the "
-    "first batch of 64 paths, where the tree is that wide) or, for "
-    "statevector, its stage plan, so their times and peaks leave out "
-    "packing and that top or that plan."
+    "The timed run and the traced run each query a freshly generated "
+    "circuit, built before the clock or the trace starts, so every trial "
+    "repeats one measurement of the query's whole work."
 )
 
 
 class BenchPlan(_Record):
     """One sweep: families x n range x seeds x methods x trials.  Each of
-    families, seeds and methods is non-empty and repeats no value."""
+    families, seeds and methods is non-empty and repeats no value.
+    ``options`` is the path walk's, from ``prune`` and ``time_cap_s``."""
 
-    __slots__ = _fields = ("families", "n_min", "n_max", "seeds", "methods", "trials",
-                           "time_cap_s", "prune")
+    _fields = ("families", "n_min", "n_max", "seeds", "methods", "trials", "time_cap_s",
+               "prune")
+    __slots__ = (*_fields, "options")
 
     def __init__(self, families: tuple[str, ...], n_min: int, n_max: int,
                  seeds: tuple[int, ...] = (1,), methods: tuple[str, ...] = METHODS,
@@ -81,9 +81,9 @@ class BenchPlan(_Record):
         if trials < 1:
             raise CircuitError(f"trials must be >= 1, got {trials}")
         _check_seconds(time_cap_s, "time cap")
-        if type(prune) is not bool:  # else every pathsum row is an error
-            raise CircuitError(f"prune must be True or False, got {prune!r}")
+        options = EngineOptions(prune, time_cap_s)
         self._init(families, n_min, n_max, seeds, methods, trials, time_cap_s, prune)
+        _set(self, "options", options)
 
 
 class BenchRecord(_Record):
@@ -111,21 +111,23 @@ _TIMED_OUT = CSV_COLUMNS.index("timed_out")
 def _query(plan: BenchPlan, circuit, query, method: str):
     """One query: (amplitude, recursion calls, prunes); None counters for the state vector."""
     if method == "pathsum":
-        options = EngineOptions(prune=plan.prune, deadline_s=plan.time_cap_s)
-        amplitude, stats = path_sum_amplitude(circuit, query, options)
+        amplitude, stats = path_sum_amplitude(circuit, query, plan.options)
         return amplitude, stats.recursion_calls, stats.prunes
     return statevector_amplitude(circuit, query, deadline_s=plan.time_cap_s), None, None
 
 
-def _run_one(plan: BenchPlan, circuit, family: str, n: int, seed: int,
-             method: str, trial: int) -> BenchRecord:
+def _run_one(plan: BenchPlan, family: str, n: int, seed: int, method: str,
+             trial: int) -> BenchRecord:
     """Time a single all-zeros query.
 
     The query is timed untraced; a finished query then runs once more
-    under tracemalloc for its peak memory.  A circuit wider than the
-    state vector's cap is recorded as skipped, with no time and no peak,
-    once per trial so the CSV keeps its regular shape.
+    under tracemalloc for its peak memory.  Each of the two runs queries
+    a circuit generated for it before its clock or trace starts, so no
+    run finds what an earlier one kept on a circuit.  A circuit wider
+    than the state vector's cap is recorded as skipped, with no time and
+    no peak, once per trial so the CSV keeps its regular shape.
     """
+    generate = FAMILIES[family][0]
     query = AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n))
     amplitude = None
     calls = None
@@ -133,6 +135,7 @@ def _run_one(plan: BenchPlan, circuit, family: str, n: int, seed: int,
     timed_out = False
     note = ""
     peak = 0
+    circuit = generate(n, seed)
     began = time.perf_counter()
     try:
         amplitude, calls, prune_count = _query(plan, circuit, query, method)
@@ -147,6 +150,7 @@ def _run_one(plan: BenchPlan, circuit, family: str, n: int, seed: int,
         note = f"error: {exc}"
     wall = 0.0 if began is None else time.perf_counter() - began
     if not (timed_out or note):
+        circuit = generate(n, seed)
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
@@ -164,13 +168,11 @@ def run_benchmark(plan: BenchPlan, progress=None) -> list[BenchRecord]:
     """Execute a plan and return one record per (family, n, seed, method, trial)."""
     records = []
     for family in plan.families:
-        generate = FAMILIES[family][0]
         for n in range(plan.n_min, plan.n_max + 1):
             for seed in plan.seeds:
-                circuit = generate(n, seed)
                 for method in plan.methods:
                     for trial in range(1, plan.trials + 1):
-                        record = _run_one(plan, circuit, family, n, seed, method, trial)
+                        record = _run_one(plan, family, n, seed, method, trial)
                         records.append(record)
                         if progress is not None:
                             progress(record)

@@ -141,12 +141,6 @@ class Gate(_Record):
         _set(self, "qubits", qubits)
         _set(self, "theta", theta)
 
-    def describe(self) -> str:
-        parts = [self.kind.value] + [str(q) for q in self.qubits]
-        if self.theta is not None:
-            parts.append(f"{self.theta:.17g}")
-        return " ".join(parts)
-
 
 def _check_int(value, noun: str):
     """Refuse ``value``, named ``noun``, unless it is an int and not a bool."""
@@ -221,8 +215,7 @@ def _gate_problem(gate: Gate, num_qubits: int):
 class Circuit(_Record):
     """An ordered gate sequence on ``num_qubits`` qubits.  Immutable.
 
-    Construction checks each gate once, with ``_gate_problem``.  The
-    counts h and t are recomputed on every access so they never go stale.
+    Construction checks each gate once, with ``_gate_problem``.
     """
 
     _fields = ("num_qubits", "gates")
@@ -274,6 +267,7 @@ class BasisState(_Record):
         return cls(0, width)
 
     def bit(self, qubit: int) -> int:
+        _check_int(qubit, "qubit")
         if qubit < 0 or qubit >= self.width:
             raise CircuitError(f"qubit {qubit} out of range for width {self.width}")
         return (self.bits >> qubit) & 1

@@ -178,7 +178,8 @@ SCALAR_LEAVES = 64
 # was slower on tree-walk and on h-layer n=9.
 FOLD_LEVELS = 14
 
-# Gate steps the scalar walk takes between two looks at the clock.
+# Gate steps the scalar walk takes, and ops the state vector's planner
+# plans, between two looks at the clock.
 _CLOCK_STEPS = 4096
 
 np = _SIGNED = _SIGNS = None  # bound by ``_load_numpy``

@@ -10,8 +10,48 @@ from __future__ import annotations
 
 import math
 
-from ._rng import SplitMix64
 from .circuit import Circuit, CircuitError, Gate, _check_int, ccx, cp, h, make_circuit
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea and Flood, "Fast splittable pseudorandom
+    number generators", OOPSLA 2014).  The algorithm is fixed and platform
+    independent, so a (family, n, seed) triple names the same circuit on
+    every machine and every library version, which library-default
+    generators do not promise."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, bound: int) -> int:
+        """Uniform integer in [0, bound), rejection sampled to avoid modulo bias."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        limit = (1 << 64) - ((1 << 64) % bound)
+        while True:
+            value = self.next_u64()
+            if value < limit:
+                return value % bound
+
+    def distinct(self, bound: int, count: int) -> list[int]:
+        """``count`` distinct uniform integers in [0, bound), in draw order."""
+        if count > bound:
+            raise ValueError(f"cannot draw {count} distinct values below {bound}")
+        picked: list[int] = []
+        while len(picked) < count:
+            value = self.below(bound)
+            if value not in picked:
+                picked.append(value)
+        return picked
 
 
 def gen_qft(qubits) -> list[Gate]:

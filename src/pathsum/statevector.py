@@ -47,7 +47,7 @@ from .circuit import (
     _OP_CPHASE, _OP_H, _OP_SKIP, _OP_Y, _Y0, _Y1, INV_SQRT2, AmplitudeQuery, BasisState,
     Circuit, CircuitError,
 )
-from .engine import QueryTimeout, deadline_at, packed_circuit
+from .engine import _CLOCK_STEPS, QueryTimeout, deadline_at, packed_circuit
 
 # 2**26 complex128 amplitudes are 1 GiB.  A run holds the vector and, while
 # one op runs, at most two half-vector copies: its traced peak is 32.05
@@ -94,12 +94,8 @@ def _split(n: int, ones: int, target: int) -> tuple:
     return shape, (*low, ...), (*high, ...)
 
 
-# The planner reads the clock once every this many ops.
-_PLAN_STEPS = 4096
-
-
 def _check_clock(i: int, deadline: float):
-    if i % _PLAN_STEPS == 0 and time.perf_counter() > deadline:
+    if i % _CLOCK_STEPS == 0 and time.perf_counter() > deadline:
         raise QueryTimeout("state-vector planning exceeded its deadline")
 
 
@@ -115,7 +111,7 @@ def _compact(bits: int, kept: int) -> int:
 
 def _plan(n: int, ops, cone: bool, deadline: float) -> tuple:
     """The stages that run ``ops`` on an n-qubit vector, each a pair
-    ``(shrink, views)``, reading the clock every ``_PLAN_STEPS`` ops.
+    ``(shrink, views)``, reading the clock every ``_CLOCK_STEPS`` ops.
 
     Op i of the ops but SKIP runs on the kept bits ``kept[i]``: all n
     bits, or with ``cone`` the OR of the bits ops i.. read or write, as an
@@ -292,7 +288,7 @@ def statevector_amplitude(
     ops from it on touch (see ``_plan``).  It skips the ops the full run
     skips, and every amplitude of a slice goes through the same arithmetic
     as in the full run.  ``deadline_s`` starts before the circuit's first
-    call packs and plans it; planning reads the clock every ``_PLAN_STEPS``
-    ops, and a run before each op it runs.
+    call packs and plans it; planning reads the clock every
+    ``engine._CLOCK_STEPS`` ops, and a run before each op it runs.
     """
     return complex(_run(circuit, query.start, query.end.bits, True, deadline_s)[0])

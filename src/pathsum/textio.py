@@ -144,7 +144,11 @@ def parse_circuit(text: str) -> Circuit:
 def serialize_circuit(circuit: Circuit) -> str:
     """Circuit-file text for ``circuit``; parses back to an equal circuit."""
     lines = [f"qubits {circuit.num_qubits}"]
-    lines.extend(gate.describe() for gate in circuit.gates)
+    for gate in circuit.gates:
+        words = [gate.kind.value, *map(str, gate.qubits)]
+        if gate.theta is not None:
+            words.append(f"{gate.theta:.17g}")
+        lines.append(" ".join(words))
     return "\n".join(lines) + "\n"
 
 
@@ -153,6 +157,8 @@ def format_basis_state(state: BasisState) -> str:
 
 
 def parse_basis_state(text: str, width: int) -> BasisState:
+    if not isinstance(text, str):
+        raise CircuitError(f"bitstring {text!r} is not a str")
     if len(text) != width:
         raise CircuitError(
             f"bitstring {text!r} has length {len(text)}, expected {width}"

@@ -27,8 +27,8 @@ from pathsum import (
     statevector_amplitude,
     statevector_simulate,
 )
-from pathsum._rng import SplitMix64
 from pathsum.circuit import ccx, h, x
+from pathsum.generators import SplitMix64
 from pathsum.textio import CircuitParseError
 
 from conftest import BAD_CIRCUIT_CORPUS, random_circuit, random_query

@@ -153,9 +153,9 @@ def test_csv_layout(tmp_path):
     meta = (tmp_path / "results.csv.meta").read_text().splitlines()
     assert meta[0] == MEMORY_NOTE
     assert "tracemalloc" in meta[0]
-    # The traced rerun and later trials start from the plan and its top.
-    assert ("That traced rerun, and every trial after the first, reuse the "
-            "circuit's packed plan and, for pathsum, the kept top of its tree") in meta[0]
+    # The traced rerun and every trial query a circuit of their own.
+    assert ("The timed run and the traced run each query a freshly generated "
+            "circuit, built before the clock or the trace starts") in meta[0]
     fields = dict(line.split(": ", 1) for line in meta[1:])
     assert fields == {
         "kernel": engine.KERNEL,
@@ -293,6 +293,24 @@ def test_traced_rerun_timeout_keeps_the_timed_run(monkeypatch):
     assert row.amplitude == expected.amplitude
     assert (row.recursion_calls, row.prunes) == (expected.recursion_calls, expected.prunes)
     assert row.wall_time_s > 0.0
+
+
+def test_every_run_queries_a_fresh_circuit(monkeypatch):
+    # Each timed run and each traced rerun gets a circuit of its own that no
+    # backend has packed yet, so no trial reuses an earlier one's work.
+    query = bench._query
+    seen = []
+
+    def recording(plan, circuit, *args):
+        seen.append((circuit, getattr(circuit, "_packed", None), tracemalloc.is_tracing()))
+        return query(plan, circuit, *args)
+
+    monkeypatch.setattr(bench, "_query", recording)
+    run_benchmark(_small_plan(trials=2))
+    assert [traced for _, _, traced in seen] == [False, True] * 4
+    assert all(packed is None for _, packed, _ in seen)
+    circuits = [circuit for circuit, _, _ in seen]
+    assert len({id(c) for c in circuits}) == 8 and len(set(circuits)) == 1
 
 
 # A fresh interpreter, so numpy is not loaded when the sweep starts.

@@ -243,6 +243,10 @@ def test_basis_state_validation():
         BasisState(0, 63)
     with pytest.raises(CircuitError, match="out of range"):
         BasisState(0, 3).bit(3)
+    with pytest.raises(CircuitError, match="^qubit True is not an integer$"):
+        BasisState(5, 3).bit(True)
+    with pytest.raises(CircuitError, match="^qubit 1.0 is not an integer$"):
+        BasisState(5, 3).bit(1.0)
 
 
 def test_query_width_checked():

@@ -4,7 +4,7 @@ commit run both sides from fresh copies, alternate sides and are
 summarized per metric, with whether they
 show a gain, and with peak RSS per extra query; ``--workload``
 narrows either kind of recording to the named workloads; every file
-records the benchmarked source's line count."""
+records the benchmarked source's line and module counts."""
 import hashlib
 import importlib.util
 import json
@@ -68,8 +68,8 @@ def _two_commits(tmp_path, workloads):
     7 s runs and two end-to-end metrics with their bounds, and whose
     ``src/pathsum`` keeps ``KERNEL`` in ``_kernels.py`` at the parent, as
     the package once did, and in ``engine.py`` at the change, and holds six
-    lines at the parent and eight at the change; returns it and both short
-    commits."""
+    lines at the parent and eight at the change, in three modules each;
+    returns it and both short commits."""
     repo = tmp_path / "repo"
     pkg = repo / "src" / "pathsum"
     pkg.mkdir(parents=True)
@@ -138,8 +138,8 @@ def test_against_pairs_alternate_and_summarize(tmp_path, monkeypatch):
     out = json.loads((tmp_path / f"BENCH_{change}-vs-{parent}.json").read_text())
     assert (out["commit"], out["dirty"], out["kernel"]) == (change, False, "new")
     assert out["against"] == {"rev": "HEAD~1", "commit": parent, "kernel": "old",
-                              "src_lines": 6}
-    assert out["src_lines"] == 8
+                              "src_lines": 6, "src_modules": 3}
+    assert (out["src_lines"], out["src_modules"]) == (8, 3)
     assert (out["seed"], out["pairs"]) == (4, 10)
     assert [(r["pair"], r["side"], r["workload"]) for r in out["runs"]] == [
         (pair, side, workload) for pair, _, workload, side, _, _ in expected]
@@ -181,7 +181,7 @@ def test_workload_option_runs_only_the_named_workloads(tmp_path, monkeypatch):
     assert calls == [(True, "one", 0), (True, "one", 1), (True, "three", 0), (True, "three", 1)]
     out = json.loads((tmp_path / f"BENCH_{change}.json").read_text())
     assert [run["workload"] for run in out["runs"]] == ["one", "one", "three", "three"]
-    assert out["src_lines"] == 8
+    assert (out["src_lines"], out["src_modules"]) == (8, 3)
     # Pairs: the named workload on both sides, ten times, and nothing else.
     calls.clear()
     assert record.main(["--root", str(repo), "--against", "HEAD~1", "--workload", "two"]) == 0
@@ -225,7 +225,8 @@ def test_against_runs_both_sides_from_fresh_copies(tmp_path, monkeypatch):
     assert seen == {"parent": {(False, "KERNEL = 'old'\n", False, False, False)},
                     "change": {(False, "KERNEL = 'edited'\n", True, False, False)}}
     out = json.loads((tmp_path / f"BENCH_edit-vs-{parent}.json").read_text())
-    assert out == {**out, **record.checkout_state(repo), "kernel": "edited", "src_lines": 9}
+    assert out == {**out, **record.checkout_state(repo), "kernel": "edited", "src_lines": 9,
+                   "src_modules": 4}
     assert out["dirty"] and out["commit"] == change
 
 

@@ -20,7 +20,7 @@ from pathsum import (
     parse_circuit,
     serialize_circuit,
 )
-from pathsum.circuit import GateKind, ccx, cp, h
+from pathsum.circuit import GateKind, ccx, cnot, cp, h, identity, p, s, t, x, y, z
 
 
 def test_parse_examples():
@@ -38,6 +38,17 @@ def test_serialize_examples():
     assert serialize_circuit(c) == "qubits 2\ncp 0 1 1.5707963267948966\n"
     # stable across calls
     assert serialize_circuit(c) == serialize_circuit(c)
+    # Every kind once; the angles hold -0.0, a subnormal, and 0.1, whose
+    # 17-digit form is longer than its repr.
+    every = make_circuit(3, [
+        h(0), x(1), y(2), z(0), s(1), t(2), p(0, -0.0), p(1, 5e-324), cp(0, 1, 0.1),
+        cp(2, 0, -2.5), cnot(2, 1), ccx(1, 2, 0), identity(2),
+    ])
+    assert {g.kind for g in every.gates} == set(GateKind)
+    assert serialize_circuit(every) == (
+        "qubits 3\nh 0\nx 1\ny 2\nz 0\ns 1\nt 2\np 0 -0\np 1 4.9406564584124654e-324\n"
+        "cp 0 1 0.10000000000000001\ncp 2 0 -2.5\ncx 2 1\nccx 1 2 0\nid 2\n"
+    )
 
 
 def test_mnemonics_cover_all_kinds():
@@ -121,6 +132,10 @@ def test_basis_state_rendering():
         parse_basis_state("01", 3)
     with pytest.raises(CircuitError, match="position 1"):
         parse_basis_state("0a1", 3)
+    with pytest.raises(CircuitError, match="^bitstring 101 is not a str$"):
+        parse_basis_state(101, 3)
+    with pytest.raises(CircuitError, match=r"^bitstring b'101' is not a str$"):
+        parse_basis_state(b"101", 3)
 
 
 def test_basis_state_round_trip():
