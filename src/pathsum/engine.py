@@ -21,8 +21,9 @@ Python scalars run the tree's narrow bottom (each batch with at most
 complex phase per path, over the plan's ops with the no-op gates left out.
 numpy is imported (``_load_numpy``) only for a tree wider than that.
 Up to the first position where the cut can fire, the tree's first batch
-depends on ``start`` alone, so once it holds SCALAR_LEAVES paths the plan
-keeps it, O(SCALAR_LEAVES) memory, and a later query from the same start
+depends on ``start`` alone, so the plan keeps it as it stands there, or
+just before the walk would split it, at most FRONTIER_CAP paths and
+O(FRONTIER_CAP) memory per plan, and a later query from the same start
 goes on from it (see ``traverse``).  CPython's complex product rounds as
 ``(re*fr - im*fi, re*fi + im*fr)``; numpy's need not, so the batches keep
 each phase as a float pair and use that formula.  A finished batch is
@@ -112,7 +113,8 @@ class PackedCircuit(_Record):
     of them (``len(ops)`` if none).  ``moves`` is the OR of every bit an op
     can change: the arg of every op but a CPHASE.  ``top`` is a one-slot
     memo, ``[(start, batch, counters)]`` of the last first batch the walk
-    kept at SCALAR_LEAVES paths (see ``traverse``), or ``[None]``.  ``dense``
+    kept up to the first possible cut or split, O(FRONTIER_CAP) memory
+    (see ``traverse``), or ``[None]``.  ``dense``
     holds the state vector's stages for the full run and for one amplitude,
     ``[full, cone]``, each None until the first such run plans it (see
     ``statevector``).  Equality, hashing and ``repr`` leave ``top`` and
@@ -148,12 +150,12 @@ def pack_circuit(circuit: Circuit) -> PackedCircuit:
 def _first_check(plan, start, end, prune):
     """The first position where the cut can fire: ``len(plan.ops) - D + 1``
     with D = popcount((start ^ end) | moves), the most any path's distance
-    to ``end`` can reach.  Without ``prune`` it is ``len(plan.ops)``, where
-    no check runs."""
+    to ``end`` can reach.  Without ``prune``, or with D = 0, it is
+    ``len(plan.ops)``, where no check runs."""
     length = len(plan.ops)
     if not prune:
         return length
-    return max(0, length - ((start ^ end) | plan.moves).bit_count() + 1)
+    return min(length, max(0, length - ((start ^ end) | plan.moves).bit_count() + 1))
 
 
 # Most paths one frontier batch holds (a lone path's two children always
@@ -169,8 +171,8 @@ FRONTIER_CAP = 1024
 # 48-qubit circuits of 100-1,000 gates the scalar walk was 1.8-3.2x faster
 # at 16-32 leaves, 1.0-1.3x at 64 and 0.2-0.8x from 128 on; on the circuit
 # families it was 1.7-4.1x faster at 64-256 leaves and 0.3-0.9x from 1,024.
-# It is also the size at which the walk keeps the tree's first batch on the
-# plan for later queries from the same start.
+# It sets the handoff alone: the top the walk keeps on the plan ends at the
+# first possible cut or before a split, whatever its size (see ``traverse``).
 SCALAR_LEAVES = 64
 
 # Most branch levels below a batch root: a batch is re-rooted before an H
@@ -336,16 +338,19 @@ def traverse(plan, start, end, prune, deadline):
     at an H the two children of a path are placed next to each other.
     The walk starts from the root, one path of phase 1, or from
     ``plan.top``: a top it kept earlier, with its start and counters.  The
-    top is the tree's first batch from the root until it holds
-    SCALAR_LEAVES paths or reaches ``first``, the first position where a
-    cut can fire, so it reads ``end`` and ``prune`` only through
-    ``first``.  A top from ``start`` that holds SCALAR_LEAVES paths at a
-    position p <= ``first`` and was never split is therefore, products and
-    counters alike, the first batch of every query from ``start`` whose
-    ``first`` is at least p, and the plan keeps it (one slot, the last such
-    top).  A top that reached ``first`` with fewer paths is not kept, since
-    a later ``first`` would let it run further.  The kept arrays are
-    read-only; the frontier only makes new arrays or views of them.
+    top is the tree's first batch from there to ``first``, the first
+    position where a cut can fire, or to an H at which it would split (no
+    handoff comes before a cut: the live paths times 2**(H gates left)
+    stay 2**h), or to the deadline.  It holds every path below the root
+    and reads ``end`` and ``prune`` only through ``first``, so a top from
+    ``start`` at position p <= ``first`` is, products and counters alike,
+    the first batch of every query from ``start`` whose ``first`` is at
+    least p.  The plan keeps each top that went past where its query
+    started (one slot, the last such top: at most FRONTIER_CAP paths,
+    O(FRONTIER_CAP) memory), so a query that goes on from a kept top
+    extends it, and one that times out keeps the top it reached.  The
+    kept arrays are read-only; the frontier only makes new arrays or views
+    of them.
 
     Before an H would double a batch past FRONTIER_CAP paths, or its
     branch bits past FOLD_LEVELS levels, the batch is split at its root:
@@ -381,29 +386,32 @@ def traverse(plan, start, end, prune, deadline):
     memo = plan.top[0]  # read once: other threads may replace it
     if memo is not None and memo[0] == start and memo[1][0] <= first:
         _, batch, (calls, edges, prunes, max_depth) = memo
-        keep = False
     else:
         batch = (0, 0, 0, np.array([start], dtype=np.int64), _pairs([1 + 0j]),
                  np.zeros(1, dtype=np.int64))
         calls = edges = prunes = max_depth = 0
-        keep = True
+    since, keep = batch[0], True
     amp = [0j] * (hleft[0] + 1)
     pending = []
     while True:
         pos, depth, root, state, P, idx = batch
-        while pos < length and state.size:
-            if keep and (pos >= first or state.size >= limit):
-                # The top ends: keep it if it is still the tree's whole
-                # first batch, with no cut and no split behind it.
+        while state.size:
+            late = pos < length and time.perf_counter() > deadline
+            if keep and (late or pos >= first or ops[pos][0] == _OP_H and depth > root and (
+                    2 * state.size > cap or depth - root >= FOLD_LEVELS)):
+                # The top ends at ``first``, before a split, or at the
+                # deadline, and is kept if it went past ``since``.
                 keep = False
-                if state.size >= limit and pos <= first and root == 0:
+                if pos > since:
                     # A write into a kept array raises.
                     for array in (state, P, idx):
                         array.flags.writeable = False
                     plan.top[0] = (start, (pos, depth, root, state, P, idx),
                                    (calls, edges, prunes, max_depth))
-            if time.perf_counter() > deadline:
+            if late:
                 raise _timeout(calls, edges, prunes, max_depth)
+            if pos == length:
+                break
             if pos >= first:
                 left = length - pos
                 dist = np.bitwise_count(state ^ end)

@@ -338,38 +338,58 @@ def test_frontier_deep_narrow_walk(monkeypatch):
 
 
 def test_walk_keeps_its_full_first_batch(monkeypatch):
-    # The walk keeps the tree's first batch on the plan once it holds
-    # SCALAR_LEAVES paths, branch bits ``arange``; at limit 0 the kept
-    # batch is the root.
+    # The walk keeps the tree's first batch on the plan as it stands at the
+    # first position where a cut can fire, or just before an H that would
+    # split it on FRONTIER_CAP or FOLD_LEVELS, whatever SCALAR_LEAVES is:
+    # every path below the root, branch bits ``arange``.  The circuit opens
+    # with six H gates, then six Toffolis and six H gates; pruned, a cut can
+    # fire from gate 13 on, and unpruned the batch runs until it would pass
+    # FRONTIER_CAP.
     circuit = gen_layered_hadamard(6, 1)
     query = AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6))
-    expected = reference_walk(circuit, query, True)
-    tops = []
-    for limit in (engine.SCALAR_LEAVES, 0):
-        monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
-        plan = pack_circuit(circuit)
-        assert _drive_plan(plan, query, True) == expected
-        start, (pos, depth, root, states, P, idx), counters = plan.top[0]
-        assert (start, root) == (0, 0) and states.size >= limit
-        assert idx.tolist() == list(range(states.size)) == list(range(1 << depth))
-        tops.append((pos, states.size, counters))
-    # The circuit opens with its six H gates; the top ends right after them.
-    assert tops == [(6, 64, (126, 126, 0, 6)), (0, 1, (0, 0, 0, 0))]
+    cap, levels = engine.FRONTIER_CAP, engine.FOLD_LEVELS
+    # (prune, cap, levels) -> (stop, paths, counters at the stop)
+    tops = {
+        (True, cap, levels): (13, 128, (254, 638, 0, 7)),
+        (False, cap, levels): (16, 1024, (2046, 2430, 0, 10)),
+        (True, 64, levels): (12, 64, (126, 510, 0, 6)),
+        (False, 64, levels): (12, 64, (126, 510, 0, 6)),
+        (True, cap, 3): (3, 8, (14, 14, 0, 3)),
+    }
+    for (prune, cap, levels), top in tops.items():
+        expected = reference_walk(circuit, query, prune)
+        monkeypatch.setattr(engine, "FRONTIER_CAP", cap)
+        monkeypatch.setattr(engine, "FOLD_LEVELS", levels)
+        for limit in (engine.SCALAR_LEAVES, 0):
+            monkeypatch.setattr(engine, "SCALAR_LEAVES", limit)
+            plan = pack_circuit(circuit)
+            assert _drive_plan(plan, query, prune) == expected
+            start, (pos, depth, root, states, P, idx), counters = plan.top[0]
+            assert (start, root) == (0, 0)
+            assert idx.tolist() == list(range(states.size)) == list(range(1 << depth))
+            assert (pos, states.size, counters) == top
 
 
 def test_plan_keeps_its_top_for_one_start(monkeypatch):
     # One plan answers queries from one start to several ends, prune on and
-    # off, then from a second start, then from that start with a first
-    # check before the kept top's stop.  Every answer equals the reference
-    # walk.  A top is kept once per start (a later query from that start
-    # goes on from it and keeps it), and a first check before the kept
-    # top's stop neither uses nor replaces it.  The family circuits move
+    # off, then from a second start.  Every answer equals the reference
+    # walk.  Each query keeps the top it reached if that went past where it
+    # started: an unpruned query goes on from the pruned one's top and
+    # extends it where no split stops it first, and a later pruned query,
+    # whose first check comes before that top's stop, walks its own top
+    # from the root and keeps it in its place.  The family circuits move
     # all their qubits, so their first check never moves; ``idle`` extra
     # qubits, which no gate touches, let an end that differs from the start
     # on k of them move it k gates earlier, to position ``idle - k``.
     rng = np.random.default_rng(14)
     expected = {}
-    for family in (gen_layered_hadamard(6, 1), gen_hsp_standard(12, 5), gen_layered_qft(5, 1)):
+    # family -> (pruned top's stop, unpruned top's stop): h-layer's and
+    # qft-layer's pruned tops end at the first check, hsp's before a split
+    # on FRONTIER_CAP; h-layer's unpruned top ends before a split and
+    # qft-layer's, which never splits, at the last gate.
+    families = {gen_layered_hadamard(6, 1): (13, 16), gen_hsp_standard(12, 5): (35, 35),
+                gen_layered_qft(5, 1): (31, 35)}
+    for family, (stop, deep) in families.items():
         n = family.num_qubits
         idle = len(family.gates) - n + 1
         circuit = make_circuit(n + idle, family.gates)
@@ -395,33 +415,80 @@ def test_plan_keeps_its_top_for_one_start(monkeypatch):
             plan = pack_circuit(circuit)
             tops = []  # each top the plan kept, in turn
             for start, end, prune in queries:
+                top = plan.top[0]
                 assert _drive_plan(plan, AmplitudeQuery(start, end), prune) == reference(
                     start, end, prune)
-                if plan.top[0] is not None and (not tops or plan.top[0] is not tops[-1]):
+                if plan.top[0] is not top:
                     tops.append(plan.top[0])
             if 1 << plan.hleft[0] <= limit:
                 # The scalar walk takes the whole tree: no top to keep.
                 assert tops == [] and plan.top == [None]
                 continue
-            assert [top[0] for top in tops] == [a.bits, b.bits]
+            a_tops = [(a.bits, stop)] + [(a.bits, deep), (a.bits, stop)] * (deep > stop)
+            assert [(top[0], top[1][0]) for top in tops] == a_tops + [(b.bits, stop)]
             start, batch, counters = tops[-1]
-            stop, _, _, states, P, idx = batch
-            assert stop <= idle and states.size == max(limit, 1)
+            _, depth, _, states, P, idx = batch
+            assert stop <= idle and states.size == 1 << depth
             for array in (states, P, idx):
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
-            # The kept top, marked with one call too many, shows which
-            # query goes on from it.  First check at stop - 1 where there
-            # is one: that query runs its own top and keeps none.
-            kept = plan.top[0] = (start, batch, (counters[0] + 1, *counters[1:]))
-            k = min(idle, idle - stop + 1)
+            # A kept top marked with one call too many shows whether a query
+            # goes on from it.  First check at stop - 1: that query walks
+            # its own top from the root and keeps it, one gate short of the
+            # marked one.  A query from that start with the later first
+            # check goes on from it, extends it to ``stop`` again and keeps
+            # the extension, marked; the next such query reuses it.
+            plan.top[0] = (start, batch, (counters[0] + 1, *counters[1:]))
+            k = idle - stop + 1
             early = BasisState(b_ends[0].bits ^ (((1 << k) - 1) << n), n + idle)
-            for end in (early, b_ends[0]):
+            assert _drive_plan(plan, AmplitudeQuery(b, early), True) == reference(b, early, True)
+            start, batch, counters = plan.top[0]
+            assert (start, batch[0], batch[3].size) == (b.bits, stop - 1, 1 << batch[1])
+            plan.top[0] = (start, batch, (counters[0] + 1, *counters[1:]))
+            for end in b_ends:
                 amplitude, (calls, *rest) = reference(b, end, True)
-                used = end is b_ends[0] or idle - k >= stop
                 assert _drive_plan(plan, AmplitudeQuery(b, end), True) == (
-                    amplitude, (calls + used, *rest))
-                assert plan.top[0] is kept
+                    amplitude, (calls + 1, *rest))
+                if end is b_ends[0]:
+                    kept = plan.top[0]
+                assert plan.top[0] is kept and kept[1][0] == stop
+
+
+def _tree_size(circuit):
+    """The unpruned walk's counters from the gates alone: 2**(h+1) - 2
+    descents, 2**(H gates before it) edges per gate and twice that at an
+    H, no cut and depth h."""
+    edges = hs = 0
+    for gate in circuit.gates:
+        branching = gate.kind.is_branching
+        edges += (1 + branching) << hs
+        hs += branching
+    return (2 ** (hs + 1) - 2, edges, 0, hs)
+
+
+def test_unpruned_counters_are_the_trees_size():
+    # Without pruning every path runs to the last gate, so the counters are
+    # the tree's size whichever walk ran it and wherever it was split.
+    # Each query runs twice on one plan, the second from the top the first
+    # one kept, which every tree wider than SCALAR_LEAVES leaves keeps.
+    rng = np.random.default_rng(141)
+    circuits = [generate(n, 1) for generate, sizes in (
+        (gen_layered_hadamard, range(3, 9)), (gen_layered_qft, range(3, 7)),
+        (gen_hsp_standard, range(5, 10))) for n in sizes]
+    circuits += [random_circuit(rng, n, int(rng.integers(1, 60)))
+                 for n in range(1, 9) for _ in range(6)]
+    circuits += [_stream_circuit(rng, int(rng.integers(4, 20)), hs, int(rng.integers(60)))
+                 for hs in range(14)]
+    for circuit in circuits:
+        n = circuit.num_qubits
+        plan = pack_circuit(circuit)
+        size = _tree_size(circuit)
+        for query in (AmplitudeQuery(BasisState.zeros(n), BasisState.zeros(n)),
+                      _random_path_query(rng, circuit, BasisState.zeros(n)),
+                      random_query(rng, n)):
+            for _ in range(2):
+                assert _drive_plan(plan, query, False)[1] == size
+        assert (plan.top[0] is not None) == (1 << size[3] > engine.SCALAR_LEAVES)
 
 
 def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
@@ -435,11 +502,12 @@ def test_scalar_walks_scale_each_part_at_an_h(monkeypatch):
         return [struct.pack("<2d", z.real, z.imag) for z in phases]
 
     # Y then Z on |0> leave (-0.0, -1); h(0) then scales it, and the high
-    # child, whose bit 0 was set, is negated.
+    # child, whose bit 0 was set, is negated.  Pruned, the cut can first
+    # fire at gate 3 (two bits move), so the kept top ends there.
     plan = pack_circuit(make_circuit(2, [y(0), z(0), h(0), h(1)]))
     with monkeypatch.context() as patch:
         patch.setattr(engine, "SCALAR_LEAVES", 2)
-        _drive_plan(plan, AmplitudeQuery(BasisState.zeros(2), BasisState.zeros(2)), False)
+        _drive_plan(plan, AmplitudeQuery(BasisState.zeros(2), BasisState.zeros(2)), True)
     pos, depth, root, states, P, idx = plan.top[0][1]
     assert (pos, depth, root, states.tolist(), idx.tolist()) == (3, 1, 0, [0, 1], [0, 1])
     low = complex(-0.0, -INV_SQRT2)
@@ -522,25 +590,29 @@ def test_frontier_deadline_is_checked():
 
 
 def test_timeout_leaves_the_kept_top_usable(monkeypatch):
-    # A query that times out after its walk kept the tree's first batch,
-    # and one that times out going on from it, leave the plan a top that
-    # the next query from that start reuses to the reference walk's answer.
+    # A query that times out before its top reaches the first check keeps
+    # the top it reached, with the counters its timeout reports; one that
+    # goes on from that top extends it to the first check, gate 13, and
+    # times out below it.  The next queries from that start reuse the top
+    # to the reference walk's answer and keep it as it is.
     circuit = gen_layered_hadamard(6, 1)
     rng = np.random.default_rng(16)
     queries = [AmplitudeQuery(BasisState.zeros(6), BasisState.zeros(6)),
                _random_path_query(rng, circuit, BasisState.zeros(6))]
     plan = pack_circuit(circuit)
-    kept = None
-    # A clock that reads 0, 1, 2, ...: the batches read it once per gate,
-    # so deadline 10 fires at gate 11, five gates below the top, which
-    # ends at gate 6.
-    for deadline in (10, 2):
+    # A clock that reads 0, 1, 2, ... from each query's first gate: the
+    # batches read it once per gate, so deadline 10 fires at gate 11, and
+    # deadline 2 on a walk from there at gate 14.
+    for deadline, stop in ((10, 11), (2, 13)):
         with monkeypatch.context() as patch:
             patch.setattr(engine, "time", SimpleNamespace(perf_counter=count().__next__))
-            with pytest.raises(QueryTimeout):
+            with pytest.raises(QueryTimeout) as timeout:
                 _drive_plan(plan, queries[0], True, deadline)
-        kept = kept or plan.top[0]
-        assert kept[1][0] == 6 and plan.top[0] is kept
+        start, (pos, depth, root, states, P, idx), counters = plan.top[0]
+        assert (start, pos, root, states.size) == (0, stop, 0, 1 << depth)
+        if stop == 11:  # the top is where that walk stopped
+            assert timeout.value.stats == engine.TraversalStats(*counters)
+    kept = plan.top[0]
     for query in queries:
         assert _drive_plan(plan, query, True) == reference_walk(circuit, query, True)
     assert plan.top[0] is kept
